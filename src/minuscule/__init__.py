@@ -42,7 +42,6 @@ from .errors import (
 )
 from .heap import (
     Heap,
-    build_minuscule_heap,
     heap_from_word,
     heaps_isomorphic,
     label_fiber,
@@ -66,6 +65,7 @@ from .ideals import (
 from .orbit import (
     MinusculeReport,
     OrbitPoset,
+    build_minuscule_heap,
     generate_orbit,
     join_irreducible_indices,
     saturated_chain,

@@ -47,13 +47,12 @@ from .heap import (
     random_linear_extension,
     word_of_extension,
 )
-from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, enumerate_ideals, verify_commutation
+from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
 from .orbit import (
     DEFAULT_ORBIT_CAP,
     MinusculeReport,
     OrbitPoset,
     generate_orbit,
-    saturated_chain,
     verify_minuscule,
 )
 from .stats import identity_suite, tcde_constant
@@ -118,9 +117,10 @@ def _build_case(spec: CaseSpec) -> CaseBundle:
     report = verify_minuscule(cd, orb)
     if not report.ok:
         raise NonMinusculeError(spec, report)
-    h = heap_from_word(cd, saturated_chain(orb), base=lam)
-    lattice = enumerate_ideals(h, cap=spec.cap_ideals)
-    return CaseBundle(spec, cd, lam, orb, report, h, lattice)
+    lattice = report.lattice
+    if len(lattice) > spec.cap_ideals:
+        raise ResourceLimitError(f"ideal count exceeds cap of {spec.cap_ideals}")
+    return CaseBundle(spec, cd, lam, orb, report, lattice.heap, lattice)
 
 
 def build_case(
@@ -379,6 +379,8 @@ def cmd_verify(args) -> int:
         if args.family is None or args.rank is None or args.node is None:
             raise DomainError("verify needs FAMILY RANK NODE or --all")
         specs = [_case_from_args(args)]
+    if args.words < 0:
+        raise DomainError(f"--words must be at least 0, got {args.words}")
     modes = (STRICT, MULTI) if args.chain_mode == "both" else (args.chain_mode,)
 
     results = []

@@ -18,12 +18,6 @@ from functools import cached_property
 from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
-from .orbit import (
-    DEFAULT_ORBIT_CAP,
-    generate_orbit,
-    saturated_chain,
-    verify_minuscule,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,19 +113,6 @@ def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None =
         tuple(names),
         tuple(base) if base is not None else None,
     )
-
-
-def build_minuscule_heap(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> Heap:
-    """The minuscule heap of a minuscule dominant weight.
-
-    Generates and certifies the orbit first; a failed certification is a
-    DomainError carrying the report summary.
-    """
-    orb = generate_orbit(cd, lam, cap)
-    report = verify_minuscule(cd, orb)
-    if not report.ok:
-        raise DomainError(f"weight {tuple(lam)} is not minuscule ({report.summary()})")
-    return heap_from_word(cd, saturated_chain(orb), base=lam)
 
 
 def label_fiber(h: Heap, i: int) -> tuple[int, ...]:

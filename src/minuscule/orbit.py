@@ -11,18 +11,15 @@ certifies exactly that and reports any violation it finds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bits import iter_bits
 from .cartan import CartanDatum, Weight, is_dominant, is_integral, simple_reflection
 from .errors import DomainError, ResourceLimitError
+from .heap import Heap, heap_from_word
+from .ideals import IdealLattice, enumerate_ideals
 
 DEFAULT_ORBIT_CAP = 10**6
-
-# verify_minuscule builds quadratic meet/join tables; past this many
-# weights that is no longer desk scale.
-DEFAULT_LATTICE_CAP = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +55,6 @@ class OrbitPoset:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def minimal_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, a in enumerate(self.down_adjacency) if not a)
-
-    @cached_property
     def maximal_indices(self) -> tuple[int, ...]:
         return tuple(k for k, a in enumerate(self.up_adjacency) if not a)
 
@@ -80,14 +73,6 @@ class OrbitPoset:
             for _, v in self.up_adjacency[u]:
                 below[v] |= below[u] | (1 << u)
         return tuple(below)
-
-    @cached_property
-    def above_masks(self) -> tuple[int, ...]:
-        above = [0] * len(self.weights)
-        for v, mask in enumerate(self.below_masks):
-            for u in iter_bits(mask):
-                above[u] |= 1 << v
-        return tuple(above)
 
     def _topological_order(self) -> list[int]:
         n = len(self.weights)
@@ -157,121 +142,108 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
 
 @dataclass(frozen=True)
 class MinusculeReport:
-    """Outcome of the minuscule certification of an orbit poset."""
+    """Outcome of the minuscule certification of an orbit poset.
+
+    ``lattice`` is the ideal lattice of the heap of ``saturated_chain``
+    whenever it was enumerated; ``mismatch`` names the first place where
+    its weight map fails to be a label-preserving cover isomorphism onto
+    the orbit.
+    """
 
     size: int
     pairing_violations: tuple[tuple[Weight, int, int], ...]
-    minimal_count: int
-    maximal_count: int
-    missing_meets: tuple[tuple[int, int], ...]
-    missing_joins: tuple[tuple[int, int], ...]
-    distributivity_violations: tuple[tuple[int, int, int], ...]
-    lattice_checked: bool
+    mismatch: str | None = None
+    lattice: IdealLattice | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
-        return (
-            not self.pairing_violations
-            and self.minimal_count == 1
-            and self.maximal_count == 1
-            and self.lattice_checked
-            and not self.missing_meets
-            and not self.missing_joins
-            and not self.distributivity_violations
-        )
+        return not self.pairing_violations and self.mismatch is None
 
     def summary(self) -> str:
         if self.ok:
             return f"minuscule: {self.size} weights form a distributive lattice"
-        parts = []
         if self.pairing_violations:
             w, i, v = self.pairing_violations[0]
-            parts.append(
-                f"{len(self.pairing_violations)} coroot pairings outside"
+            return (
+                f"not minuscule: {len(self.pairing_violations)} coroot pairings outside"
                 f" {{-1,0,1}} (first: weight {w} pairs to {v} at node {i})"
             )
-        if self.minimal_count != 1:
-            parts.append(f"{self.minimal_count} minimal weights")
-        if self.maximal_count != 1:
-            parts.append(f"{self.maximal_count} maximal weights")
-        if self.missing_meets or self.missing_joins:
-            parts.append(
-                f"{len(self.missing_meets)} pairs without meet,"
-                f" {len(self.missing_joins)} without join"
+        return f"not minuscule: {self.mismatch}"
+
+
+def _first_mismatch(orbit: OrbitPoset, lattice: IdealLattice) -> str | None:
+    """Where ideal -> weight fails to be a bijection onto the orbit that
+    sends the covers of J(P) onto the orbit covers with the same labels."""
+    n = len(orbit)
+    pos = [orbit.index.get(w, -1) for w in lattice.weights]
+    if sorted(pos) != list(range(n)):
+        k = min(set(range(n)) - set(pos))
+        return f"orbit weight {orbit.weights[k]} is the weight of no ideal"
+    covers = set(orbit.covers)
+    labels = lattice.heap.labels
+    hit = set()
+    for lo, hi, p in lattice.covers:
+        edge = (pos[lo], pos[hi], labels[p])
+        if edge not in covers:
+            return (
+                f"cover {lattice.weights[lo]} -> {lattice.weights[hi]}"
+                f" at node {labels[p]} of J(P) is not an orbit cover"
             )
-        if self.distributivity_violations:
-            parts.append(f"{len(self.distributivity_violations)} non-distributive triples")
-        if not self.lattice_checked and not parts:
-            parts.append("lattice structure not checked")
-        return "not minuscule: " + "; ".join(parts)
+        hit.add(edge)
+    if len(hit) != len(covers):
+        u, v, i = next(c for c in orbit.covers if c not in hit)
+        return f"orbit cover {orbit.weights[u]} -> {orbit.weights[v]} at node {i} is not a cover of J(P)"
+    return None
 
 
-def verify_minuscule(
-    cd: CartanDatum, orbit: OrbitPoset, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> MinusculeReport:
+def verify_minuscule(cd: CartanDatum, orbit: OrbitPoset) -> MinusculeReport:
     """Certify that an orbit is the weight lattice of a minuscule representation.
 
-    Checks, in order: every coroot pairing lies in {-1, 0, 1}; the cover
-    digraph has a unique minimal and a unique maximal weight; every pair
-    has a meet and a join; every triple satisfies the distributive law.
-    The lattice phase is brute force and only runs once the cheaper
-    checks pass (any pairing violation already refutes minuscularity).
+    First every coroot pairing must lie in {-1, 0, 1}; a violation already
+    refutes minuscularity and nothing further is built.  Then the heap of
+    ``saturated_chain`` is built and its ideal lattice J(P) enumerated, at
+    most one ideal per orbit weight.  The orbit is certified when the map
+    ideal -> weight is a bijection onto the orbit that sends every cover of
+    J(P) to an orbit cover with the same label, and both have equally many
+    covers: the orbit is then isomorphic to J(P), hence a distributive
+    lattice (Rush and Shi).  The check is linear in the at most
+    |J(P)| * rank covers; enumerating J(P) costs O(|J(P)| * |P|).
     """
+    n = len(orbit)
     pairing = tuple(
         (w, i, w[i - 1])
         for w in orbit.weights
         for i in cd.nodes
         if not -1 <= w[i - 1] <= 1
     )
-    n = len(orbit)
-    nmin = len(orbit.minimal_indices)
-    nmax = len(orbit.maximal_indices)
-    if pairing or nmin != 1 or nmax != 1:
-        return MinusculeReport(n, pairing, nmin, nmax, (), (), (), False)
-    if n > lattice_cap:
-        raise ResourceLimitError(f"orbit of {n} weights exceeds lattice check cap {lattice_cap}")
+    if pairing:
+        return MinusculeReport(n, pairing)
+    h = heap_from_word(cd, saturated_chain(orbit), base=orbit.weights[orbit.bottom])
+    try:
+        lattice = enumerate_ideals(h, cap=n)
+    except ResourceLimitError:
+        return MinusculeReport(n, (), f"the heap of the saturated chain has more than {n} ideals")
+    return MinusculeReport(n, (), _first_mismatch(orbit, lattice), lattice)
 
-    down = [m | (1 << k) for k, m in enumerate(orbit.below_masks)]
-    up = [m | (1 << k) for k, m in enumerate(orbit.above_masks)]
-    down_index = {m: k for k, m in enumerate(down)}
-    up_index = {m: k for k, m in enumerate(up)}
 
-    missing_meets = []
-    missing_joins = []
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            m = down_index.get(down[x] & down[y], -1)
-            j = up_index.get(up[x] & up[y], -1)
-            if m < 0:
-                missing_meets.append((x, y))
-            if j < 0:
-                missing_joins.append((x, y))
-            meet[x][y] = meet[y][x] = m
-            join[x][y] = join[y][x] = j
-    if missing_meets or missing_joins:
-        return MinusculeReport(
-            n, (), 1, 1, tuple(missing_meets), tuple(missing_joins), (), True
-        )
+def build_minuscule_heap(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> Heap:
+    """The minuscule heap of a minuscule dominant weight.
 
-    bad_triples = []
-    for x in range(n):
-        meet_x = meet[x]
-        for y in range(n):
-            join_y = join[y]
-            join_xy = join[meet_x[y]]
-            for z in range(y, n):
-                if meet_x[join_y[z]] != join_xy[meet_x[z]]:
-                    bad_triples.append((x, y, z))
-    return MinusculeReport(n, (), 1, 1, (), (), tuple(bad_triples), True)
+    Generates and certifies the orbit first; a failed certification is a
+    DomainError carrying the report summary.
+    """
+    report = verify_minuscule(cd, generate_orbit(cd, lam, cap))
+    if not report.ok:
+        raise DomainError(f"weight {tuple(lam)} is not minuscule ({report.summary()})")
+    return report.lattice.heap
 
 
 def saturated_chain(orbit: OrbitPoset) -> tuple[int, ...]:
     """Labels along the bottom-to-top chain taking the smallest node at each step.
 
-    Assumes a verified minuscule orbit, where every such walk is a
-    maximal chain of full length.
+    On a minuscule orbit every such walk is a maximal chain of full
+    length; ``verify_minuscule`` certifies the orbit through the heap of
+    this word.
     """
     word = []
     u = orbit.bottom

@@ -150,3 +150,60 @@ def grid_covers(a, b):
             if c < b:
                 covers.add((idx(r, c), idx(r, c + 1)))
     return covers
+
+
+def orbit_covers(matrix, weights):
+    """Cover pairs (mu, mu - alpha_i) wherever the i-th pairing of mu is 1."""
+    return [
+        (mu, reflect(matrix, i, mu))
+        for mu in weights
+        for i in range(1, len(matrix) + 1)
+        if mu[i - 1] == 1
+    ]
+
+
+def is_distributive_lattice(n, edges):
+    """Is the reflexive-transitive closure of ``edges`` on 0..n-1 a
+    distributive lattice?
+
+    Down-sets come from a fixpoint closure over plain bit masks; the meet
+    of x and y is the element whose down-set is the intersection of
+    theirs (joins dually), and the distributive law is tested on every
+    triple.  Cubic, so only for small n.
+    """
+    down = [1 << k for k in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            if down[u] & ~down[v]:
+                down[v] |= down[u]
+                changed = True
+    if len(set(down)) != n:
+        return False  # a cycle: not antisymmetric
+    up = [sum(1 << v for v in range(n) if down[v] >> u & 1) for u in range(n)]
+
+    def bounds(sets):
+        where = {m: k for k, m in enumerate(sets)}
+        return [[where.get(sets[x] & sets[y]) for y in range(n)] for x in range(n)]
+
+    meet, join = bounds(down), bounds(up)
+    if any(z is None for row in meet + join for z in row):
+        return False
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def cubic_minuscule_verdict(matrix, lam):
+    """Every coroot pairing over the orbit of lam lies in {-1, 0, 1}, and
+    the orbit ordered by its covers is a distributive lattice."""
+    weights = sorted(closure_orbit(matrix, lam))
+    if any(abs(c) > 1 for mu in weights for c in mu):
+        return False
+    index = {mu: k for k, mu in enumerate(weights)}
+    edges = [(index[a], index[b]) for a, b in orbit_covers(matrix, weights)]
+    return is_distributive_lattice(len(weights), edges)

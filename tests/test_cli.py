@@ -179,3 +179,13 @@ def test_verify_rerun_output_identical(capsys):
     code2, out2, _ = run(capsys, "verify", "D", "4", "4", "--seed=3")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_verify_negative_words_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "A", "1", "1", "--words", "-3")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", "A", "1", "1", "--words", "0")
+    assert code == EXIT_OK
+    assert "A1.1,heap_words,0,0" in out.splitlines()
