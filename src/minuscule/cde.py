@@ -4,7 +4,11 @@ Covers the uniform, maximal-chain, and k-chain distributions (in both
 the strict-chain and multichain readings), toggle symmetry, uniform
 distributions on action orbits, and an exact linear-programming
 certificate that the down-degree expectation is the same for every
-toggle-symmetric distribution.
+toggle-symmetric distribution.  That certificate is a dual witness y
+with A^T y = ddeg for the equality matrix A of the toggle polytope,
+found by fraction-free integer elimination and checked on every ideal;
+the simplex runs only when no witness exists, i.e. when the expectation
+is not constant on the polytope.
 
 Chain counts are computed by a two-pass dynamic program (chains ending
 at, and chains starting from, each ideal); the counts grow like
@@ -148,14 +152,18 @@ def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distrib
 @dataclass(frozen=True)
 class LpCertificate:
     """Exact optima of the down-degree expectation over the polytope of
-    toggle-symmetric distributions, with optimal vertices and bases."""
+    toggle-symmetric distributions, with an optimal point for each.
+
+    ``witness`` is the dual vector y (y_0, then y_p in heap order) with
+    A^T y = ddeg for the equality matrix A of ``toggle_polytope``, when
+    one exists; it proves the expectation is y_0 on the whole polytope.
+    It is None when the optima came from the simplex instead."""
 
     minimum: Fraction
     maximum: Fraction
     minimizer: Distribution
     maximizer: Distribution
-    min_basis: tuple[int, ...]
-    max_basis: tuple[int, ...]
+    witness: tuple[Fraction, ...] | None
 
     @property
     def constant(self) -> bool:
@@ -180,12 +188,96 @@ def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[Fraction]], list[F
     return rows, rhs
 
 
+def _bareiss_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Integers x and d != 0 such that y = x / d solves the square integer
+    system ``matrix y = rhs``, or None when the matrix is singular.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the input, so every division is exact, and the last pivot d
+    is the determinant up to sign, so d y is integral by Cramer's rule.
+    """
+    n = len(matrix)
+    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for c in range(n):
+        pick = next((i for i in range(c, n) if aug[i][c]), None)
+        if pick is None:
+            return None
+        aug[c], aug[pick] = aug[pick], aug[c]
+        top = aug[c]
+        pv = top[c]
+        for row in aug[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pv
+    x = [0] * n
+    for c in reversed(range(n)):
+        row = aug[c]
+        x[c] = (prev * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
+    return x, prev
+
+
+def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
+    """y with A^T y = ddeg on every ideal, for A the equality matrix of
+    ``toggle_polytope``, or None.
+
+    Solves the normal equations (A A^T) y = A ddeg, whose Gram entries
+    are popcounts of per-element ideal masks, and then checks A^T y =
+    ddeg exactly; only that check certifies.  When A has full row rank
+    the solution is unique and passes the check exactly when ddeg lies
+    in the row span of A.  A singular Gram matrix also gives None.
+    """
+    degrees = lattice.down_degrees
+    adds, removes = lattice.add_sites, lattice.remove_sites
+    plus = [sum(1 << k for k in sites) for sites in adds]
+    minus = [sum(1 << k for k in sites) for sites in removes]
+    m = len(lattice.heap) + 1
+    gram = [[0] * m for _ in range(m)]
+    rhs = [sum(degrees)] + [0] * (m - 1)
+    gram[0][0] = len(lattice)
+    for p in range(m - 1):
+        gram[0][p + 1] = gram[p + 1][0] = len(adds[p]) - len(removes[p])
+        rhs[p + 1] = sum(degrees[k] for k in adds[p]) - sum(degrees[k] for k in removes[p])
+        for q in range(p, m - 1):
+            dot = (
+                (plus[p] & plus[q]).bit_count()
+                + (minus[p] & minus[q]).bit_count()
+                - (plus[p] & minus[q]).bit_count()
+                - (minus[p] & plus[q]).bit_count()
+            )
+            gram[p + 1][q + 1] = gram[q + 1][p + 1] = dot
+    solved = _bareiss_solve(gram, rhs)
+    if solved is None:
+        return None
+    x, d = solved
+    values = [x[0]] * len(lattice)
+    for p in range(m - 1):
+        for k in adds[p]:
+            values[k] += x[p + 1]
+        for k in removes[p]:
+            values[k] -= x[p + 1]
+    if any(v != d * ddeg for v, ddeg in zip(values, degrees)):
+        return None
+    return tuple(Fraction(v, d) for v in x)
+
+
 def lp_certificate(lattice: IdealLattice) -> LpCertificate:
     """Minimize and maximize E(mu; ddeg) over toggle-symmetric mu.
 
-    The uniform distribution is always toggle-symmetric, so the polytope
-    is never empty; a failed solve therefore signals a bug.
+    When a dual witness y exists, every feasible mu has E(mu; ddeg) =
+    y^T A mu = y_0, so both optima are y_0 and the uniform distribution
+    (feasible and strictly positive) attains them.  Otherwise the two
+    optima come from the simplex; since the uniform distribution lies
+    in the relative interior of the polytope, that happens exactly when
+    the expectation is not constant, provided A has full row rank.  The
+    polytope is never empty, so a failed solve signals a bug.
     """
+    witness = _dual_witness(lattice)
+    if witness is not None:
+        uniform = uniform_distribution(lattice)
+        return LpCertificate(witness[0], witness[0], uniform, uniform, witness)
     rows, rhs = toggle_polytope(lattice)
     objective = [Fraction(d) for d in lattice.down_degrees]
     low = solve_lp(objective, rows, rhs, maximize=False)
@@ -194,9 +286,7 @@ def lp_certificate(lattice: IdealLattice) -> LpCertificate:
         raise InternalCheckError(
             f"toggle polytope solve failed ({low.status}/{high.status})"
         )
-    return LpCertificate(
-        low.objective, high.objective, low.solution, high.solution, low.basis, high.basis
-    )
+    return LpCertificate(low.objective, high.objective, low.solution, high.solution, None)
 
 
 ACTIONS = {"rowmotion": rowmotion, "gyration": gyration}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -270,10 +271,9 @@ def verify_case(
         "maximum": serialize.frac_str(cert.maximum),
         "constant": serialize.frac_str(constant),
         "equal": cert.minimum == cert.maximum == constant,
-        "min_basis": list(cert.min_basis),
-        "max_basis": list(cert.max_basis),
-        "min_vertex": [serialize.frac_str(p) for p in cert.minimizer],
-        "max_vertex": [serialize.frac_str(p) for p in cert.maximizer],
+        "witness": None
+        if cert.witness is None
+        else [serialize.frac_str(v) for v in cert.witness],
     }
 
     for action, report in action_rows.items():
@@ -333,15 +333,33 @@ def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
 # commands
 
 
+def _cap_ideals(args) -> int:
+    if args.cap_ideals < 0:
+        raise DomainError(f"--cap-ideals must be at least 0, got {args.cap_ideals}")
+    return args.cap_ideals
+
+
 def _case_from_args(args) -> CaseSpec:
-    return CaseSpec(args.family, args.rank, args.node, cap_ideals=args.cap_ideals)
+    return CaseSpec(args.family, args.rank, args.node, cap_ideals=_cap_ideals(args))
 
 
 def _write(out_dir: str | None, filename: str, text: str) -> None:
-    if out_dir is not None:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text, encoding="utf-8")
+    """Write ``text`` to ``out_dir/filename`` atomically: write a temporary
+    file in the same directory, then rename it over the target."""
+    if out_dir is None:
+        return
+    target = Path(out_dir) / filename
+    tmp = target.with_name(f".{filename}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def cmd_build(args) -> int:
@@ -370,13 +388,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    given = (args.family, args.rank, args.node)
     if args.all:
+        if any(v is not None for v in given):
+            raise DomainError("verify takes either FAMILY RANK NODE or --all, not both")
+        cap_ideals = _cap_ideals(args)
         specs = [
-            CaseSpec(s.family, s.rank, s.node, cap_ideals=args.cap_ideals)
+            CaseSpec(s.family, s.rank, s.node, cap_ideals=cap_ideals)
             for s in default_catalog()
         ]
     else:
-        if args.family is None or args.rank is None or args.node is None:
+        if any(v is None for v in given):
             raise DomainError("verify needs FAMILY RANK NODE or --all")
         specs = [_case_from_args(args)]
     if args.words < 0:

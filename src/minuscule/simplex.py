@@ -8,6 +8,10 @@ ties broken by smallest basic variable).  Any cycle would consist of
 degenerate pivots, so every run ends under a rule that provably
 terminates.  Redundant equality rows are detected and dropped at the
 end of phase one.
+
+The down-degree certificate (``cde.lp_certificate``) calls it only for
+objectives that are not constant on the toggle polytope, where no dual
+witness exists; the tests also use it as an oracle.
 """
 
 from __future__ import annotations

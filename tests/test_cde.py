@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
     build_cartan,
     build_minuscule_heap,
+    inner_product,
     chain_distribution,
     enumerate_ideals,
     expectation,
@@ -20,11 +23,14 @@ from minuscule import (
     orbit_distribution,
     rowmotion,
     action_orbits,
+    simple_root,
     tcde_constant,
     toggle_symmetry_report,
     uniform_distribution,
 )
+import minuscule.cde as cde
 from minuscule.cde import toggle_polytope
+from minuscule.simplex import OPTIMAL, solve_lp
 from conftest import small_catalog
 from oracles import (
     multi_chain_member_counts,
@@ -220,6 +226,105 @@ def test_nonminuscule_control_poset_separates():
     # uniform sits strictly between, so chain distributions cannot certify this
     uni_value = expectation(uniform_distribution(L), L.down_degrees)
     assert cert.minimum < uni_value < cert.maximum
+
+
+def simplex_optima(L):
+    rows, rhs = toggle_polytope(L)
+    objective = [F(d) for d in L.down_degrees]
+    low = solve_lp(objective, rows, rhs, maximize=False)
+    high = solve_lp(objective, rows, rhs, maximize=True)
+    assert low.status == high.status == OPTIMAL
+    return low.objective, high.objective
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_lp_witness_agrees_with_simplex_and_closed_form(family, rank, node, monkeypatch):
+    cd = build_cartan(family, rank)
+    lam = fundamental_weight(cd, node)
+    h = build_minuscule_heap(cd, lam)
+    L = enumerate_ideals(h)
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("simplex called on a minuscule case")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cde, "solve_lp", no_simplex)
+        cert = lp_certificate(L)
+    assert (cert.minimum, cert.maximum) == simplex_optima(L)
+    assert cert.minimizer == cert.maximizer == uniform_distribution(L)
+
+    y = cert.witness
+    rows, _ = toggle_polytope(L)
+    assert len(y) == len(rows) == len(h) + 1
+    for k, ddeg in enumerate(L.down_degrees):
+        assert sum(row[k] * v for row, v in zip(rows, y)) == ddeg
+
+    assert y[0] == tcde_constant(cd, lam)
+    for i in cd.nodes:
+        alpha = simple_root(cd, i)
+        scale = 2 * inner_product(cd, lam, fundamental_weight(cd, i)) / inner_product(
+            cd, alpha, alpha
+        )
+        for j, p in enumerate(h.fibers[i], start=1):
+            assert y[p + 1] == (j - 1) - scale
+
+
+def test_bareiss_solve_is_exact_and_rejects_singular_systems():
+    x, d = cde._bareiss_solve([[2, 1], [1, 3]], [3, 5])
+    assert [F(v, d) for v in x] == [F(4, 5), F(7, 5)]
+    x, d = cde._bareiss_solve([[0, 1], [1, 0]], [3, 5])  # needs a row swap
+    assert [F(v, d) for v in x] == [5, 3]
+    assert cde._bareiss_solve([[2, 4], [1, 2]], [6, 3]) is None
+
+
+def test_lp_control_poset_has_no_witness():
+    cd = build_cartan("A", 4)
+    L = enumerate_ideals(heap_from_word(cd, (2, 4, 3, 1)))
+    cert = lp_certificate(L)
+    assert cert.witness is None
+    assert (cert.minimum, cert.maximum) == (F(6, 5), F(4, 3))
+    rows, rhs = toggle_polytope(L)
+    values = [expectation(v, L.down_degrees) for v in polytope_vertices(rows, rhs)]
+    assert (cert.minimum, cert.maximum) == (min(values), max(values))
+
+
+def test_lp_fork_certifies_without_simplex(monkeypatch):
+    cd = build_cartan("A", 3)
+    L = enumerate_ideals(heap_from_word(cd, (1, 3, 2)))
+    monkeypatch.setattr(cde, "solve_lp", None)
+    cert = lp_certificate(L)
+    assert cert.minimum == cert.maximum == 1
+    assert cert.witness[0] == 1
+
+
+@st.composite
+def random_heap_word(draw):
+    family = draw(st.sampled_from("AD"))
+    rank = draw(st.integers(1, 5) if family == "A" else st.integers(3, 5))
+    length = draw(st.integers(0, 7))
+    word = draw(st.lists(st.integers(1, rank), min_size=length, max_size=length))
+    return build_cartan(family, rank), tuple(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_heap_word())
+def test_lp_certificate_agrees_with_oracles_on_random_heaps(case):
+    cd, word = case
+    L = enumerate_ideals(heap_from_word(cd, word))
+    cert = lp_certificate(L)
+    if len(L) <= 12:
+        rows, rhs = toggle_polytope(L)
+        values = [expectation(v, L.down_degrees) for v in polytope_vertices(rows, rhs)]
+        assert (cert.minimum, cert.maximum) == (min(values), max(values))
+    else:
+        assert (cert.minimum, cert.maximum) == simplex_optima(L)
+    if cert.witness is not None:
+        rows, _ = toggle_polytope(L)
+        for k, ddeg in enumerate(L.down_degrees):
+            assert sum(row[k] * v for row, v in zip(rows, cert.witness)) == ddeg
+        assert cert.minimizer == uniform_distribution(L)
+    else:
+        assert cert.minimum < cert.maximum
 
 
 def test_random_mixtures_of_lp_vertices_stay_toggle_symmetric():

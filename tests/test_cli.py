@@ -1,6 +1,7 @@
 import json
 
 from minuscule.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -189,3 +190,60 @@ def test_verify_negative_words_is_a_domain_error(capsys):
     code, out, _ = run(capsys, "verify", "A", "1", "1", "--words", "0")
     assert code == EXIT_OK
     assert "A1.1,heap_words,0,0" in out.splitlines()
+
+
+def test_verify_json_lp_block_carries_the_witness(capsys):
+    code, out, _ = run(capsys, "verify", "A", "1", "1", "--format=json", "--words", "0")
+    assert code == EXIT_OK
+    lp = json.loads(out)["cases"][0]["lp"]
+    assert lp == {
+        "constant": "1/2",
+        "equal": True,
+        "minimum": "1/2",
+        "maximum": "1/2",
+        "witness": ["1/2", "-1/2"],
+    }
+
+
+def test_out_files_are_written_whole(capsys, tmp_path):
+    code, out, _ = run(capsys, "build", "A", "3", "2", "--out", str(tmp_path / "reports"))
+    assert code == EXIT_OK
+    assert [p.name for p in (tmp_path / "reports").iterdir()] == ["A3.2.json"]
+    assert (tmp_path / "reports" / "A3.2.json").read_text() == out
+
+
+def test_out_path_occupied_by_a_file_is_a_domain_error(capsys, tmp_path):
+    occupied = tmp_path / "occupied"
+    occupied.write_text("keep\n")
+    for argv in (
+        ("build", "A", "3", "2"),
+        ("verify", "A", "1", "1", "--words", "0"),
+        ("orbits", "A", "3", "2"),
+    ):
+        code, _, err = run(capsys, *argv, "--out", str(occupied))
+        assert code == EXIT_DOMAIN
+        assert code != EXIT_CHECK_FAILED
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert occupied.read_text() == "keep\n"
+
+
+def test_verify_case_together_with_all_is_a_domain_error(capsys):
+    for argv in (("A", "3"), ("A", "3", "2"), ("E",)):
+        code, out, err = run(capsys, "verify", *argv, "--all")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "FAMILY RANK NODE" in err and "--all" in err
+
+
+def test_negative_cap_ideals_is_a_domain_error(capsys):
+    for argv in (("verify", "A", "3", "2"), ("verify", "--all"), ("build", "A", "3", "2")):
+        code, out, err = run(capsys, *argv, "--cap-ideals", "-5")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--cap-ideals" in err
+    code, _, err = run(capsys, "verify", "A", "3", "2", "--cap-ideals", "0")
+    assert code == EXIT_RESOURCE
+    assert err == "error: ideal count exceeds cap of 0\n"
