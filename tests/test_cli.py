@@ -1,7 +1,6 @@
 import json
 
 from minuscule.cli import (
-    EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -222,7 +221,6 @@ def test_out_path_occupied_by_a_file_is_a_domain_error(capsys, tmp_path):
     ):
         code, _, err = run(capsys, *argv, "--out", str(occupied))
         assert code == EXIT_DOMAIN
-        assert code != EXIT_CHECK_FAILED
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
     assert occupied.read_text() == "keep\n"
