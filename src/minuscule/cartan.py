@@ -7,6 +7,10 @@ coincide with roots; the simple root alpha_i then has coordinate vector
 equal to row i of the Cartan matrix, and both reflections and coroot
 pairings are integer row operations.
 
+The inverse Cartan matrix is kept as an integer adjugate and determinant
+from ``_bareiss_solve``, the fraction-free solver ``cde`` shares, so an
+inner product of integral weights is an integer sum over det C.
+
 Node numbering follows Bourbaki.  In type D the fork sits at node
 rank-2, with nodes rank-1 and rank as the two prongs.  In type E the
 chain is 1-3-4-5-6(-7) and node 2 hangs off node 4.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConfigurationError, DomainError
 
@@ -38,41 +43,58 @@ def _dynkin_edges(family: str, rank: int) -> list[tuple[int, int]]:
     raise ConfigurationError(f"unsupported Cartan type {family}{rank}")
 
 
-def _invert(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Gauss-Jordan inverse."""
+def _bareiss_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Integers x and d != 0 such that y = x / d solves the square integer
+    system ``matrix y = rhs``, or None when the matrix is singular.
+
+    Fraction-free (Bareiss) elimination: every entry stays an integer
+    minor of the input, so every division is exact, and the last pivot d
+    is the determinant up to sign, so d y is integral by Cramer's rule.
+    """
     n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ConfigurationError("singular Cartan matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    prev = 1
+    for c in range(n):
+        pick = next((i for i in range(c, n) if aug[i][c]), None)
+        if pick is None:
+            return None
+        aug[c], aug[pick] = aug[pick], aug[c]
+        top = aug[c]
+        pv = top[c]
+        for row in aug[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pv
+    x = [0] * n
+    for c in reversed(range(n)):
+        row = aug[c]
+        x[c] = (prev * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
+    return x, prev
 
 
 @dataclass(frozen=True, eq=False)
 class CartanDatum:
-    """A simply laced Cartan matrix with its exact inverse."""
+    """A simply laced Cartan matrix with its integer adjugate and
+    determinant, so that inverse = adjugate / det."""
 
     family: str
     rank: int
     matrix: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[Fraction, ...], ...]
+    adjugate: tuple[tuple[int, ...], ...]
+    det: int
     omega_sq: Fraction
 
     @property
     def nodes(self) -> range:
         """Node indices, 1-based."""
         return range(1, self.rank + 1)
+
+    @cached_property
+    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact inverse of the Cartan matrix, adjugate / det."""
+        return tuple(tuple(Fraction(a, self.det) for a in row) for row in self.adjugate)
 
     def __repr__(self) -> str:
         return f"CartanDatum({self.family}{self.rank})"
@@ -83,6 +105,11 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
 
     Supported ranks: A with rank >= 1, D with rank >= 3, E with rank 6
     or 7.  Anything else raises ConfigurationError naming the pair.
+
+    The adjugate comes from solving C x = e_j by ``_bareiss_solve`` for
+    each j.  Every leading minor of a finite-type Cartan matrix is
+    positive, so no row is swapped, the last pivot is det C > 0 and x is
+    column j of the adjugate.
     """
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ConfigurationError(f"rank must be an integer, got {rank!r}")
@@ -91,8 +118,11 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     for a, b in edges:
         matrix[a - 1][b - 1] = -1
         matrix[b - 1][a - 1] = -1
+    columns = [_bareiss_solve(matrix, [int(i == j) for i in range(rank)]) for j in range(rank)]
+    det = columns[0][1]
+    adjugate = tuple(zip(*(x for x, _ in columns)))
     frozen = tuple(tuple(row) for row in matrix)
-    return CartanDatum(family, rank, frozen, _invert(frozen), Fraction(2))
+    return CartanDatum(family, rank, frozen, adjugate, det, Fraction(2))
 
 
 def _check_node(cd: CartanDatum, i: int) -> None:
@@ -124,16 +154,16 @@ def coroot_pairing(cd: CartanDatum, mu: Weight, i: int) -> Rational:
 
 
 def inner_product(cd: CartanDatum, mu: Weight, nu: Weight) -> Fraction:
-    """Exact inner product, via (omega_i, omega_j) = inverse[i][j] * omega_sq / 2."""
+    """Exact inner product, via (omega_i, omega_j) = adjugate[i][j] *
+    omega_sq / (2 det).  The sum stays an integer for integral weights;
+    a single Fraction is built at the end."""
     _check_weight(cd, mu)
     _check_weight(cd, nu)
-    total = Fraction(0)
-    for i, mi in enumerate(mu):
-        if mi == 0:
-            continue
-        row = cd.inverse[i]
-        total += mi * sum(nj * row[j] for j, nj in enumerate(nu) if nj != 0)
-    return total * cd.omega_sq / 2
+    total = 0
+    for mi, row in zip(mu, cd.adjugate):
+        if mi:
+            total += mi * sum(nj * a for nj, a in zip(nu, row) if nj)
+    return Fraction(total * cd.omega_sq.numerator, 2 * cd.det * cd.omega_sq.denominator)
 
 
 def simple_reflection(cd: CartanDatum, i: int, mu: Weight) -> Weight:

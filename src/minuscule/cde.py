@@ -6,7 +6,8 @@ distributions on action orbits, and an exact linear-programming
 certificate that the down-degree expectation is the same for every
 toggle-symmetric distribution.  That certificate is a dual witness y
 with A^T y = ddeg for the equality matrix A of the toggle polytope,
-found by fraction-free integer elimination and checked on every ideal;
+found by the fraction-free integer elimination ``_bareiss_solve`` that
+``cartan`` also uses for the Cartan adjugate, and checked on every ideal;
 the simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
+from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
 from .ideals import IdealLattice, action_orbits, gyration, rowmotion
 from .simplex import OPTIMAL, solve_lp
@@ -186,37 +188,6 @@ def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[Fraction]], list[F
         rows.append(row)
         rhs.append(Fraction(0))
     return rows, rhs
-
-
-def _bareiss_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Integers x and d != 0 such that y = x / d solves the square integer
-    system ``matrix y = rhs``, or None when the matrix is singular.
-
-    Fraction-free (Bareiss) elimination: every entry stays an integer
-    minor of the input, so every division is exact, and the last pivot d
-    is the determinant up to sign, so d y is integral by Cramer's rule.
-    """
-    n = len(matrix)
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    prev = 1
-    for c in range(n):
-        pick = next((i for i in range(c, n) if aug[i][c]), None)
-        if pick is None:
-            return None
-        aug[c], aug[pick] = aug[pick], aug[c]
-        top = aug[c]
-        pv = top[c]
-        for row in aug[c + 1 :]:
-            f = row[c]
-            for j in range(c + 1, n + 1):
-                row[j] = (pv * row[j] - f * top[j]) // prev
-            row[c] = 0
-        prev = pv
-    x = [0] * n
-    for c in reversed(range(n)):
-        row = aug[c]
-        x[c] = (prev * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
-    return x, prev
 
 
 def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:

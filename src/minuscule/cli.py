@@ -49,13 +49,7 @@ from .heap import (
     word_of_extension,
 )
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
-from .orbit import (
-    DEFAULT_ORBIT_CAP,
-    MinusculeReport,
-    OrbitPoset,
-    generate_orbit,
-    verify_minuscule,
-)
+from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
 from .stats import identity_suite, tcde_constant
 
 EXIT_OK = 0
@@ -69,7 +63,6 @@ class CaseSpec:
     family: str
     rank: int
     node: int
-    cap_orbit: int = DEFAULT_ORBIT_CAP
     cap_ideals: int = DEFAULT_IDEAL_CAP
 
     @property
@@ -114,25 +107,24 @@ def default_catalog() -> tuple[CaseSpec, ...]:
 def _build_case(spec: CaseSpec) -> CaseBundle:
     cd = build_cartan(spec.family, spec.rank)
     lam = fundamental_weight(cd, spec.node)
-    orb = generate_orbit(cd, lam, cap=spec.cap_orbit)
+    # A minuscule orbit has exactly |J(P)| weights, so the ideal cap bounds
+    # the orbit before any heap or lattice is built.
+    try:
+        orb = generate_orbit(cd, lam, cap=spec.cap_ideals)
+    except ResourceLimitError:
+        raise ResourceLimitError(f"ideal count exceeds cap of {spec.cap_ideals}") from None
     report = verify_minuscule(cd, orb)
     if not report.ok:
         raise NonMinusculeError(spec, report)
     lattice = report.lattice
-    if len(lattice) > spec.cap_ideals:
-        raise ResourceLimitError(f"ideal count exceeds cap of {spec.cap_ideals}")
     return CaseBundle(spec, cd, lam, orb, report, lattice.heap, lattice)
 
 
 def build_case(
-    family: str,
-    rank: int,
-    node: int,
-    cap_orbit: int = DEFAULT_ORBIT_CAP,
-    cap_ideals: int = DEFAULT_IDEAL_CAP,
+    family: str, rank: int, node: int, cap_ideals: int = DEFAULT_IDEAL_CAP
 ) -> CaseBundle:
     """Build (and cache) everything for one catalog case."""
-    return _build_case(CaseSpec(family, rank, node, cap_orbit, cap_ideals))
+    return _build_case(CaseSpec(family, rank, node, cap_ideals))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +501,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise DomainError("--out must name a directory, got an empty path")
         return args.func(args)
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

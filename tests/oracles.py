@@ -29,6 +29,26 @@ def closure_orbit(matrix, lam):
         seen |= fresh
 
 
+def gauss_jordan_inverse(matrix):
+    """Exact inverse of a nonsingular square matrix by Gauss-Jordan
+    elimination over Fractions, with row swaps."""
+    n = len(matrix)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def identity_product(a, b):
     """Is a @ b the identity, exactly?"""
     n = len(a)

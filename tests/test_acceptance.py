@@ -5,12 +5,15 @@ clock.  Run with ``pytest -s tests/test_acceptance.py`` to see the
 summary lines as they happen.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import minuscule
 from minuscule import (
     action_orbits,
     build_cartan,
@@ -229,8 +232,12 @@ def test_criterion_9_structural_oracle_equivalence():
 
 def test_criterion_10_determinism():
     cmd = [sys.executable, "-m", "minuscule", "verify", "--all", "--seed=1"]
-    first = subprocess.run(cmd, capture_output=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, timeout=600)
+    # The subprocess imports the same package as this process, installed or not.
+    src = str(Path(minuscule.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

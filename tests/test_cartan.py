@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     ConfigurationError,
@@ -15,7 +17,7 @@ from minuscule import (
     simple_reflection,
     simple_root,
 )
-from oracles import identity_product
+from oracles import gauss_jordan_inverse, identity_product
 
 ALL_TYPES = [("A", r) for r in range(1, 8)] + [("D", r) for r in range(3, 9)] + [
     ("E", 6),
@@ -172,3 +174,42 @@ def test_catalog_contents():
     assert minuscule_catalog(build_cartan("D", 4)) == (1, 3, 4)
     assert minuscule_catalog(build_cartan("E", 6)) == (1, 6)
     assert minuscule_catalog(build_cartan("E", 7)) == (7,)
+
+
+# det A_n = n + 1, det D_n = 4, det E_n = 9 - n (3 for E6, 2 for E7).
+EXPECTED_DET = {"A": lambda rank: rank + 1, "D": lambda rank: 4, "E": lambda rank: 9 - rank}
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_adjugate_over_det_is_the_gauss_jordan_inverse(family, rank):
+    cd = build_cartan(family, rank)
+    assert cd.det == EXPECTED_DET[family](rank)
+    assert all(isinstance(a, int) for row in cd.adjugate for a in row)
+    assert cd.inverse == gauss_jordan_inverse(cd.matrix)
+
+
+SUPPORTED_UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)] + [("D", r) for r in range(3, 9)] + [("E", 6), ("E", 7)]
+)
+
+
+@st.composite
+def weight_pairs(draw):
+    family, rank = draw(st.sampled_from(SUPPORTED_UP_TO_RANK_8))
+    coordinate = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    mu, nu = (
+        tuple(draw(st.lists(coordinate, min_size=rank, max_size=rank))) for _ in range(2)
+    )
+    return build_cartan(family, rank), mu, nu
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(weight_pairs())
+def test_inner_product_matches_the_fraction_formula(case):
+    cd, mu, nu = case
+    inv = gauss_jordan_inverse(cd.matrix)
+    expected = sum(
+        (mi * nj * inv[i][j] for i, mi in enumerate(mu) for j, nj in enumerate(nu)),
+        Fraction(0),
+    )
+    assert inner_product(cd, mu, nu) == expected * cd.omega_sq / 2

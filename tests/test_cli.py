@@ -1,5 +1,6 @@
 import json
 
+from minuscule import cli
 from minuscule.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -245,3 +246,24 @@ def test_negative_cap_ideals_is_a_domain_error(capsys):
     code, _, err = run(capsys, "verify", "A", "3", "2", "--cap-ideals", "0")
     assert code == EXIT_RESOURCE
     assert err == "error: ideal count exceeds cap of 0\n"
+
+
+def test_cap_ideals_stops_before_the_lattice_is_built(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("verify_minuscule ran past the ideal cap")
+
+    monkeypatch.setattr(cli, "verify_minuscule", never)
+    code, out, err = run(capsys, "build", "A", "16", "8", "--cap-ideals", "10")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == "error: ideal count exceeds cap of 10\n"
+
+
+def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "build", "A", "3", "2", "--out", "")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []
