@@ -88,33 +88,42 @@ class IdealLattice:
         return len(self.ideals)
 
     @cached_property
+    def toggle_masks(self) -> tuple[tuple[int, int], ...]:
+        """Per ideal, the bit masks ``(adds, removes)`` of the elements
+        that toggle into it and out of it: the minimal elements of the
+        complement and the maximal elements of the ideal."""
+        h = self.heap
+        out = []
+        for m in self.ideals:
+            adds = removes = 0
+            for p in addable_elements(h, m):
+                adds |= 1 << p
+            for p in removable_elements(h, m):
+                removes |= 1 << p
+            out.append((adds, removes))
+        return tuple(out)
+
+    @cached_property
     def down_degrees(self) -> tuple[int, ...]:
         """Number of lattice elements covered by each ideal; equals the
         count of its maximal elements."""
-        h = self.heap
-        return tuple(len(removable_elements(h, m)) for m in self.ideals)
+        return tuple(removes.bit_count() for _, removes in self.toggle_masks)
 
-    @cached_property
-    def up_degrees(self) -> tuple[int, ...]:
-        h = self.heap
-        return tuple(len(addable_elements(h, m)) for m in self.ideals)
+    def _sites(self, side: int) -> tuple[tuple[int, ...], ...]:
+        sites: list[list[int]] = [[] for _ in range(len(self.heap))]
+        for k, masks in enumerate(self.toggle_masks):
+            for p in iter_bits(masks[side]):
+                sites[p].append(k)
+        return tuple(tuple(s) for s in sites)
 
     @cached_property
     def add_sites(self) -> tuple[tuple[int, ...], ...]:
         """Per heap element, the ideal indices it can be toggled into."""
-        sites: list[list[int]] = [[] for _ in range(len(self.heap))]
-        for k, m in enumerate(self.ideals):
-            for p in addable_elements(self.heap, m):
-                sites[p].append(k)
-        return tuple(tuple(s) for s in sites)
+        return self._sites(0)
 
     @cached_property
     def remove_sites(self) -> tuple[tuple[int, ...], ...]:
-        sites: list[list[int]] = [[] for _ in range(len(self.heap))]
-        for k, m in enumerate(self.ideals):
-            for p in removable_elements(self.heap, m):
-                sites[p].append(k)
-        return tuple(tuple(s) for s in sites)
+        return self._sites(1)
 
     @cached_property
     def strictly_below(self) -> tuple[tuple[int, ...], ...]:

@@ -1,85 +1,46 @@
-"""Toggle indicator statistics on ideals and exact identity checks.
+"""Toggle indicator identities on ideals, checked exactly in integers.
 
 For an ideal I and element p, the indicators record whether toggling at
-p would insert p (plus), delete p (minus), or fix I.  Down-degree is
-the number of deletable elements.  The checks in this module certify,
-with exact rational arithmetic, the identities tying those indicators
-to inner products of the ideal's weight:
+p would insert p (plus), delete p (minus), or fix I; the lattice keeps
+them per ideal as the bit masks ``IdealLattice.toggle_masks``.
+Down-degree is the number of deletable elements.  ``identity_suite``
+certifies, on every ideal, the identities tying those indicators to
+inner products of the ideal's weight w:
 
 * the count of label-i elements of I equals
   2 ((base, omega_i) - (w, omega_i)) / (alpha_i, alpha_i);
 * the signed indicator sum over the label-i fiber equals (w, alpha_i^vee);
 * the position-weighted sum  sum_j (j-1) plus_j - j minus_j  over the
   fiber equals  count_i(I) (w, alpha_i^vee);
-* the fiber statistic defined below equals
-  (2/(alpha_i, alpha_i)) (w, omega_i) (w, alpha_i^vee);
+* the fiber statistic
+  sum_j minus_j - sum_j (j-1) signed_j
+  + (2 (base, omega_i) / (alpha_i, alpha_i)) sum_j signed_j
+  equals (2/(alpha_i, alpha_i)) (w, omega_i) (w, alpha_i^vee);
 * down-degree decomposes as the constant 2 (base, base) / omega_sq plus
-  a fixed linear combination of signed indicators,
+  a fixed linear combination of signed indicators, and the fiber
+  statistics sum to that same constant on every ideal, which is what
+  pins the expected down-degree of every toggle-symmetric distribution.
 
-where w is the weight of I.  Summed over nodes i, the fiber statistics
-add up to that same constant on every ideal, which is what pins the
-expected down-degree of every toggle-symmetric distribution.
+Every identity is compared as integers scaled by d = det C.  With adj
+the adjugate of C, the inner product (mu, nu) is mu^T adj nu / d times
+omega_sq / 2, and that last factor cancels from every identity; so
+d (w, omega_i) becomes the adjugate row sum (adj w)_i, d (alpha_i,
+alpha_i) becomes alpha_i^T adj alpha_i, and the constant is
+base^T adj base / d.  No Fraction is built for integral weights.  The
+per-(ideal, node) reference checks these replace live in the test
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cartan import (
-    CartanDatum,
-    Weight,
-    _check_node,
-    coroot_pairing,
-    fundamental_weight,
-    inner_product,
-    simple_root,
-)
+from .bits import iter_bits
+from .cartan import CartanDatum, Rational, Weight, inner_product
 from .errors import DomainError
-from .heap import Heap
-from .ideals import IdealLattice, addable_elements, ideal_weight, removable_elements
-
-
-@dataclass(frozen=True)
-class ToggleSnapshot:
-    """Per-element toggle eligibility for one ideal, as bit masks."""
-
-    adds: int
-    removes: int
-
-    def plus(self, p: int) -> int:
-        return self.adds >> p & 1
-
-    def minus(self, p: int) -> int:
-        return self.removes >> p & 1
-
-    def signed(self, p: int) -> int:
-        return (self.adds >> p & 1) - (self.removes >> p & 1)
-
-
-def snapshot(h: Heap, mask: int) -> ToggleSnapshot:
-    adds = removes = 0
-    for p in addable_elements(h, mask):
-        adds |= 1 << p
-    for p in removable_elements(h, mask):
-        removes |= 1 << p
-    return ToggleSnapshot(adds, removes)
-
-
-def down_degree(h: Heap, mask: int) -> int:
-    """Number of maximal elements of the ideal; equals its down-degree
-    in the lattice cover graph and the total minus-indicator."""
-    return len(removable_elements(h, mask))
-
-
-def up_degree(h: Heap, mask: int) -> int:
-    return len(addable_elements(h, mask))
-
-
-def label_count(h: Heap, mask: int, i: int) -> int:
-    """How many elements of the ideal carry label ``i``."""
-    _check_node(h.cartan, i)
-    return (mask & h.fiber_masks[i]).bit_count()
+from .ideals import IdealLattice
 
 
 def tcde_constant(cd: CartanDatum, lam: Weight) -> Fraction:
@@ -89,169 +50,69 @@ def tcde_constant(cd: CartanDatum, lam: Weight) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    lhs: Fraction
-    rhs: Fraction
-
-
-def _weight_of(h: Heap, mask: int, weight: Weight | None) -> Weight:
-    return weight if weight is not None else ideal_weight(h, mask)
-
-
-def check_label_count_formula(
-    h: Heap, mask: int, i: int, weight: Weight | None = None
-) -> CheckResult:
-    """Label count against its inner-product form."""
-    cd = h.cartan
-    if h.base is None:
-        raise DomainError("heap carries no base weight")
-    w = _weight_of(h, mask, weight)
-    omega = fundamental_weight(cd, i)
-    alpha = simple_root(cd, i)
-    lhs = Fraction(label_count(h, mask, i))
-    rhs = (
-        2
-        * (inner_product(cd, h.base, omega) - inner_product(cd, w, omega))
-        / inner_product(cd, alpha, alpha)
-    )
-    return CheckResult(lhs == rhs, lhs, rhs)
-
-
-def check_signed_toggle_sum(
-    h: Heap, mask: int, i: int, weight: Weight | None = None
-) -> CheckResult:
-    """Signed indicator sum over the fiber against the coroot pairing."""
-    w = _weight_of(h, mask, weight)
-    snap = snapshot(h, mask)
-    lhs = Fraction(sum(snap.signed(p) for p in h.fibers[i]))
-    rhs = Fraction(coroot_pairing(h.cartan, w, i))
-    return CheckResult(lhs == rhs, lhs, rhs)
-
-
-def check_weighted_toggle_sum(
-    h: Heap, mask: int, i: int, weight: Weight | None = None
-) -> CheckResult:
-    """Position-weighted indicator sum, with fiber positions j counted
-    from 1 in heap order: sum_j (j-1) plus_j - j minus_j."""
-    w = _weight_of(h, mask, weight)
-    snap = snapshot(h, mask)
-    lhs = Fraction(
-        sum(
-            (j - 1) * snap.plus(p) - j * snap.minus(p)
-            for j, p in enumerate(h.fibers[i], start=1)
-        )
-    )
-    rhs = label_count(h, mask, i) * Fraction(coroot_pairing(h.cartan, w, i))
-    return CheckResult(lhs == rhs, lhs, rhs)
-
-
-def fiber_statistic(h: Heap, mask: int, i: int) -> Fraction:
-    """Indicator combination attached to one label fiber:
-
-        sum_j minus_j - sum_j (j-1) signed_j
-          + (2 (base, omega_i) / (alpha_i, alpha_i)) sum_j signed_j.
-
-    Its expectation vanishes against the signed part of any
-    toggle-symmetric distribution, and over all nodes these statistics
-    sum to the constant 2 (base, base) / omega_sq on every ideal.
-    """
-    cd = h.cartan
-    if h.base is None:
-        raise DomainError("heap carries no base weight")
-    snap = snapshot(h, mask)
-    fiber = h.fibers[i]
-    minus_total = sum(snap.minus(p) for p in fiber)
-    weighted = sum((j - 1) * snap.signed(p) for j, p in enumerate(fiber, start=1))
-    signed_total = sum(snap.signed(p) for p in fiber)
-    omega = fundamental_weight(cd, i)
-    alpha = simple_root(cd, i)
-    scale = 2 * inner_product(cd, h.base, omega) / inner_product(cd, alpha, alpha)
-    return Fraction(minus_total - weighted) + scale * signed_total
-
-
-def check_fiber_statistic(
-    h: Heap, mask: int, i: int, weight: Weight | None = None
-) -> CheckResult:
-    cd = h.cartan
-    w = _weight_of(h, mask, weight)
-    omega = fundamental_weight(cd, i)
-    alpha = simple_root(cd, i)
-    lhs = fiber_statistic(h, mask, i)
-    rhs = (
-        Fraction(2)
-        / inner_product(cd, alpha, alpha)
-        * inner_product(cd, w, omega)
-        * coroot_pairing(cd, w, i)
-    )
-    return CheckResult(lhs == rhs, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Down-degree against its constant-plus-indicators form, together
-    with the fiber statistics summing to the constant."""
-
-    ddeg: Fraction
-    reconstructed: Fraction
-    statistic_sum: Fraction
-    constant: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.ddeg == self.reconstructed and self.statistic_sum == self.constant
-
-
-def check_ddeg_decomposition(h: Heap, mask: int) -> DecompositionCheck:
-    """ddeg(I) = constant + sum_{i,j} c_{i,j} signed_{i,j}(I) with
-    c_{i,j} = (j-1) - 2 (base, omega_i) / (alpha_i, alpha_i)."""
-    cd = h.cartan
-    if h.base is None:
-        raise DomainError("heap carries no base weight")
-    snap = snapshot(h, mask)
-    constant = tcde_constant(cd, h.base)
-    total = constant
-    stat_sum = Fraction(0)
-    for i in cd.nodes:
-        omega = fundamental_weight(cd, i)
-        alpha = simple_root(cd, i)
-        scale = 2 * inner_product(cd, h.base, omega) / inner_product(cd, alpha, alpha)
-        for j, p in enumerate(h.fibers[i], start=1):
-            total += ((j - 1) - scale) * snap.signed(p)
-        stat_sum += fiber_statistic(h, mask, i)
-    return DecompositionCheck(Fraction(down_degree(h, mask)), total, stat_sum, constant)
-
-
-@dataclass(frozen=True)
 class SuiteRow:
     check: str
     instances: int
     failures: int
 
 
+def _adjugate_sums(cd: CartanDatum, mu: Weight) -> list[Rational]:
+    """(adj mu)_i for every node: d (mu, omega_i) up to omega_sq / 2."""
+    return [sum(m * a for m, a in zip(mu, row) if m) for row in cd.adjugate]
+
+
 def identity_suite(lattice: IdealLattice) -> tuple[SuiteRow, ...]:
-    """Run every identity check on every (ideal, node) pair of a lattice."""
+    """Check every identity on every (ideal, node) pair of a lattice."""
     h = lattice.heap
     cd = h.cartan
     if lattice.weights is None:
         raise DomainError("lattice carries no weights; build the heap with a base weight")
-    per_node_checks = (
-        ("label_count", check_label_count_formula),
-        ("signed_toggle_sum", check_signed_toggle_sum),
-        ("weighted_toggle_sum", check_weighted_toggle_sum),
-        ("fiber_statistic", check_fiber_statistic),
-    )
-    failures = {name: 0 for name, _ in per_node_checks}
-    decomposition_failures = 0
-    for k, mask in enumerate(lattice.ideals):
-        w = lattice.weights[k]
-        for name, fn in per_node_checks:
-            for i in cd.nodes:
-                if not fn(h, mask, i, weight=w).ok:
-                    failures[name] += 1
-        if not check_ddeg_decomposition(h, mask).ok:
-            decomposition_failures += 1
+    if h.base is None:
+        raise DomainError("heap carries no base weight")
+    base_sums = _adjugate_sums(cd, h.base)
+    position = [0] * len(h)  # fiber position j, counted from 1 in heap order
+    nodes = []
+    for i in cd.nodes:
+        for j, p in enumerate(h.fibers[i], start=1):
+            position[p] = j
+        alpha = cd.matrix[i - 1]
+        root_sq = sum(a * s for a, s in zip(alpha, _adjugate_sums(cd, alpha)))
+        nodes.append((i - 1, h.fiber_masks[i], root_sq, 2 * base_sums[i - 1]))
+    scale = lcm(cd.det, *(root_sq for _, _, root_sq, _ in nodes))
+    # scale times the constant 2 (base, base) / omega_sq = base^T adj base / d
+    target = scale // cd.det * sum(b * s for b, s in zip(h.base, base_sums))
+
+    label = signed = weighted = statistic = decomposition = 0
+    for mask, w, (adds, removes), ddeg in zip(
+        lattice.ideals, lattice.weights, lattice.toggle_masks, lattice.down_degrees
+    ):
+        w_sums = _adjugate_sums(cd, w)
+        reconstructed = statistic_sum = 0
+        for col, fiber, root_sq, two_base in nodes:
+            count = (mask & fiber).bit_count()
+            pairing = w[col]
+            plus, minus = adds & fiber, removes & fiber
+            n_plus, n_minus = plus.bit_count(), minus.bit_count()
+            plus_pos = sum(position[p] for p in iter_bits(plus))
+            minus_pos = sum(position[p] for p in iter_bits(minus))
+            signed_sum = n_plus - n_minus
+            weighted_sum = (plus_pos - n_plus) - minus_pos
+            shifted = weighted_sum + n_minus  # sum_j (j-1) signed_j
+            # the fiber statistic times d (alpha_i, alpha_i)
+            fiber_stat = root_sq * (n_minus - shifted) + two_base * signed_sum
+            label += count * root_sq != 2 * (base_sums[col] - w_sums[col])
+            signed += signed_sum != pairing
+            weighted += weighted_sum != count * pairing
+            statistic += fiber_stat != 2 * w_sums[col] * pairing
+            per_root = scale // root_sq
+            reconstructed += per_root * (root_sq * shifted - two_base * signed_sum)
+            statistic_sum += per_root * fiber_stat
+        decomposition += scale * ddeg != target + reconstructed or statistic_sum != target
     pairs = len(lattice) * cd.rank
-    rows = [SuiteRow(name, pairs, failures[name]) for name, _ in per_node_checks]
-    rows.append(SuiteRow("ddeg_decomposition", len(lattice), decomposition_failures))
-    return tuple(rows)
+    return (
+        SuiteRow("label_count", pairs, label),
+        SuiteRow("signed_toggle_sum", pairs, signed),
+        SuiteRow("weighted_toggle_sum", pairs, weighted),
+        SuiteRow("fiber_statistic", pairs, statistic),
+        SuiteRow("ddeg_decomposition", len(lattice), decomposition),
+    )

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
+from minuscule import build_cartan
 from minuscule.cli import build_case, default_catalog
 
 
@@ -31,3 +33,19 @@ def small_catalog():
         ("D", 5, 5),
         ("E", 6, 6),
     ]
+
+
+@st.composite
+def random_heap_word(draw, with_base=False):
+    """A Cartan datum of type A_n or D_n and a random word over its
+    nodes, so an arbitrary heap; with ``with_base``, also a random
+    integral base weight as a third entry."""
+    family = draw(st.sampled_from("AD"))
+    rank = draw(st.integers(1, 5) if family == "A" else st.integers(3, 5))
+    length = draw(st.integers(0, 7))
+    word = draw(st.lists(st.integers(1, rank), min_size=length, max_size=length))
+    cd = build_cartan(family, rank)
+    if not with_base:
+        return cd, tuple(word)
+    base = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    return cd, tuple(word), tuple(base)

@@ -4,10 +4,25 @@ Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, basis enumeration for polytope
 vertices) and stays deliberately ignorant of the library's internals.
+The per-(ideal, node) identity checks at the end are the exception: they
+are the reference for the batched integer suite, so they take their
+Fraction inner products and weights from the library's public API.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+
+from minuscule import (
+    DomainError,
+    coroot_pairing,
+    fundamental_weight,
+    ideal_weight,
+    inner_product,
+    simple_root,
+    tcde_constant,
+)
+from minuscule.stats import SuiteRow
 
 
 def reflect(matrix, i, mu):
@@ -227,3 +242,208 @@ def cubic_minuscule_verdict(matrix, lam):
     index = {mu: k for k, mu in enumerate(weights)}
     edges = [(index[a], index[b]) for a, b in orbit_covers(matrix, weights)]
     return is_distributive_lattice(len(weights), edges)
+
+
+# Per-(ideal, node) reference for the toggle indicator identities that
+# ``minuscule.stats.identity_suite`` checks in one batched integer pass.
+# Each check rebuilds its own indicators and takes Fraction inner
+# products through ``minuscule.cartan``.
+
+
+@dataclass(frozen=True)
+class ToggleSnapshot:
+    """Per-element toggle eligibility for one ideal, as bit masks."""
+
+    adds: int
+    removes: int
+
+    def plus(self, p: int) -> int:
+        return self.adds >> p & 1
+
+    def minus(self, p: int) -> int:
+        return self.removes >> p & 1
+
+    def signed(self, p: int) -> int:
+        return (self.adds >> p & 1) - (self.removes >> p & 1)
+
+
+def snapshot(h, mask):
+    """Insertable elements (outside the ideal, everything below inside)
+    and deletable ones (inside, nothing above inside)."""
+    adds = removes = 0
+    for p in range(len(h)):
+        if mask >> p & 1:
+            if h.above[p] & mask == 0:
+                removes |= 1 << p
+        elif h.below[p] & mask == h.below[p]:
+            adds |= 1 << p
+    return ToggleSnapshot(adds, removes)
+
+
+def down_degree(h, mask):
+    """Number of maximal elements of the ideal; equals its down-degree
+    in the lattice cover graph and the total minus-indicator."""
+    return snapshot(h, mask).removes.bit_count()
+
+
+def up_degree(h, mask):
+    return snapshot(h, mask).adds.bit_count()
+
+
+def label_count(h, mask, i):
+    """How many elements of the ideal carry label ``i``."""
+    return sum(1 for p in h.fibers[i] if mask >> p & 1)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ok: bool
+    lhs: Fraction
+    rhs: Fraction
+
+
+def _weight_of(h, mask, weight):
+    return weight if weight is not None else ideal_weight(h, mask)
+
+
+def check_label_count_formula(h, mask, i, weight=None):
+    """Label count against its inner-product form."""
+    cd = h.cartan
+    if h.base is None:
+        raise DomainError("heap carries no base weight")
+    w = _weight_of(h, mask, weight)
+    omega = fundamental_weight(cd, i)
+    alpha = simple_root(cd, i)
+    lhs = Fraction(label_count(h, mask, i))
+    rhs = (
+        2
+        * (inner_product(cd, h.base, omega) - inner_product(cd, w, omega))
+        / inner_product(cd, alpha, alpha)
+    )
+    return CheckResult(lhs == rhs, lhs, rhs)
+
+
+def check_signed_toggle_sum(h, mask, i, weight=None):
+    """Signed indicator sum over the fiber against the coroot pairing."""
+    w = _weight_of(h, mask, weight)
+    snap = snapshot(h, mask)
+    lhs = Fraction(sum(snap.signed(p) for p in h.fibers[i]))
+    rhs = Fraction(coroot_pairing(h.cartan, w, i))
+    return CheckResult(lhs == rhs, lhs, rhs)
+
+
+def check_weighted_toggle_sum(h, mask, i, weight=None):
+    """Position-weighted indicator sum, with fiber positions j counted
+    from 1 in heap order: sum_j (j-1) plus_j - j minus_j."""
+    w = _weight_of(h, mask, weight)
+    snap = snapshot(h, mask)
+    lhs = Fraction(
+        sum(
+            (j - 1) * snap.plus(p) - j * snap.minus(p)
+            for j, p in enumerate(h.fibers[i], start=1)
+        )
+    )
+    rhs = label_count(h, mask, i) * Fraction(coroot_pairing(h.cartan, w, i))
+    return CheckResult(lhs == rhs, lhs, rhs)
+
+
+def fiber_statistic(h, mask, i):
+    """Indicator combination attached to one label fiber:
+
+        sum_j minus_j - sum_j (j-1) signed_j
+          + (2 (base, omega_i) / (alpha_i, alpha_i)) sum_j signed_j.
+
+    Its expectation vanishes against the signed part of any
+    toggle-symmetric distribution, and over all nodes these statistics
+    sum to the constant 2 (base, base) / omega_sq on every ideal.
+    """
+    cd = h.cartan
+    if h.base is None:
+        raise DomainError("heap carries no base weight")
+    snap = snapshot(h, mask)
+    fiber = h.fibers[i]
+    minus_total = sum(snap.minus(p) for p in fiber)
+    weighted = sum((j - 1) * snap.signed(p) for j, p in enumerate(fiber, start=1))
+    signed_total = sum(snap.signed(p) for p in fiber)
+    omega = fundamental_weight(cd, i)
+    alpha = simple_root(cd, i)
+    scale = 2 * inner_product(cd, h.base, omega) / inner_product(cd, alpha, alpha)
+    return Fraction(minus_total - weighted) + scale * signed_total
+
+
+def check_fiber_statistic(h, mask, i, weight=None):
+    cd = h.cartan
+    w = _weight_of(h, mask, weight)
+    omega = fundamental_weight(cd, i)
+    alpha = simple_root(cd, i)
+    lhs = fiber_statistic(h, mask, i)
+    rhs = (
+        Fraction(2)
+        / inner_product(cd, alpha, alpha)
+        * inner_product(cd, w, omega)
+        * coroot_pairing(cd, w, i)
+    )
+    return CheckResult(lhs == rhs, lhs, rhs)
+
+
+@dataclass(frozen=True)
+class DecompositionCheck:
+    """Down-degree against its constant-plus-indicators form, together
+    with the fiber statistics summing to the constant."""
+
+    ddeg: Fraction
+    reconstructed: Fraction
+    statistic_sum: Fraction
+    constant: Fraction
+
+    @property
+    def ok(self):
+        return self.ddeg == self.reconstructed and self.statistic_sum == self.constant
+
+
+def check_ddeg_decomposition(h, mask):
+    """ddeg(I) = constant + sum_{i,j} c_{i,j} signed_{i,j}(I) with
+    c_{i,j} = (j-1) - 2 (base, omega_i) / (alpha_i, alpha_i)."""
+    cd = h.cartan
+    if h.base is None:
+        raise DomainError("heap carries no base weight")
+    snap = snapshot(h, mask)
+    constant = tcde_constant(cd, h.base)
+    total = constant
+    stat_sum = Fraction(0)
+    for i in cd.nodes:
+        omega = fundamental_weight(cd, i)
+        alpha = simple_root(cd, i)
+        scale = 2 * inner_product(cd, h.base, omega) / inner_product(cd, alpha, alpha)
+        for j, p in enumerate(h.fibers[i], start=1):
+            total += ((j - 1) - scale) * snap.signed(p)
+        stat_sum += fiber_statistic(h, mask, i)
+    return DecompositionCheck(Fraction(down_degree(h, mask)), total, stat_sum, constant)
+
+
+def per_triple_identity_suite(lattice):
+    """The identity suite as one check call per (ideal, node, check)."""
+    h = lattice.heap
+    cd = h.cartan
+    if lattice.weights is None:
+        raise DomainError("lattice carries no weights; build the heap with a base weight")
+    per_node_checks = (
+        ("label_count", check_label_count_formula),
+        ("signed_toggle_sum", check_signed_toggle_sum),
+        ("weighted_toggle_sum", check_weighted_toggle_sum),
+        ("fiber_statistic", check_fiber_statistic),
+    )
+    failures = {name: 0 for name, _ in per_node_checks}
+    decomposition_failures = 0
+    for k, mask in enumerate(lattice.ideals):
+        w = lattice.weights[k]
+        for name, fn in per_node_checks:
+            for i in cd.nodes:
+                if not fn(h, mask, i, weight=w).ok:
+                    failures[name] += 1
+        if not check_ddeg_decomposition(h, mask).ok:
+            decomposition_failures += 1
+    pairs = len(lattice) * cd.rank
+    rows = [SuiteRow(name, pairs, failures[name]) for name, _ in per_node_checks]
+    rows.append(SuiteRow("ddeg_decomposition", len(lattice), decomposition_failures))
+    return tuple(rows)

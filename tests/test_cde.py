@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
@@ -31,7 +30,7 @@ from minuscule import (
 import minuscule.cde as cde
 from minuscule.cde import toggle_polytope
 from minuscule.simplex import OPTIMAL, solve_lp
-from conftest import small_catalog
+from conftest import random_heap_word, small_catalog
 from oracles import (
     multi_chain_member_counts,
     polytope_vertices,
@@ -292,15 +291,6 @@ def test_lp_fork_certifies_without_simplex(monkeypatch):
     cert = lp_certificate(L)
     assert cert.minimum == cert.maximum == 1
     assert cert.witness[0] == 1
-
-
-@st.composite
-def random_heap_word(draw):
-    family = draw(st.sampled_from("AD"))
-    rank = draw(st.integers(1, 5) if family == "A" else st.integers(3, 5))
-    length = draw(st.integers(0, 7))
-    word = draw(st.lists(st.integers(1, rank), min_size=length, max_size=length))
-    return build_cartan(family, rank), tuple(word)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -196,7 +196,7 @@ def test_rowmotion_examples():
         if nxt == 0:
             break
         orbit.append(nxt)
-    from minuscule import down_degree
+    from oracles import down_degree
 
     assert [down_degree(h, m) for m in orbit] == [0, 1, 2, 1]
     assert sorted(len(o) for o in action_orbits(L, rowmotion)) == [2, 4]

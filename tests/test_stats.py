@@ -1,28 +1,35 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from minuscule import (
+    DomainError,
     build_cartan,
     build_minuscule_heap,
+    coroot_pairing,
+    enumerate_ideals,
+    fundamental_weight,
+    heap_from_word,
+    identity_suite,
+    ideal_weight,
+    tcde_constant,
+)
+from conftest import random_heap_word, small_catalog
+from oracles import (
     check_ddeg_decomposition,
     check_fiber_statistic,
     check_label_count_formula,
     check_signed_toggle_sum,
     check_weighted_toggle_sum,
-    coroot_pairing,
     down_degree,
-    enumerate_ideals,
     fiber_statistic,
-    fundamental_weight,
-    identity_suite,
-    ideal_weight,
     label_count,
+    per_triple_identity_suite,
     snapshot,
-    tcde_constant,
     up_degree,
 )
-from conftest import small_catalog
 
 
 def grid_lattice():
@@ -45,7 +52,8 @@ def test_degrees_match_lattice_cover_graph(family, rank, node):
     L = enumerate_ideals(h)
     for k in range(len(L)):
         assert L.down_degrees[k] == sum(1 for lo, hi, _ in L.covers if hi == k)
-        assert L.up_degrees[k] == sum(1 for lo, hi, _ in L.covers if lo == k)
+        adds, _ = L.toggle_masks[k]
+        assert adds.bit_count() == sum(1 for lo, hi, _ in L.covers if lo == k)
 
 
 def test_snapshot_extremes():
@@ -161,6 +169,51 @@ def test_identity_suite_zero_failures(family, rank, node):
     L = enumerate_ideals(h)
     for row in identity_suite(L):
         assert row.failures == 0, row
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_identity_suite_matches_per_triple_oracle(family, rank, node):
+    cd = build_cartan(family, rank)
+    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    assert identity_suite(L) == per_triple_identity_suite(L)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_heap_word(with_base=True))
+def test_identity_suite_matches_oracle_on_random_heaps(case):
+    """Arbitrary heaps with arbitrary bases mostly break the identities,
+    so this also compares the failure counts of the two paths."""
+    cd, word, base = case
+    L = enumerate_ideals(heap_from_word(cd, word, base=base))
+    assert identity_suite(L) == per_triple_identity_suite(L)
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_identity_suite_counts_tampered_weights_like_oracle(family, rank, node):
+    cd = build_cartan(family, rank)
+    h = build_minuscule_heap(cd, fundamental_weight(cd, node))
+    L = enumerate_ideals(h)
+    bumped = tuple(
+        tuple(c + (k % 3 == 0 and j == k % rank) for j, c in enumerate(w))
+        for k, w in enumerate(L.weights)
+    )
+    shifted_base = tuple(c + (j == 0) for j, c in enumerate(h.base))
+    for tampered in (replace(L, weights=bumped), replace(L, heap=replace(h, base=shifted_base))):
+        rows = identity_suite(tampered)
+        assert rows == per_triple_identity_suite(tampered)
+        assert sum(row.failures for row in rows) > 0
+
+
+def test_identity_suite_needs_weights_and_base():
+    cd = build_cartan("A", 3)
+    h = build_minuscule_heap(cd, fundamental_weight(cd, 2))
+    L = enumerate_ideals(h)
+    with pytest.raises(DomainError):
+        identity_suite(replace(L, weights=None))
+    with pytest.raises(DomainError):
+        identity_suite(replace(L, heap=replace(h, base=None)))
+    with pytest.raises(DomainError):
+        identity_suite(enumerate_ideals(heap_from_word(cd, (2, 1, 3, 2))))
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
