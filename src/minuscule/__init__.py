@@ -25,6 +25,7 @@ from .cde import (
     HomomesyReport,
     LpCertificate,
     ToggleSymmetryReport,
+    chain_counts,
     chain_distribution,
     expectation,
     homomesy_report,

@@ -43,16 +43,19 @@ def _dynkin_edges(family: str, rank: int) -> list[tuple[int, int]]:
     raise ConfigurationError(f"unsupported Cartan type {family}{rank}")
 
 
-def _bareiss_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Integers x and d != 0 such that y = x / d solves the square integer
-    system ``matrix y = rhs``, or None when the matrix is singular.
+def _bareiss_solve(matrix: list[list[int]], columns: list[list[int]]) -> tuple[list, int] | None:
+    """Integer columns x_j and d != 0 such that x_j / d solves the square
+    integer system ``matrix y = b_j`` for each b_j in ``columns``, or None
+    when the matrix is singular.
 
-    Fraction-free (Bareiss) elimination: every entry stays an integer
-    minor of the input, so every division is exact, and the last pivot d
-    is the determinant up to sign, so d y is integral by Cramer's rule.
+    Fraction-free (Bareiss) elimination, once for all columns: every
+    entry stays an integer minor of the input, so every division is
+    exact, and the last pivot d is the determinant up to sign, so d y is
+    integral by Cramer's rule.
     """
     n = len(matrix)
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    aug = [row[:] + [b[i] for b in columns] for i, row in enumerate(matrix)]
+    width = n + len(columns)
     prev = 1
     for c in range(n):
         pick = next((i for i in range(c, n) if aug[i][c]), None)
@@ -63,15 +66,18 @@ def _bareiss_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], 
         pv = top[c]
         for row in aug[c + 1 :]:
             f = row[c]
-            for j in range(c + 1, n + 1):
+            for j in range(c + 1, width):
                 row[j] = (pv * row[j] - f * top[j]) // prev
             row[c] = 0
         prev = pv
-    x = [0] * n
-    for c in reversed(range(n)):
-        row = aug[c]
-        x[c] = (prev * row[n] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
-    return x, prev
+    solutions = []
+    for col in range(n, width):
+        x = [0] * n
+        for c in reversed(range(n)):
+            row = aug[c]
+            x[c] = (prev * row[col] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
+        solutions.append(x)
+    return solutions, prev
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +112,10 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     Supported ranks: A with rank >= 1, D with rank >= 3, E with rank 6
     or 7.  Anything else raises ConfigurationError naming the pair.
 
-    The adjugate comes from solving C x = e_j by ``_bareiss_solve`` for
-    each j.  Every leading minor of a finite-type Cartan matrix is
-    positive, so no row is swapped, the last pivot is det C > 0 and x is
-    column j of the adjugate.
+    The adjugate comes from one ``_bareiss_solve`` of C x = e_j for all
+    j at once.  Every leading minor of a finite-type Cartan matrix is
+    positive, so no row is swapped, the last pivot is det C > 0 and x_j
+    is column j of the adjugate.
     """
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ConfigurationError(f"rank must be an integer, got {rank!r}")
@@ -118,9 +124,9 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     for a, b in edges:
         matrix[a - 1][b - 1] = -1
         matrix[b - 1][a - 1] = -1
-    columns = [_bareiss_solve(matrix, [int(i == j) for i in range(rank)]) for j in range(rank)]
-    det = columns[0][1]
-    adjugate = tuple(zip(*(x for x, _ in columns)))
+    identity = [[int(i == j) for i in range(rank)] for j in range(rank)]
+    columns, det = _bareiss_solve(matrix, identity)
+    adjugate = tuple(zip(*columns))
     frozen = tuple(tuple(row) for row in matrix)
     return CartanDatum(family, rank, frozen, adjugate, det, Fraction(2))
 

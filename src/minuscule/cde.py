@@ -11,10 +11,10 @@ found by the fraction-free integer elimination ``_bareiss_solve`` that
 the simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
-Chain counts are computed by a two-pass dynamic program (chains ending
-at, and chains starting from, each ideal); the counts grow like
-standard-tableaux numbers, so everything stays in arbitrary-precision
-integers and only the final probabilities become fractions.
+Chain counts (chains ending at, and starting from, each ideal) grow one
+level per chain length, each level the zeta transform of the last: one
+pass over the cover edges, element by element.  They stay integers, and
+``expectation`` and ``toggle_symmetry_report`` take them as they are.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ Distribution = tuple[Fraction, ...]
 STRICT = "strict"
 MULTI = "multi"
 
-_chain_table_cache: "WeakKeyDictionary[IdealLattice, dict[str, tuple[list, list]]]" = (
-    WeakKeyDictionary()
-)
+_chain_table_cache: "WeakKeyDictionary[IdealLattice, tuple]" = WeakKeyDictionary()
 
 
 def make_distribution(values) -> Distribution:
@@ -48,11 +46,16 @@ def make_distribution(values) -> Distribution:
     return probs
 
 
-def expectation(dist: Distribution, values) -> Fraction:
+def expectation(weights, values) -> Fraction:
+    """Mean of ``values`` under ``weights``: a distribution, or integer
+    counts over their total."""
     values = tuple(values)
-    if len(values) != len(dist):
-        raise DomainError(f"statistic has {len(values)} entries, expected {len(dist)}")
-    return sum((p * v for p, v in zip(dist, values)), Fraction(0))
+    if len(values) != len(weights):
+        raise DomainError(f"statistic has {len(values)} entries, expected {len(weights)}")
+    total = sum(weights)
+    if total == 0:
+        raise DomainError("weights sum to zero")
+    return Fraction(sum(w * v for w, v in zip(weights, values)), total)
 
 
 def uniform_distribution(lattice: IdealLattice) -> Distribution:
@@ -62,40 +65,37 @@ def uniform_distribution(lattice: IdealLattice) -> Distribution:
 
 def _chain_tables(lattice: IdealLattice, mode: str, levels: int) -> tuple[list, list]:
     """Tables down[m][k] / up[m][k]: chains of m+1 ideals ending / starting
-    at ideal k, strict or weakly increasing according to ``mode``."""
-    cache = _chain_table_cache.setdefault(lattice, {})
-    if mode not in cache:
-        n = len(lattice)
-        cache[mode] = ([[1] * n], [[1] * n])
-    down, up = cache[mode]
-    n = len(lattice)
+    at ideal k, strict or weakly increasing according to ``mode``.
+
+    Level m+1 sums level m over each ideal's down-set (up-set).  Heap
+    positions are a linear extension of P, so z[hi] += z[lo] over the
+    covers (lo, hi, p) in ascending p reaches every ideal below hi once
+    (the zeta transform of a distributive lattice), and z[lo] += z[hi] in
+    descending p every ideal above lo.  Strict mode drops the ideal itself.
+    """
+    if lattice not in _chain_table_cache:
+        edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
+        ones = [1] * len(lattice)
+        tables = {m: ([ones], [ones]) for m in (STRICT, MULTI)}
+        _chain_table_cache[lattice] = (edges, [(hi, lo) for lo, hi in reversed(edges)], tables)
+    down_edges, up_edges, tables = _chain_table_cache[lattice]
+    down, up = tables[mode]
     while len(down) <= levels:
-        prev = down[-1]
-        if mode == STRICT:
-            down.append([sum(prev[j] for j in lattice.strictly_below[k]) for k in range(n)])
-        else:
-            down.append(
-                [prev[k] + sum(prev[j] for j in lattice.strictly_below[k]) for k in range(n)]
-            )
-        prev = up[-1]
-        if mode == STRICT:
-            up.append([sum(prev[j] for j in lattice.strictly_above[k]) for k in range(n)])
-        else:
-            up.append(
-                [prev[k] + sum(prev[j] for j in lattice.strictly_above[k]) for k in range(n)]
-            )
+        for table, edges in ((down, down_edges), (up, up_edges)):
+            z = table[-1][:]
+            for a, b in edges:
+                z[b] += z[a]
+            table.append([s - v for s, v in zip(z, table[-1])] if mode == STRICT else z)
     return down, up
 
 
-def chain_distribution(lattice: IdealLattice, k: int, mode: str = STRICT) -> Distribution:
-    """Probability of each ideal proportional to the number of k-chains
-    through it.
+def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int, ...]:
+    """Number of k-chains through each ideal.
 
     A k-chain is a tuple of k+1 ideals, strictly increasing in strict
     mode and weakly increasing in multi mode; in multi mode an ideal is
-    counted once per position it occupies.  k = 0 gives the uniform
-    distribution in both modes; in strict mode k = |P| gives the
-    maximal-chain distribution and larger k is out of range.
+    counted once per position it occupies.  In strict mode k = |P|
+    counts maximal chains and larger k is out of range.
     """
     if mode not in (STRICT, MULTI):
         raise DomainError(f"unknown chain mode {mode!r}")
@@ -105,9 +105,17 @@ def chain_distribution(lattice: IdealLattice, k: int, mode: str = STRICT) -> Dis
     if mode == STRICT and k > rank:
         raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
     down, up = _chain_tables(lattice, mode, k)
-    counts = [
-        sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(len(lattice))
-    ]
+    counts = [0] * len(lattice)
+    for a in range(k + 1):
+        counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
+    return tuple(counts)
+
+
+def chain_distribution(lattice: IdealLattice, k: int, mode: str = STRICT) -> Distribution:
+    """Probability of each ideal proportional to ``chain_counts``; k = 0
+    gives the uniform distribution in both modes, and strict k = |P| the
+    maximal-chain distribution."""
+    counts = chain_counts(lattice, k, mode)
     total = sum(counts)
     return tuple(Fraction(c, total) for c in counts)
 
@@ -118,7 +126,7 @@ def maxchain_distribution(lattice: IdealLattice) -> Distribution:
 
 @dataclass(frozen=True)
 class ToggleSymmetryReport:
-    """Per-element comparison of insert and delete expectations."""
+    """Per-element insert and delete expectations, in the weights' units."""
 
     instances: int
     violations: tuple[tuple[int, Fraction, Fraction], ...]  # (element, E_plus, E_minus)
@@ -128,13 +136,14 @@ class ToggleSymmetryReport:
         return not self.violations
 
 
-def toggle_symmetry_report(lattice: IdealLattice, dist: Distribution) -> ToggleSymmetryReport:
-    if len(dist) != len(lattice):
+def toggle_symmetry_report(lattice: IdealLattice, weights) -> ToggleSymmetryReport:
+    """Toggle symmetry of a distribution or of counts (scale-free)."""
+    if len(weights) != len(lattice):
         raise DomainError("distribution length does not match lattice")
     violations = []
     for p in range(len(lattice.heap)):
-        e_plus = sum((dist[k] for k in lattice.add_sites[p]), Fraction(0))
-        e_minus = sum((dist[k] for k in lattice.remove_sites[p]), Fraction(0))
+        e_plus = sum(weights[k] for k in lattice.add_sites[p])
+        e_minus = sum(weights[k] for k in lattice.remove_sites[p])
         if e_plus != e_minus:
             violations.append((p, e_plus, e_minus))
     return ToggleSymmetryReport(len(lattice.heap), tuple(violations))
@@ -219,10 +228,10 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
                 - (minus[p] & plus[q]).bit_count()
             )
             gram[p + 1][q + 1] = gram[q + 1][p + 1] = dot
-    solved = _bareiss_solve(gram, rhs)
+    solved = _bareiss_solve(gram, [rhs])
     if solved is None:
         return None
-    x, d = solved
+    (x,), d = solved
     values = [x[0]] * len(lattice)
     for p in range(m - 1):
         for k in adds[p]:

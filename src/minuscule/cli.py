@@ -31,14 +31,11 @@ from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
     MULTI,
     STRICT,
-    chain_distribution,
+    chain_counts,
     expectation,
     homomesy_report,
     lp_certificate,
-    maxchain_distribution,
-    orbit_distribution,
     toggle_symmetry_report,
-    uniform_distribution,
 )
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .heap import (
@@ -223,29 +220,26 @@ def verify_case(
     for row in identity_suite(lattice):
         checks.append(CheckRow(row.check, row.instances, row.failures))
 
-    named: list[tuple[str, tuple[Fraction, ...]]] = [
-        ("uni", uniform_distribution(lattice)),
-        ("maxchain", maxchain_distribution(lattice)),
-    ]
-    rank = len(h)
+    # Integer weights; maximal chains are the strict |P|-chains.
+    n, rank = len(lattice), len(h)
+    maxchain = chain_counts(lattice, rank, STRICT)
+    named: list[tuple[str, tuple[int, ...]]] = [("uni", (1,) * n), ("maxchain", maxchain)]
     for mode in chain_modes:
-        named += [
-            (f"chain_{mode}_{k}", chain_distribution(lattice, k, mode))
-            for k in range(rank + 1)
-        ]
+        for k in range(rank + 1):
+            counts = maxchain if (mode, k) == (STRICT, rank) else chain_counts(lattice, k, mode)
+            named.append((f"chain_{mode}_{k}", counts))
     action_rows = {action: homomesy_report(lattice, action) for action in ("rowmotion", "gyration")}
     for action, report in action_rows.items():
-        named += [
-            (f"{action}_orbit_{j}", orbit_distribution(lattice, row.orbit))
-            for j, row in enumerate(report.rows)
-        ]
+        for j, row in enumerate(report.rows):
+            members = set(row.orbit)
+            named.append((f"{action}_orbit_{j}", tuple(int(k in members) for k in range(n))))
 
     symmetry_instances = symmetry_failures = 0
-    for name, dist in named:
-        sym = toggle_symmetry_report(lattice, dist)
+    for name, weights in named:
+        sym = toggle_symmetry_report(lattice, weights)
         symmetry_instances += sym.instances
         symmetry_failures += len(sym.violations)
-        dists.append(DistRow(name, expectation(dist, degrees), constant))
+        dists.append(DistRow(name, expectation(weights, degrees), constant))
     checks.append(CheckRow("toggle_symmetry", symmetry_instances, symmetry_failures))
 
     for mode in chain_modes:

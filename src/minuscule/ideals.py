@@ -125,22 +125,6 @@ class IdealLattice:
     def remove_sites(self) -> tuple[tuple[int, ...], ...]:
         return self._sites(1)
 
-    @cached_property
-    def strictly_below(self) -> tuple[tuple[int, ...], ...]:
-        """Per ideal, the indices of its proper subsets."""
-        out = []
-        for k, m in enumerate(self.ideals):
-            out.append(tuple(j for j, mj in enumerate(self.ideals) if mj != m and mj & ~m == 0))
-        return tuple(out)
-
-    @cached_property
-    def strictly_above(self) -> tuple[tuple[int, ...], ...]:
-        above: list[list[int]] = [[] for _ in self.ideals]
-        for k, lows in enumerate(self.strictly_below):
-            for j in lows:
-                above[j].append(k)
-        return tuple(tuple(a) for a in above)
-
 
 def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     """Enumerate J(P) by walking up the cover graph from the empty ideal."""

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
-filters, exhaustive chain enumeration, basis enumeration for polytope
-vertices) and stays deliberately ignorant of the library's internals.
+filters, exhaustive chain enumeration, subset-table chain counts,
+basis enumeration for polytope vertices) and stays deliberately
+ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
@@ -107,6 +108,31 @@ def multi_chain_member_counts(n, leq, k):
             for x in tup:
                 counts[x] += 1
     return counts
+
+
+def subset_table_chain_counts(ideals, k, mode):
+    """Chains of k+1 ideals through each ideal, given as bit masks, by
+    the two-pass dynamic program over explicit subset tables: down[m][i]
+    counts chains of m+1 ideals ending at ideal i and up[m][i] those
+    starting there, each level summed over every strictly smaller
+    (larger) ideal, plus the ideal itself in multi mode."""
+    n = len(ideals)
+    strictly_below = [
+        [j for j, mj in enumerate(ideals) if mj != m and mj & ~m == 0] for m in ideals
+    ]
+    strictly_above = [[] for _ in ideals]
+    for i, lows in enumerate(strictly_below):
+        for j in lows:
+            strictly_above[j].append(i)
+    down, up = [[1] * n], [[1] * n]
+    while len(down) <= k:
+        for table, related in ((down, strictly_below), (up, strictly_above)):
+            prev = table[-1]
+            if mode == "strict":
+                table.append([sum(prev[j] for j in related[i]) for i in range(n)])
+            else:
+                table.append([prev[i] + sum(prev[j] for j in related[i]) for i in range(n)])
+    return [sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(n)]
 
 
 def _rref(rows, rhs):

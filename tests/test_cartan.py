@@ -25,6 +25,15 @@ ALL_TYPES = [("A", r) for r in range(1, 8)] + [("D", r) for r in range(3, 9)] + 
 ]
 
 
+def test_type_a_adjugate_closed_form_at_rank_150():
+    n = 150
+    cd = build_cartan("A", n)
+    assert cd.det == n + 1
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert cd.adjugate[i - 1][j - 1] == min(i, j) * (n + 1 - max(i, j))
+
+
 def test_rank_one_matrix():
     assert build_cartan("A", 1).matrix == ((2,),)
 

@@ -9,6 +9,7 @@ from minuscule import (
     build_cartan,
     build_minuscule_heap,
     inner_product,
+    chain_counts,
     chain_distribution,
     enumerate_ideals,
     expectation,
@@ -35,6 +36,7 @@ from oracles import (
     multi_chain_member_counts,
     polytope_vertices,
     strict_chain_member_counts,
+    subset_table_chain_counts,
 )
 
 F = Fraction
@@ -119,6 +121,79 @@ def test_chain_counts_against_brute_force(family, rank, node):
         counts = multi_chain_member_counts(n, leq, k)
         total = sum(counts)
         assert chain_distribution(L, k, "multi") == tuple(F(c, total) for c in counts)
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_chain_counts_match_subset_table_oracle(family, rank, node):
+    cd = build_cartan(family, rank)
+    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    p = len(L.heap)
+    for mode, lengths in (("strict", range(p + 1)), ("multi", range(p + 3))):
+        for k in lengths:
+            counts = chain_counts(L, k, mode)
+            assert list(counts) == subset_table_chain_counts(L.ideals, k, mode), (mode, k)
+            total = sum(counts)
+            assert chain_distribution(L, k, mode) == tuple(F(c, total) for c in counts)
+
+
+def test_chain_counts_validation():
+    _, L = grid_lattice()
+    assert chain_counts(L, 4) == (2, 2, 1, 1, 2, 2)  # two maximal chains
+    for k, mode in ((5, "strict"), (-1, "multi"), (1, "zigzag")):
+        with pytest.raises(DomainError):
+            chain_counts(L, k, mode)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_heap_word())
+def test_chain_counts_match_oracles_on_random_heaps(case):
+    cd, word = case
+    L = enumerate_ideals(heap_from_word(cd, word))
+    n, p = len(L), len(L.heap)
+
+    def leq(a, b):
+        return L.ideals[a] & ~L.ideals[b] == 0
+
+    for mode, lengths in (("strict", range(p + 1)), ("multi", range(p + 3))):
+        for k in lengths:
+            counts = list(chain_counts(L, k, mode))
+            assert counts == subset_table_chain_counts(L.ideals, k, mode), (mode, k)
+            if n > 12:
+                continue
+            if mode == "strict":
+                assert counts == strict_chain_member_counts(n, leq, k), k
+            elif n ** (k + 1) <= 5000:  # the multichain brute force walks n^(k+1) tuples
+                assert counts == multi_chain_member_counts(n, leq, k), k
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_counts_and_normalised_distributions_agree(family, rank, node):
+    """Integer weights and the same weights normalised give the same
+    expectation and the same toggle-symmetry verdict, with the
+    violations scaled by the total."""
+    cd = build_cartan(family, rank)
+    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    n = len(L)
+    weights = [chain_counts(L, k, mode) for mode in ("strict", "multi") for k in (1, len(L.heap))]
+    for action in (rowmotion, gyration):
+        for orbit in action_orbits(L, action):
+            weights.append(tuple(int(k in orbit) for k in range(n)))
+    weights += [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    asymmetric = 0
+    for w in weights:
+        total = sum(w)
+        dist = make_distribution(F(c, total) for c in w)
+        assert expectation(w, L.down_degrees) == expectation(dist, L.down_degrees)
+        by_counts = toggle_symmetry_report(L, w)
+        by_dist = toggle_symmetry_report(L, dist)
+        assert by_counts.ok == by_dist.ok
+        assert [(p, a, b) for p, a, b in by_counts.violations] == [
+            (p, total * a, total * b) for p, a, b in by_dist.violations
+        ]
+        asymmetric += not by_counts.ok
+    assert asymmetric == n  # every point mass, and nothing else
+    with pytest.raises(DomainError):
+        expectation((0,) * n, L.down_degrees)
 
 
 def test_toggle_symmetry_of_uniform_and_failure_of_point_mass():
@@ -269,11 +344,17 @@ def test_lp_witness_agrees_with_simplex_and_closed_form(family, rank, node, monk
 
 
 def test_bareiss_solve_is_exact_and_rejects_singular_systems():
-    x, d = cde._bareiss_solve([[2, 1], [1, 3]], [3, 5])
+    (x,), d = cde._bareiss_solve([[2, 1], [1, 3]], [[3, 5]])
     assert [F(v, d) for v in x] == [F(4, 5), F(7, 5)]
-    x, d = cde._bareiss_solve([[0, 1], [1, 0]], [3, 5])  # needs a row swap
+    (x,), d = cde._bareiss_solve([[0, 1], [1, 0]], [[3, 5]])  # needs a row swap
     assert [F(v, d) for v in x] == [5, 3]
-    assert cde._bareiss_solve([[2, 4], [1, 2]], [6, 3]) is None
+    assert cde._bareiss_solve([[2, 4], [1, 2]], [[6, 3]]) is None
+
+
+def test_bareiss_solve_eliminates_once_for_several_columns():
+    (x, y, z), d = cde._bareiss_solve([[2, 1], [1, 3]], [[3, 5], [1, 0], [0, 1]])
+    assert [F(v, d) for v in x] == [F(4, 5), F(7, 5)]
+    assert [[F(v, d) for v in col] for col in (y, z)] == [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]
 
 
 def test_lp_control_poset_has_no_witness():

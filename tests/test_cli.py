@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from minuscule import cli
 from minuscule.cli import (
     EXIT_DOMAIN,
@@ -267,3 +270,39 @@ def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--out" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def command_lines(draw):
+    """A command over a family (X is not one), a rank, a node and the
+    flags, each drawn from both sides of its valid range; ``one_of``
+    draws from the valid part half the time, so some commands succeed."""
+    command = draw(st.sampled_from(("build", "verify", "orbits")))
+    rank = draw(st.one_of(st.integers(1, 9), st.integers(-2, 9)))
+    node = draw(st.one_of(st.integers(1, max(rank, 1)), st.integers(-1, 10)))
+    argv = [command, draw(st.sampled_from("ADEX")), str(rank), str(node)]
+    argv += ["--cap-ideals", str(draw(st.one_of(st.integers(10, 50), st.integers(-1, 50))))]
+    if command == "verify":
+        argv += ["--words", str(draw(st.one_of(st.integers(0, 3), st.integers(-2, 3))))]
+        argv += ["--chain-mode", draw(st.sampled_from(("strict", "multi", "both")))]
+    return argv
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command_lines())
+def test_cli_fuzz_exits_cleanly(capsys, argv):
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    if code:
+        assert "error:" in err.rstrip("\n").split("\n")[-1], (argv, err)

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from minuscule import (
     DomainError,
@@ -23,7 +24,7 @@ from minuscule import (
     toggle_label,
     verify_commutation,
 )
-from conftest import small_catalog
+from conftest import random_heap_word, small_catalog
 from oracles import powerset_ideal_masks
 
 
@@ -250,3 +251,16 @@ def test_action_orbit_bookkeeping():
 
     with pytest.raises(InternalCheckError):
         action_orbits(L, lambda _h, m: 0)  # constant map is not a bijection
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_heap_word())
+def test_enumeration_and_rowmotion_on_random_heaps(case):
+    cd, word = case
+    h = heap_from_word(cd, word)
+    L = enumerate_ideals(h)
+    assert list(L.ideals) == powerset_ideal_masks(h.below, len(h))
+    for m in L.ideals:
+        assert rowmotion(h, m) == rowmotion_by_toggles(h, m)
+    orbits = action_orbits(L, rowmotion)
+    assert sorted(k for orbit in orbits for k in orbit) == list(range(len(L)))
