@@ -57,9 +57,7 @@ from .ideals import (
     enumerate_ideals,
     gyration,
     ideal_weight,
-    is_ideal,
     rowmotion,
-    rowmotion_by_toggles,
     toggle,
     toggle_label,
     verify_commutation,

@@ -102,6 +102,12 @@ class CartanDatum:
         """The exact inverse of the Cartan matrix, adjugate / det."""
         return tuple(tuple(Fraction(a, self.det) for a in row) for row in self.adjugate)
 
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Row i-1 lists the nodes j with A[i][j] != 0: node i and its
+        Dynkin neighbours, the labels whose reflections do not commute."""
+        return tuple(tuple(j for j, a in enumerate(row, 1) if a) for row in self.matrix)
+
     def __repr__(self) -> str:
         return f"CartanDatum({self.family}{self.rank})"
 

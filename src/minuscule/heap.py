@@ -3,10 +3,13 @@
 A word (i_1, ..., i_l) yields a heap on positions 0..l-1 carrying the
 node labels i_j.  Earlier position j is placed below later position k
 whenever s_{i_j} and s_{i_k} fail to commute, which for a symmetric
-Cartan matrix means A[i_j][i_k] != 0; the heap order is the transitive
-closure of those relations.  Equal labels fall under the same rule
-(A[i][i] = 2), so elements sharing a label are totally ordered by word
-position.  Position order is therefore always a linear extension.
+Cartan matrix means A[i_j][i_k] != 0, and the heap order is what these
+relations generate.  Equal labels fall under the same rule (A[i][i] = 2),
+so elements sharing a label are totally ordered by word position, and
+position order is always a linear extension.  As in Viennot's heaps of
+pieces, each new letter rests on the latest earlier occurrence of its
+own label and of each Dynkin neighbour, so a heap builds in
+O(|P| * deg) mask operations.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
 class Heap:
-    """An immutable heap; ``below``/``above`` hold strict order bit masks."""
+    """An immutable heap; ``below``/``above`` hold strict order bit masks
+    and ``covers`` the sorted (lower, upper) cover pairs."""
 
     cartan: CartanDatum
     labels: tuple[int, ...]
@@ -62,57 +65,67 @@ class Heap:
         return out
 
     @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Element -> the elements covering it, in increasing order."""
+        out: list[list[int]] = [[] for _ in self.labels]
+        for a, b in self.covers:
+            out[a].append(b)
+        return tuple(map(tuple, out))
+
+    @cached_property
     def is_graded(self) -> bool:
         return all(self.ranks[b] == self.ranks[a] + 1 for a, b in self.covers)
 
 
 def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None = None) -> Heap:
-    """Build the heap of ``word``; ``base`` is the weight the empty ideal maps to."""
+    """Build the heap of ``word``; ``base`` is the weight the empty ideal maps to.
+
+    Position j rests on the latest earlier occurrence of each label in
+    ``cd.neighbours[i_j - 1]``: at most deg + 1 candidates, and every
+    earlier position that fails to commute with j lies at or below one.
+    So ``below[j]`` is their down-sets plus the candidates, j covers the
+    candidates outside those down-sets, and the build is O(|P| * deg).
+    """
     for i in word:
         _check_node(cd, i)
     if base is not None and len(base) != cd.rank:
         raise DomainError(f"base weight has {len(base)} coordinates, expected {cd.rank}")
     n = len(word)
-    matrix = cd.matrix
+    neighbours = cd.neighbours
+    last = [-1] * (cd.rank + 1)
+    seen = [0] * (cd.rank + 1)
     below = [0] * n
-    for j in range(n):
-        row = matrix[word[j] - 1]
-        m = 0
-        for k in range(j):
-            if row[word[k] - 1] != 0:
-                m |= below[k] | (1 << k)
-        below[j] = m
-    above = [0] * n
-    for j, mask in enumerate(below):
-        for k in iter_bits(mask):
-            above[k] |= 1 << j
-
-    covers = []
-    for j in range(n):
-        for k in iter_bits(below[j]):
-            if above[k] & below[j] == 0:
-                covers.append((k, j))
-
     ranks = [0] * n
-    for j in range(n):
-        ranks[j] = 1 + max((ranks[k] for k in iter_bits(below[j])), default=-1)
-
-    seen: dict[int, int] = {}
+    covers = []
     names = []
-    for i in word:
-        seen[i] = seen.get(i, 0) + 1
+    for j, i in enumerate(word):
+        candidates = []
+        dominated = 0
+        for k in neighbours[i - 1]:
+            c = last[k]
+            if c >= 0:
+                candidates.append(c)
+                dominated |= below[c]
+        mask = dominated
+        rank = 0
+        for c in candidates:
+            mask |= 1 << c
+            if not dominated >> c & 1:
+                covers.append((c, j))
+                if ranks[c] >= rank:
+                    rank = ranks[c] + 1
+        below[j] = mask
+        ranks[j] = rank
+        last[i] = j
+        seen[i] += 1
         names.append((i, seen[i]))
-
-    return Heap(
-        cd,
-        tuple(word),
-        tuple(below),
-        tuple(above),
-        tuple(sorted(covers)),
-        tuple(ranks),
-        tuple(names),
-        tuple(base) if base is not None else None,
-    )
+    covers.sort()
+    above = [0] * n
+    # Descending lower ends: above[j] is complete before any c < j reads it.
+    for c, j in reversed(covers):
+        above[c] |= above[j] | 1 << j
+    fields = (tuple(word), tuple(below), tuple(above), tuple(covers), tuple(ranks), tuple(names))
+    return Heap(cd, *fields, tuple(base) if base is not None else None)
 
 
 def label_fiber(h: Heap, i: int) -> tuple[int, ...]:
@@ -126,31 +139,42 @@ def heaps_isomorphic(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
 
     Any such isomorphism must send the j-th smallest element of each
     label fiber to its counterpart, so matching canonical names is the
-    only candidate; it remains to check it preserves the order both ways.
+    only candidate.  An order is the transitive closure of its covers, so
+    the candidate is an isomorphism exactly when it maps the covers of h1
+    onto those of h2.
     """
     if len(h1) != len(h2) or sorted(h1.labels) != sorted(h2.labels):
         return None
     position = {name: p for p, name in enumerate(h2.names)}
     sigma = [position[name] for name in h1.names]
-    for x in range(len(h1)):
-        mapped = 0
-        for k in iter_bits(h1.below[x]):
-            mapped |= 1 << sigma[k]
-        if mapped != h2.below[sigma[x]]:
-            return None
+    if sorted((sigma[a], sigma[b]) for a, b in h1.covers) != list(h2.covers):
+        return None
     return tuple(sigma)
 
 
 def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
-    """A uniform-ish random linear extension, deterministic given ``rng``."""
-    n = len(h)
+    """A uniform-ish random linear extension, deterministic given ``rng``.
+
+    The ready elements (unchosen, with every lower element chosen) form a
+    bit mask, and choosing p can make only its upper covers ready.  Each
+    step takes the r-th ready element, r = ``rng.randrange(#ready)``.
+    """
+    below = h.below
+    upper = h.upper_covers
     chosen = 0
+    ready = sum(1 << p for p in range(len(h)) if not below[p])
     out = []
-    for _ in range(n):
-        ready = [p for p in range(n) if not chosen >> p & 1 and h.below[p] & ~chosen == 0]
-        p = ready[rng.randrange(len(ready))]
+    while ready:
+        m = ready
+        for _ in range(rng.randrange(m.bit_count())):
+            m &= m - 1
+        p = (m & -m).bit_length() - 1
         out.append(p)
         chosen |= 1 << p
+        ready ^= 1 << p
+        for q in upper[p]:
+            if below[q] & chosen == below[q]:
+                ready |= 1 << q
     return tuple(out)
 
 

@@ -23,10 +23,6 @@ from .heap import Heap
 DEFAULT_IDEAL_CAP = 10**6
 
 
-def is_ideal(h: Heap, mask: int) -> bool:
-    return all(h.below[p] & mask == h.below[p] for p in iter_bits(mask))
-
-
 def addable_elements(h: Heap, mask: int) -> list[int]:
     """Elements whose insertion keeps ``mask`` an ideal; equivalently the
     minimal elements of the complement."""
@@ -187,14 +183,6 @@ def rowmotion(h: Heap, mask: int) -> int:
     for p in addable_elements(h, mask):
         out |= h.below[p] | (1 << p)
     return out
-
-
-def rowmotion_by_toggles(h: Heap, mask: int) -> int:
-    """Rowmotion as a top-to-bottom toggle sweep; agrees with
-    ``rowmotion`` on every ideal."""
-    for p in reversed(range(len(h))):
-        mask = toggle(h, mask, p)
-    return mask
 
 
 def gyration(h: Heap, mask: int, even_first: bool = True) -> int:

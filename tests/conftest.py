@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from minuscule import build_cartan
 from minuscule.cli import build_case, default_catalog
+
+# Every property test is derandomized and untimed; each sets only its
+# own max_examples.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
@@ -37,11 +43,12 @@ def small_catalog():
 
 @st.composite
 def random_heap_word(draw, with_base=False):
-    """A Cartan datum of type A_n or D_n and a random word over its
-    nodes, so an arbitrary heap; with ``with_base``, also a random
+    """A Cartan datum of type A_n, D_n, E6 or E7 and a random word over
+    its nodes, so an arbitrary heap; with ``with_base``, also a random
     integral base weight as a third entry."""
-    family = draw(st.sampled_from("AD"))
-    rank = draw(st.integers(1, 5) if family == "A" else st.integers(3, 5))
+    family = draw(st.sampled_from("ADE"))
+    ranks = {"A": st.integers(1, 5), "D": st.integers(3, 5), "E": st.sampled_from((6, 7))}
+    rank = draw(ranks[family])
     length = draw(st.integers(0, 7))
     word = draw(st.lists(st.integers(1, rank), min_size=length, max_size=length))
     cd = build_cartan(family, rank)

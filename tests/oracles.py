@@ -3,11 +3,14 @@
 Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, subset-table chain counts,
-basis enumeration for polytope vertices) and stays deliberately
-ignorant of the library's internals.
+basis enumeration for polytope vertices, the quadratic heap builder)
+and stays deliberately ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
+The quadratic heap builder returns a library ``Heap`` so its fields
+compare directly, and ``rowmotion_by_toggles`` sweeps the library's
+``toggle``.
 """
 
 from dataclasses import dataclass
@@ -16,12 +19,14 @@ from itertools import combinations, product
 
 from minuscule import (
     DomainError,
+    Heap,
     coroot_pairing,
     fundamental_weight,
     ideal_weight,
     inner_product,
     simple_root,
     tcde_constant,
+    toggle,
 )
 from minuscule.stats import SuiteRow
 
@@ -83,6 +88,18 @@ def powerset_ideal_masks(below, n):
         if all(below[p] & mask == below[p] for p in range(n) if mask >> p & 1):
             out.append(mask)
     return sorted(out, key=lambda m: (bin(m).count("1"), m))
+
+
+def is_ideal(h, mask):
+    return all(h.below[p] & mask == h.below[p] for p in _bits(mask))
+
+
+def rowmotion_by_toggles(h, mask):
+    """Rowmotion as a top-to-bottom toggle sweep; agrees with
+    ``rowmotion`` on every ideal."""
+    for p in reversed(range(len(h))):
+        mask = toggle(h, mask, p)
+    return mask
 
 
 def strict_chain_member_counts(n, leq, k):
@@ -190,6 +207,79 @@ def polytope_vertices(rows, rhs):
             x[c] = v
         vertices.add(tuple(x))
     return sorted(vertices)
+
+
+def _bits(mask):
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def quadratic_heap_from_word(cd, word, base=None):
+    """The heap of ``word`` from a scan of every earlier position: j lies
+    above k and all of below[k] whenever their labels fail to commute;
+    covers and ranks are then read off the full masks.  The reference for
+    the last-occurrence builder ``heap_from_word``."""
+    n = len(word)
+    matrix = cd.matrix
+    below = [0] * n
+    for j in range(n):
+        row = matrix[word[j] - 1]
+        m = 0
+        for k in range(j):
+            if row[word[k] - 1] != 0:
+                m |= below[k] | (1 << k)
+        below[j] = m
+    above = [0] * n
+    for j, mask in enumerate(below):
+        for k in _bits(mask):
+            above[k] |= 1 << j
+    covers = [(k, j) for j in range(n) for k in _bits(below[j]) if above[k] & below[j] == 0]
+    ranks = [0] * n
+    for j in range(n):
+        ranks[j] = 1 + max((ranks[k] for k in _bits(below[j])), default=-1)
+    seen = {}
+    names = []
+    for i in word:
+        seen[i] = seen.get(i, 0) + 1
+        names.append((i, seen[i]))
+    return Heap(
+        cd,
+        tuple(word),
+        tuple(below),
+        tuple(above),
+        tuple(sorted(covers)),
+        tuple(ranks),
+        tuple(names),
+        tuple(base) if base is not None else None,
+    )
+
+
+def rescanning_linear_extension(h, rng):
+    """``random_linear_extension`` by rescanning all elements for the
+    ready ones at every step; the same draws give the same extension."""
+    n = len(h)
+    chosen = 0
+    out = []
+    for _ in range(n):
+        ready = [p for p in range(n) if not chosen >> p & 1 and h.below[p] & ~chosen == 0]
+        p = ready[rng.randrange(len(ready))]
+        out.append(p)
+        chosen |= 1 << p
+    return tuple(out)
+
+
+def below_mask_isomorphic(h1, h2):
+    """``heaps_isomorphic`` by comparing every mapped down-set mask."""
+    if len(h1) != len(h2) or sorted(h1.labels) != sorted(h2.labels):
+        return None
+    position = {name: p for p, name in enumerate(h2.names)}
+    sigma = [position[name] for name in h1.names]
+    for x in range(len(h1)):
+        mapped = 0
+        for k in _bits(h1.below[x]):
+            mapped |= 1 << sigma[k]
+        if mapped != h2.below[sigma[x]]:
+            return None
+    return tuple(sigma)
 
 
 def grid_word(a, b):

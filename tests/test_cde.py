@@ -144,7 +144,7 @@ def test_chain_counts_validation():
             chain_counts(L, k, mode)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(random_heap_word())
 def test_chain_counts_match_oracles_on_random_heaps(case):
     cd, word = case
@@ -374,7 +374,7 @@ def test_lp_fork_certifies_without_simplex(monkeypatch):
     assert cert.witness[0] == 1
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(random_heap_word())
 def test_lp_certificate_agrees_with_oracles_on_random_heaps(case):
     cd, word = case

@@ -288,12 +288,7 @@ def command_lines(draw):
     return argv
 
 
-@settings(
-    derandomize=True,
-    deadline=None,
-    max_examples=200,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_lines())
 def test_cli_fuzz_exits_cleanly(capsys, argv):
     capsys.readouterr()

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
@@ -16,8 +18,14 @@ from minuscule import (
     random_linear_extension,
     word_of_extension,
 )
-from conftest import small_catalog
-from oracles import grid_covers, grid_word
+from conftest import random_heap_word, small_catalog
+from oracles import (
+    below_mask_isomorphic,
+    grid_covers,
+    grid_word,
+    quadratic_heap_from_word,
+    rescanning_linear_extension,
+)
 
 GRIDS = [(a, b) for a in range(2, 5) for b in range(a, 5)]
 
@@ -189,3 +197,25 @@ def test_hundred_random_words_rebuild_the_same_heap(family, rank, node):
         rebuilt = heap_from_word(cd, word_of_extension(h, ext))
         assert heaps_isomorphic(h, rebuilt) is not None
         assert sorted(rebuilt.names) == sorted(h.names)
+
+
+@settings(max_examples=100)
+@given(random_heap_word(with_base=True), st.integers(0, 2**32 - 1))
+def test_heap_functions_agree_with_quadratic_oracles(case, seed):
+    """The last-occurrence builder, the ready-mask extension and the
+    cover-based isomorphism test against their quadratic references; the
+    rebuild from an extension is always isomorphic, a shuffle often not."""
+    cd, word, base = case
+    h = heap_from_word(cd, word, base=base)
+    ref = quadratic_heap_from_word(cd, word, base=base)
+    for field in ("labels", "below", "above", "covers", "ranks", "names", "base"):
+        assert getattr(h, field) == getattr(ref, field)
+    ext = random_linear_extension(h, random.Random(seed))
+    assert ext == rescanning_linear_extension(h, random.Random(seed))
+    rebuilt = heap_from_word(cd, word_of_extension(h, ext))
+    assert heaps_isomorphic(h, rebuilt) == below_mask_isomorphic(h, rebuilt)
+    assert heaps_isomorphic(h, rebuilt) is not None
+    shuffled = list(word)
+    random.Random(seed).shuffle(shuffled)
+    other = heap_from_word(cd, tuple(shuffled))
+    assert heaps_isomorphic(h, other) == below_mask_isomorphic(h, other)

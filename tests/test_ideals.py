@@ -16,16 +16,14 @@ from minuscule import (
     gyration,
     heap_from_word,
     ideal_weight,
-    is_ideal,
     rowmotion,
-    rowmotion_by_toggles,
     simple_reflection,
     toggle,
     toggle_label,
     verify_commutation,
 )
 from conftest import random_heap_word, small_catalog
-from oracles import powerset_ideal_masks
+from oracles import is_ideal, powerset_ideal_masks, rowmotion_by_toggles
 
 
 def grid_heap():
@@ -253,7 +251,18 @@ def test_action_orbit_bookkeeping():
         action_orbits(L, lambda _h, m: 0)  # constant map is not a bijection
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
+@given(random_heap_word())
+def test_toggle_is_an_involution_on_random_heaps(case):
+    cd, word = case
+    h = heap_from_word(cd, word)
+    for m in enumerate_ideals(h).ideals:
+        for p in range(len(h)):
+            assert toggle(h, toggle(h, m, p), p) == m
+            assert is_ideal(h, toggle(h, m, p))
+
+
+@settings(max_examples=60)
 @given(random_heap_word())
 def test_enumeration_and_rowmotion_on_random_heaps(case):
     cd, word = case

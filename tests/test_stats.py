@@ -178,7 +178,7 @@ def test_identity_suite_matches_per_triple_oracle(family, rank, node):
     assert identity_suite(L) == per_triple_identity_suite(L)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(random_heap_word(with_base=True))
 def test_identity_suite_matches_oracle_on_random_heaps(case):
     """Arbitrary heaps with arbitrary bases mostly break the identities,
