@@ -18,11 +18,11 @@ chain is 1-3-4-5-6(-7) and node 2 hangs off node 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConfigurationError, DomainError
+from .frozen import Frozen
 
 Rational = int | Fraction
 Weight = tuple[Rational, ...]
@@ -80,17 +80,22 @@ def _bareiss_solve(matrix: list[list[int]], columns: list[list[int]]) -> tuple[l
     return solutions, prev
 
 
-@dataclass(frozen=True, eq=False)
-class CartanDatum:
+class CartanDatum(Frozen):
     """A simply laced Cartan matrix with its integer adjugate and
     determinant, so that inverse = adjugate / det."""
 
-    family: str
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    adjugate: tuple[tuple[int, ...], ...]
-    det: int
-    omega_sq: Fraction
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        matrix: tuple[tuple[int, ...], ...],
+        adjugate: tuple[tuple[int, ...], ...],
+        det: int,
+        omega_sq: Fraction,
+    ) -> None:
+        self._set(
+            family=family, rank=rank, matrix=matrix, adjugate=adjugate, det=det, omega_sq=omega_sq
+        )
 
     @property
     def nodes(self) -> range:

@@ -19,8 +19,8 @@ pass over the cover edges, element by element.  They stay integers, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .cartan import _bareiss_solve
@@ -124,8 +124,7 @@ def maxchain_distribution(lattice: IdealLattice) -> Distribution:
     return chain_distribution(lattice, len(lattice.heap), STRICT)
 
 
-@dataclass(frozen=True)
-class ToggleSymmetryReport:
+class ToggleSymmetryReport(NamedTuple):
     """Per-element insert and delete expectations, in the weights' units."""
 
     instances: int
@@ -160,8 +159,7 @@ def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distrib
     return tuple(probs)
 
 
-@dataclass(frozen=True)
-class LpCertificate:
+class LpCertificate(NamedTuple):
     """Exact optima of the down-degree expectation over the polytope of
     toggle-symmetric distributions, with an optimal point for each.
 
@@ -272,15 +270,13 @@ def lp_certificate(lattice: IdealLattice) -> LpCertificate:
 ACTIONS = {"rowmotion": rowmotion, "gyration": gyration}
 
 
-@dataclass(frozen=True)
-class HomomesyRow:
+class HomomesyRow(NamedTuple):
     orbit: tuple[int, ...]
     mean: Fraction
     matches: bool
 
 
-@dataclass(frozen=True)
-class HomomesyReport:
+class HomomesyReport(NamedTuple):
     action: str
     constant: Fraction
     rows: tuple[HomomesyRow, ...]

@@ -15,26 +15,32 @@ O(|P| * deg) mask operations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class Heap:
+class Heap(Frozen):
     """An immutable heap; ``below``/``above`` hold strict order bit masks
     and ``covers`` the sorted (lower, upper) cover pairs."""
 
-    cartan: CartanDatum
-    labels: tuple[int, ...]
-    below: tuple[int, ...]
-    above: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
-    ranks: tuple[int, ...]
-    names: tuple[tuple[int, int], ...]
-    base: Weight | None = None
+    def __init__(
+        self,
+        cartan: CartanDatum,
+        labels: tuple[int, ...],
+        below: tuple[int, ...],
+        above: tuple[int, ...],
+        covers: tuple[tuple[int, int], ...],
+        ranks: tuple[int, ...],
+        names: tuple[tuple[int, int], ...],
+        base: Weight | None = None,
+    ) -> None:
+        self._set(
+            cartan=cartan, labels=labels, below=below, above=above,
+            covers=covers, ranks=ranks, names=names, base=base,
+        )
 
     def __len__(self) -> int:
         return len(self.labels)

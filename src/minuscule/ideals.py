@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .bits import iter_bits
 from .cartan import Weight, _check_node, simple_reflection
 from .errors import DomainError, InternalCheckError, ResourceLimitError
+from .frozen import Frozen
 from .heap import Heap
 
 DEFAULT_IDEAL_CAP = 10**6
@@ -67,14 +68,17 @@ def ideal_weight(h: Heap, mask: int) -> Weight:
     return w
 
 
-@dataclass(frozen=True, eq=False)
-class IdealLattice:
+class IdealLattice(Frozen):
     """All order ideals of a heap, with cover edges ``(lo, hi, element)``."""
 
-    heap: Heap
-    ideals: tuple[int, ...]
-    covers: tuple[tuple[int, int, int], ...]
-    weights: tuple[Weight, ...] | None
+    def __init__(
+        self,
+        heap: Heap,
+        ideals: tuple[int, ...],
+        covers: tuple[tuple[int, int, int], ...],
+        weights: tuple[Weight, ...] | None,
+    ) -> None:
+        self._set(heap=heap, ideals=ideals, covers=covers, weights=weights)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -149,8 +153,7 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     return IdealLattice(h, tuple(masks), tuple(covers), frozen_weights)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     """Exhaustive check that label toggles match simple reflections
     through the ideal-to-weight map."""
 

@@ -11,25 +11,29 @@ certifies exactly that and reports any violation it finds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .cartan import CartanDatum, Weight, is_dominant, is_integral, simple_reflection
 from .errors import DomainError, ResourceLimitError
+from .frozen import Frozen
 from .heap import Heap, heap_from_word
 from .ideals import IdealLattice, enumerate_ideals
 
 DEFAULT_ORBIT_CAP = 10**6
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitPoset:
+class OrbitPoset(Frozen):
     """Orbit weights with cover edges ``(u, v, i)`` meaning v = u - alpha_i."""
 
-    cartan: CartanDatum
-    weights: tuple[Weight, ...]
-    covers: tuple[tuple[int, int, int], ...]
-    layers: tuple[int, ...]
+    def __init__(
+        self,
+        cartan: CartanDatum,
+        weights: tuple[Weight, ...],
+        covers: tuple[tuple[int, int, int], ...],
+        layers: tuple[int, ...],
+    ) -> None:
+        self._set(cartan=cartan, weights=weights, covers=covers, layers=layers)
 
     @cached_property
     def index(self) -> dict[Weight, int]:
@@ -69,12 +73,14 @@ class OrbitPoset:
     def below_masks(self) -> tuple[int, ...]:
         """Strict down-sets as bit masks over weight indices."""
         below = [0] * len(self.weights)
-        for u in self._topological_order():
+        for u in self.topological_order():
             for _, v in self.up_adjacency[u]:
                 below[v] |= below[u] | (1 << u)
         return tuple(below)
 
-    def _topological_order(self) -> list[int]:
+    def topological_order(self) -> list[int]:
+        """Weight indices with every weight after the weights it covers;
+        raises DomainError on a cyclic cover digraph."""
         n = len(self.weights)
         indeg = [len(a) for a in self.down_adjacency]
         queue = deque(k for k in range(n) if indeg[k] == 0)
@@ -140,8 +146,7 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
     return OrbitPoset(cd, tuple(order), tuple(covers), tuple(layers))
 
 
-@dataclass(frozen=True)
-class MinusculeReport:
+class MinusculeReport(NamedTuple):
     """Outcome of the minuscule certification of an orbit poset.
 
     ``lattice`` is the ideal lattice of the heap of ``saturated_chain``
@@ -153,7 +158,7 @@ class MinusculeReport:
     size: int
     pairing_violations: tuple[tuple[Weight, int, int], ...]
     mismatch: str | None = None
-    lattice: IdealLattice | None = field(default=None, repr=False)
+    lattice: IdealLattice | None = None
 
     @property
     def ok(self) -> bool:

@@ -16,8 +16,8 @@ witness exists; the tests also use it as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 
@@ -26,8 +26,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     objective: Fraction | None
     solution: tuple[Fraction, ...] | None

@@ -33,9 +33,9 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .bits import iter_bits
 from .cartan import CartanDatum, Rational, Weight, inner_product
@@ -49,8 +49,7 @@ def tcde_constant(cd: CartanDatum, lam: Weight) -> Fraction:
     return 2 * inner_product(cd, lam, lam) / cd.omega_sq
 
 
-@dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(NamedTuple):
     check: str
     instances: int
     failures: int

@@ -3,8 +3,8 @@
 Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, subset-table chain counts,
-basis enumeration for polytope vertices, the quadratic heap builder)
-and stays deliberately ignorant of the library's internals.
+basis enumeration for polytope vertices, the quadratic heap builder,
+the pairwise structure check) and stays deliberately ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
@@ -358,6 +358,25 @@ def cubic_minuscule_verdict(matrix, lam):
     index = {mu: k for k, mu in enumerate(weights)}
     edges = [(index[a], index[b]) for a, b in orbit_covers(matrix, weights)]
     return is_distributive_lattice(len(weights), edges)
+
+
+def pairwise_structure_failures(bundle):
+    """The ``structure`` check row of ``verify``, one (ideal, ideal) pair
+    at a time: sizes, the weight multisets, and containment of ideals
+    against the orbit order of their weights."""
+    lattice, orb = bundle.lattice, bundle.orbit
+    n = len(lattice)
+    failures = int(n != len(orb)) + int(sorted(lattice.weights) != sorted(orb.weights))
+    order = [m | (1 << k) for k, m in enumerate(orb.below_masks)]
+    weight_pos = [orb.index[w] for w in lattice.weights]
+    for a in range(n):
+        mask_a, wa = lattice.ideals[a], weight_pos[a]
+        for b in range(n):
+            contained = mask_a & ~lattice.ideals[b] == 0
+            dominated = bool(order[weight_pos[b]] >> wa & 1)
+            if contained != dominated:
+                failures += 1
+    return 2 + n * n, failures
 
 
 # Per-(ideal, node) reference for the toggle indicator identities that

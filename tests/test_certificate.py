@@ -1,11 +1,15 @@
 """The minuscule certificate: agreement with the cubic brute-force oracle,
 named counterexamples on tampered orbit posets, and the scale ladder."""
 
-from dataclasses import replace
-
 import pytest
 
-from minuscule import build_cartan, fundamental_weight, generate_orbit, verify_minuscule
+from minuscule import (
+    OrbitPoset,
+    build_cartan,
+    fundamental_weight,
+    generate_orbit,
+    verify_minuscule,
+)
 from minuscule.cli import build_case
 from conftest import small_catalog
 from oracles import cubic_minuscule_verdict
@@ -71,7 +75,8 @@ TAMPER_CASES = [("A", 3, 2), ("D", 5, 5), ("E", 6, 6)]
 def test_dropped_cover_is_named(family, rank, node):
     cd, orb = _orbit(family, rank, node)
     u, v, i = _off_chain_cover(orb)
-    tampered = replace(orb, covers=tuple(c for c in orb.covers if c != (u, v, i)))
+    covers = tuple(c for c in orb.covers if c != (u, v, i))
+    tampered = OrbitPoset(cd, orb.weights, covers, orb.layers)
     report = verify_minuscule(cd, tampered)
     assert not report.ok
     assert f"{orb.weights[u]} -> {orb.weights[v]} at node {i}" in report.summary()
@@ -83,7 +88,7 @@ def test_relabeled_cover_is_named(family, rank, node):
     u, v, i = _off_chain_cover(orb)
     j = i % rank + 1
     covers = tuple((a, b, j) if (a, b, k) == (u, v, i) else (a, b, k) for a, b, k in orb.covers)
-    report = verify_minuscule(cd, replace(orb, covers=covers))
+    report = verify_minuscule(cd, OrbitPoset(cd, orb.weights, covers, orb.layers))
     assert not report.ok
     assert f"{orb.weights[u]} -> {orb.weights[v]} at node {i}" in report.summary()
 
@@ -94,7 +99,7 @@ def test_swapped_weights_are_named(family, rank, node):
     a, b = 1, orb.top  # different layers, neither the bottom
     weights = list(orb.weights)
     weights[a], weights[b] = weights[b], weights[a]
-    report = verify_minuscule(cd, replace(orb, weights=tuple(weights)))
+    report = verify_minuscule(cd, OrbitPoset(cd, tuple(weights), orb.covers, orb.layers))
     assert not report.ok
     summary = report.summary()
     assert summary.startswith("not minuscule: cover ")
@@ -107,7 +112,7 @@ def test_extra_cover_is_named(family, rank, node):
     # chain, and so J(P), as they were; only the orbit side gains a cover.
     cd, orb = _orbit(family, rank, node)
     extra = (orb.bottom, orb.top, rank)
-    report = verify_minuscule(cd, replace(orb, covers=orb.covers + (extra,)))
+    report = verify_minuscule(cd, OrbitPoset(cd, orb.weights, orb.covers + (extra,), orb.layers))
     assert not report.ok
     assert report.summary() == (
         f"not minuscule: orbit cover {orb.weights[orb.bottom]} -> {orb.weights[orb.top]}"
@@ -122,7 +127,7 @@ def test_heap_with_too_many_ideals_fails():
     relabel = {(0, 1, 2): 1, (1, 2, 1): 3, (2, 4, 3): 1, (4, 5, 2): 3}
     assert set(relabel) <= set(orb.covers)
     covers = tuple((u, v, relabel.get((u, v, i), i)) for u, v, i in orb.covers)
-    report = verify_minuscule(cd, replace(orb, covers=covers))
+    report = verify_minuscule(cd, OrbitPoset(cd, orb.weights, covers, orb.layers))
     assert not report.ok
     assert "more than 6 ideals" in report.summary()
 
@@ -130,7 +135,7 @@ def test_heap_with_too_many_ideals_fails():
 def test_short_chain_misses_a_weight():
     # Without its last cover the A2 vector orbit walks to (-1, 1) and stops.
     cd, orb = _orbit("A", 2, 1)
-    report = verify_minuscule(cd, replace(orb, covers=orb.covers[:1]))
+    report = verify_minuscule(cd, OrbitPoset(cd, orb.weights, orb.covers[:1], orb.layers))
     assert not report.ok
     assert report.summary() == "not minuscule: orbit weight (0, -1) is the weight of no ideal"
 

@@ -1,19 +1,27 @@
 import json
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import cli
+from minuscule import IdealLattice, cli
 from minuscule.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
+    CaseSpec,
+    CheckRow,
     build_case,
     default_catalog,
     main,
     render_verify_csv,
     verify_case,
 )
+from oracles import pairwise_structure_failures
 
 
 def run(capsys, *argv):
@@ -270,6 +278,58 @@ def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--out" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_structure_check_matches_the_pairwise_oracle():
+    tampered_failures = 0
+    for spec in default_catalog():
+        bundle = build_case(spec.family, spec.rank, spec.node)
+        assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
+        L = bundle.lattice
+        ideals = L.ideals[:1] + L.ideals[2:3] + L.ideals[1:2] + L.ideals[3:]
+        for weights, masks in (
+            (L.weights[1:] + L.weights[:1], L.ideals),  # rotated
+            (L.weights[:-1] + L.weights[:1], L.ideals),  # not injective
+            (L.weights, ideals),  # two ideals swapped
+        ):
+            lattice = IdealLattice(L.heap, masks, L.covers, weights)
+            tampered = bundle._replace(lattice=lattice)
+            instances, failures = cli._structure_failures(tampered)
+            assert (instances, failures) == pairwise_structure_failures(tampered)
+            tampered_failures += failures > 0
+    assert tampered_failures > 2 * len(default_catalog())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import minuscule.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_records_and_structures_stay_immutable():
+    bundle = build_case("A", 3, 2)
+    lattice = bundle.lattice
+    for obj, name in (
+        (CaseSpec("A", 3, 2), "rank"),
+        (CheckRow("structure", 38, 0), "failures"),
+        (bundle.cartan, "det"),
+        (bundle.heap, "base"),
+        (lattice, "weights"),
+        (bundle.orbit, "covers"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert lattice.toggle_masks is lattice.toggle_masks
+    assert weakref.ref(lattice)() is lattice
+    assert lattice != IdealLattice(lattice.heap, lattice.ideals, lattice.covers, lattice.weights)
 
 
 @st.composite

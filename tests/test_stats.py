@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +5,8 @@ from hypothesis import given, settings
 
 from minuscule import (
     DomainError,
+    Heap,
+    IdealLattice,
     build_cartan,
     build_minuscule_heap,
     coroot_pairing,
@@ -198,7 +199,11 @@ def test_identity_suite_counts_tampered_weights_like_oracle(family, rank, node):
         for k, w in enumerate(L.weights)
     )
     shifted_base = tuple(c + (j == 0) for j, c in enumerate(h.base))
-    for tampered in (replace(L, weights=bumped), replace(L, heap=replace(h, base=shifted_base))):
+    shifted = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, shifted_base)
+    for tampered in (
+        IdealLattice(h, L.ideals, L.covers, bumped),
+        IdealLattice(shifted, L.ideals, L.covers, L.weights),
+    ):
         rows = identity_suite(tampered)
         assert rows == per_triple_identity_suite(tampered)
         assert sum(row.failures for row in rows) > 0
@@ -209,9 +214,10 @@ def test_identity_suite_needs_weights_and_base():
     h = build_minuscule_heap(cd, fundamental_weight(cd, 2))
     L = enumerate_ideals(h)
     with pytest.raises(DomainError):
-        identity_suite(replace(L, weights=None))
+        identity_suite(IdealLattice(h, L.ideals, L.covers, None))
     with pytest.raises(DomainError):
-        identity_suite(replace(L, heap=replace(h, base=None)))
+        baseless = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, None)
+        identity_suite(IdealLattice(baseless, L.ideals, L.covers, L.weights))
     with pytest.raises(DomainError):
         identity_suite(enumerate_ideals(heap_from_word(cd, (2, 1, 3, 2))))
 
