@@ -11,6 +11,9 @@ found by the fraction-free integer elimination ``_bareiss_solve`` that
 the simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
+Toggle symmetry, the polytope rows and the witness read the covers
+labelled p: each is one site where p is inserted (lo) and deleted (hi).
+
 Chain counts (chains ending at, and starting from, each ideal) grow one
 level per chain length, each level the zeta transform of the last: one
 pass over the cover edges, element by element.  They stay integers, and
@@ -139,13 +142,13 @@ def toggle_symmetry_report(lattice: IdealLattice, weights) -> ToggleSymmetryRepo
     """Toggle symmetry of a distribution or of counts (scale-free)."""
     if len(weights) != len(lattice):
         raise DomainError("distribution length does not match lattice")
-    violations = []
-    for p in range(len(lattice.heap)):
-        e_plus = sum(weights[k] for k in lattice.add_sites[p])
-        e_minus = sum(weights[k] for k in lattice.remove_sites[p])
-        if e_plus != e_minus:
-            violations.append((p, e_plus, e_minus))
-    return ToggleSymmetryReport(len(lattice.heap), tuple(violations))
+    n = len(lattice.heap)
+    plus, minus = [0] * n, [0] * n
+    for lo, hi, p in lattice.covers:
+        plus[p] += weights[lo]
+        minus[p] += weights[hi]
+    violations = [(p, e, f) for p, (e, f) in enumerate(zip(plus, minus)) if e != f]
+    return ToggleSymmetryReport(n, tuple(violations))
 
 
 def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:
@@ -184,17 +187,11 @@ def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[Fraction]], list[F
     sum to one and every element is as likely to be insertable as
     deletable."""
     n = len(lattice)
-    rows = [[Fraction(1)] * n]
-    rhs = [Fraction(1)]
-    for p in range(len(lattice.heap)):
-        row = [Fraction(0)] * n
-        for k in lattice.add_sites[p]:
-            row[k] += 1
-        for k in lattice.remove_sites[p]:
-            row[k] -= 1
-        rows.append(row)
-        rhs.append(Fraction(0))
-    return rows, rhs
+    rows = [[Fraction(1)] * n] + [[Fraction(0)] * n for _ in range(len(lattice.heap))]
+    for lo, hi, p in lattice.covers:
+        rows[p + 1][lo] += 1
+        rows[p + 1][hi] -= 1
+    return rows, [Fraction(1)] + [Fraction(0)] * len(lattice.heap)
 
 
 def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
@@ -202,22 +199,24 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     ``toggle_polytope``, or None.
 
     Solves the normal equations (A A^T) y = A ddeg, whose Gram entries
-    are popcounts of per-element ideal masks, and then checks A^T y =
-    ddeg exactly; only that check certifies.  When A has full row rank
-    the solution is unique and passes the check exactly when ddeg lies
-    in the row span of A.  A singular Gram matrix also gives None.
+    are popcounts of per-element masks of the covers' lower and upper
+    ideals, and then checks A^T y = ddeg exactly; only that check
+    certifies.  When A has full row rank the solution is unique and
+    passes the check exactly when ddeg lies in the row span of A.  A
+    singular Gram matrix also gives None.
     """
     degrees = lattice.down_degrees
-    adds, removes = lattice.add_sites, lattice.remove_sites
-    plus = [sum(1 << k for k in sites) for sites in adds]
-    minus = [sum(1 << k for k in sites) for sites in removes]
     m = len(lattice.heap) + 1
-    gram = [[0] * m for _ in range(m)]
+    plus, minus = [0] * (m - 1), [0] * (m - 1)
     rhs = [sum(degrees)] + [0] * (m - 1)
+    for lo, hi, p in lattice.covers:
+        plus[p] |= 1 << lo
+        minus[p] |= 1 << hi
+        rhs[p + 1] += degrees[lo] - degrees[hi]
+    gram = [[0] * m for _ in range(m)]
     gram[0][0] = len(lattice)
+    # gram[0][p + 1] is 0: each cover labelled p is one insert and one delete site.
     for p in range(m - 1):
-        gram[0][p + 1] = gram[p + 1][0] = len(adds[p]) - len(removes[p])
-        rhs[p + 1] = sum(degrees[k] for k in adds[p]) - sum(degrees[k] for k in removes[p])
         for q in range(p, m - 1):
             dot = (
                 (plus[p] & plus[q]).bit_count()
@@ -231,11 +230,9 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
         return None
     (x,), d = solved
     values = [x[0]] * len(lattice)
-    for p in range(m - 1):
-        for k in adds[p]:
-            values[k] += x[p + 1]
-        for k in removes[p]:
-            values[k] -= x[p + 1]
+    for lo, hi, p in lattice.covers:
+        values[lo] += x[p + 1]
+        values[hi] -= x[p + 1]
     if any(v != d * ddeg for v, ddeg in zip(values, degrees)):
         return None
     return tuple(Fraction(v, d) for v in x)

@@ -23,7 +23,6 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 from . import serialize
@@ -346,15 +345,17 @@ def _write(out_dir: str | None, filename: str, text: str) -> None:
     file in the same directory, then rename it over the target."""
     if out_dir is None:
         return
-    target = Path(out_dir) / filename
-    tmp = target.with_name(f".{filename}.{os.getpid()}.tmp")
+    target = os.path.join(out_dir, filename)
+    tmp = os.path.join(out_dir, f".{filename}.{os.getpid()}.tmp")
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(text)
             os.replace(tmp, target)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            if os.path.exists(tmp):
+                os.unlink(tmp)
             raise
     except OSError as exc:
         raise DomainError(f"cannot write {target}: {exc.strerror or exc}") from exc

@@ -1,11 +1,16 @@
 """Order ideals of a heap: enumeration, toggles, and dynamics.
 
 Ideals are bit masks over heap elements.  The lattice enumerator walks
-the cover graph upward from the empty ideal and then freezes a
-deterministic indexing (by cardinality, then by mask value), so ideal
-indices are stable across runs.  When the heap carries a base weight,
-every ideal also gets the weight obtained by applying the reflections
-of any linear extension of the ideal to the base.
+the cover graph upward from the empty ideal, recording its edges, and
+then freezes a deterministic indexing (by cardinality, then by mask
+value), so ideal indices are stable across runs.  When the heap carries
+a base weight, every ideal also gets the weight obtained by applying
+the reflections of any linear extension of the ideal to the base.
+
+The covers ``(lo, hi, p)`` are the one toggle incidence: p can be
+inserted at lo and deleted at hi.  The toggle masks here, and toggle
+symmetry, the polytope rows and the dual witness in ``cde``, all read
+the covers labelled p.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ def addable_elements(h: Heap, mask: int) -> list[int]:
         for p in range(len(h))
         if not mask >> p & 1 and h.below[p] & mask == h.below[p]
     ]
-
-
-def removable_elements(h: Heap, mask: int) -> list[int]:
-    """Maximal elements of the ideal."""
-    return [p for p in iter_bits(mask) if h.above[p] & mask == 0]
 
 
 def toggle(h: Heap, mask: int, p: int) -> int:
@@ -90,18 +90,14 @@ class IdealLattice(Frozen):
     @cached_property
     def toggle_masks(self) -> tuple[tuple[int, int], ...]:
         """Per ideal, the bit masks ``(adds, removes)`` of the elements
-        that toggle into it and out of it: the minimal elements of the
-        complement and the maximal elements of the ideal."""
-        h = self.heap
-        out = []
-        for m in self.ideals:
-            adds = removes = 0
-            for p in addable_elements(h, m):
-                adds |= 1 << p
-            for p in removable_elements(h, m):
-                removes |= 1 << p
-            out.append((adds, removes))
-        return tuple(out)
+        that toggle into it and out of it, from one pass over the covers:
+        (lo, hi, p) puts p in lo's adds and in hi's removes."""
+        n = len(self.ideals)
+        adds, removes = [0] * n, [0] * n
+        for lo, hi, p in self.covers:
+            adds[lo] |= 1 << p
+            removes[hi] |= 1 << p
+        return tuple(zip(adds, removes))
 
     @cached_property
     def down_degrees(self) -> tuple[int, ...]:
@@ -109,32 +105,18 @@ class IdealLattice(Frozen):
         count of its maximal elements."""
         return tuple(removes.bit_count() for _, removes in self.toggle_masks)
 
-    def _sites(self, side: int) -> tuple[tuple[int, ...], ...]:
-        sites: list[list[int]] = [[] for _ in range(len(self.heap))]
-        for k, masks in enumerate(self.toggle_masks):
-            for p in iter_bits(masks[side]):
-                sites[p].append(k)
-        return tuple(tuple(s) for s in sites)
-
-    @cached_property
-    def add_sites(self) -> tuple[tuple[int, ...], ...]:
-        """Per heap element, the ideal indices it can be toggled into."""
-        return self._sites(0)
-
-    @cached_property
-    def remove_sites(self) -> tuple[tuple[int, ...], ...]:
-        return self._sites(1)
-
 
 def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     """Enumerate J(P) by walking up the cover graph from the empty ideal."""
     weights: dict[int, Weight] | None = {0: h.base} if h.base is not None else None
     seen = {0}
     queue = deque([0])
+    edges = []
     while queue:
         m = queue.popleft()
         for p in addable_elements(h, m):
             nm = m | (1 << p)
+            edges.append((m, nm, p))
             if nm not in seen:
                 if len(seen) >= cap:
                     raise ResourceLimitError(f"ideal count exceeds cap of {cap}")
@@ -145,10 +127,8 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
 
     masks = sorted(seen, key=lambda m: (m.bit_count(), m))
     index = {m: k for k, m in enumerate(masks)}
-    covers = []
-    for k, m in enumerate(masks):
-        for p in addable_elements(h, m):
-            covers.append((k, index[m | (1 << p)], p))
+    # By lower ideal, then element: a larger element gives a larger upper mask.
+    covers = sorted((index[m], index[nm], p) for m, nm, p in edges)
     frozen_weights = tuple(weights[m] for m in masks) if weights is not None else None
     return IdealLattice(h, tuple(masks), tuple(covers), frozen_weights)
 

@@ -94,6 +94,19 @@ def is_ideal(h, mask):
     return all(h.below[p] & mask == h.below[p] for p in _bits(mask))
 
 
+def rescan_covers(h, ideals):
+    """Cover edges (lo, hi, p) found by rescanning the heap: each ideal
+    in index order, then each element that can be added to it, in
+    ascending order."""
+    index = {m: k for k, m in enumerate(ideals)}
+    return tuple(
+        (k, index[m | 1 << p], p)
+        for k, m in enumerate(ideals)
+        for p in range(len(h))
+        if not m >> p & 1 and h.below[p] & m == h.below[p]
+    )
+
+
 def rowmotion_by_toggles(h, mask):
     """Rowmotion as a top-to-bottom toggle sweep; agrees with
     ``rowmotion`` on every ideal."""

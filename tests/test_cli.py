@@ -304,7 +304,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import minuscule.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True

@@ -23,7 +23,7 @@ from minuscule import (
     verify_commutation,
 )
 from conftest import random_heap_word, small_catalog
-from oracles import is_ideal, powerset_ideal_masks, rowmotion_by_toggles
+from oracles import is_ideal, powerset_ideal_masks, rescan_covers, rowmotion_by_toggles
 
 
 def grid_heap():
@@ -66,6 +66,10 @@ def test_ideal_cap():
     h = build_minuscule_heap(cd, fundamental_weight(cd, 6))
     with pytest.raises(ResourceLimitError):
         enumerate_ideals(h, cap=10)
+    # The exact boundary: verify_minuscule enumerates with cap = |orbit|.
+    assert len(enumerate_ideals(h, cap=27)) == 27
+    with pytest.raises(ResourceLimitError):
+        enumerate_ideals(h, cap=26)
 
 
 def test_cover_edges_out_of_empty_ideal():
@@ -273,3 +277,13 @@ def test_enumeration_and_rowmotion_on_random_heaps(case):
         assert rowmotion(h, m) == rowmotion_by_toggles(h, m)
     orbits = action_orbits(L, rowmotion)
     assert sorted(k for orbit in orbits for k in orbit) == list(range(len(L)))
+
+
+@settings(max_examples=60)
+@given(random_heap_word())
+def test_cover_order_matches_a_rescan_on_random_heaps(case):
+    """``build`` prints the covers in this order, so it is pinned."""
+    cd, word = case
+    h = heap_from_word(cd, word)
+    L = enumerate_ideals(h)
+    assert L.covers == rescan_covers(h, L.ideals)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
@@ -16,7 +17,9 @@ from minuscule import (
     identity_suite,
     ideal_weight,
     tcde_constant,
+    toggle_symmetry_report,
 )
+from minuscule.cde import ToggleSymmetryReport, toggle_polytope
 from conftest import random_heap_word, small_catalog
 from oracles import (
     check_ddeg_decomposition,
@@ -51,10 +54,38 @@ def test_degrees_match_lattice_cover_graph(family, rank, node):
     cd = build_cartan(family, rank)
     h = build_minuscule_heap(cd, fundamental_weight(cd, node))
     L = enumerate_ideals(h)
-    for k in range(len(L)):
+    for k, m in enumerate(L.ideals):
         assert L.down_degrees[k] == sum(1 for lo, hi, _ in L.covers if hi == k)
         adds, _ = L.toggle_masks[k]
         assert adds.bit_count() == sum(1 for lo, hi, _ in L.covers if lo == k)
+        # toggle_masks is read off the covers; snapshot rescans the heap.
+        snap = snapshot(h, m)
+        assert L.toggle_masks[k] == (snap.adds, snap.removes)
+
+
+@settings(max_examples=60)
+@given(random_heap_word(with_base=True), st.booleans(), st.data())
+def test_toggle_tables_match_snapshots_on_random_heaps(case, with_base, data):
+    """Toggle masks, toggle symmetry and the polytope rows, all built
+    from the covers, against per-ideal rescans of the heap."""
+    cd, word, base = case
+    h = heap_from_word(cd, word, base=base if with_base else None)
+    L = enumerate_ideals(h)
+    snaps = [snapshot(h, m) for m in L.ideals]
+    assert L.toggle_masks == tuple((s.adds, s.removes) for s in snaps)
+
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(L), max_size=len(L)))
+    expected = []
+    for p in range(len(h)):
+        e_plus = sum(w * s.plus(p) for w, s in zip(weights, snaps))
+        e_minus = sum(w * s.minus(p) for w, s in zip(weights, snaps))
+        if e_plus != e_minus:
+            expected.append((p, e_plus, e_minus))
+    assert toggle_symmetry_report(L, weights) == ToggleSymmetryReport(len(h), tuple(expected))
+
+    rows, rhs = toggle_polytope(L)
+    assert rows == [[1] * len(L)] + [[s.signed(p) for s in snaps] for p in range(len(h))]
+    assert rhs == [1] + [0] * len(h)
 
 
 def test_snapshot_extremes():
