@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -191,6 +192,37 @@ def test_verify_rerun_output_identical(capsys):
     code2, out2, _ = run(capsys, "verify", "D", "4", "4", "--seed=3")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+# sha256 of ``verify --all --seed=1`` stdout, per format.  Any change to
+# the sweep's report, even a reordered row, changes these.
+SWEEP_DIGESTS = {
+    "json": "58c4157c5938b35f3ee0aa431812616225e059e58581f0e10f6fab2f034b016b",
+    "csv": "2dd9de4e767d149d647dfab95edb378608539f96b5bd1f24f6be8bfa08960688",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))
+def test_sweep_report_matches_its_golden_digest(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--all", "--seed=1", f"--format={fmt}")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
+
+
+def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):
+    """The benchmark times ``heap.rebuild_s`` by wrapping this binding, so
+    ``verify_case`` must look it up on the module at call time."""
+    calls = []
+    rebuild = cli._word_robustness_failures
+
+    def spy(bundle, trials, seed):
+        calls.append((bundle.spec.case_id, trials, seed))
+        return rebuild(bundle, trials, seed)
+
+    monkeypatch.setattr(cli, "_word_robustness_failures", spy)
+    result = verify_case(build_case("A", 3, 2), seed=4, word_trials=7)
+    assert calls == [("A3.2", 7, 4)]
+    assert CheckRow("heap_words", 7, 0) in result.checks
 
 
 def test_verify_negative_words_is_a_domain_error(capsys):
