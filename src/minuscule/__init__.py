@@ -31,7 +31,6 @@ from .cde import (
     homomesy_report,
     lp_certificate,
     make_distribution,
-    maxchain_distribution,
     orbit_distribution,
     toggle_symmetry_report,
     uniform_distribution,
@@ -46,7 +45,6 @@ from .heap import (
     Heap,
     heap_from_word,
     heaps_isomorphic,
-    label_fiber,
     random_linear_extension,
     word_of_extension,
 )

@@ -14,15 +14,20 @@ is not constant on the polytope.
 Toggle symmetry, the polytope rows and the witness read the covers
 labelled p: each is one site where p is inserted (lo) and deleted (hi).
 
-Chain counts (chains ending at, and starting from, each ideal) grow one
-level per chain length, each level the zeta transform of the last: one
-pass over the cover edges, element by element.  They stay integers, and
-``expectation`` and ``toggle_symmetry_report`` take them as they are.
+Strict chain counts (chains ending at, and starting from, each ideal)
+grow one level per chain length, each level the zeta transform of the
+last: one pass over the cover edges, element by element.  Multichain
+counts are their binomial transform.  Counts stay integers, and the
+checks read them through ``ChainRow``: per-element toggle differences
+and the sums behind the expectation, all linear in the counts, so each
+multichain row is the same combination of the strict rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -66,30 +71,41 @@ def uniform_distribution(lattice: IdealLattice) -> Distribution:
     return tuple(Fraction(1, n) for _ in range(n))
 
 
-def _chain_tables(lattice: IdealLattice, mode: str, levels: int) -> tuple[list, list]:
-    """Tables down[m][k] / up[m][k]: chains of m+1 ideals ending / starting
-    at ideal k, strict or weakly increasing according to ``mode``.
+def _chain_tables(lattice: IdealLattice, levels: int) -> tuple[list, list]:
+    """Tables down[m][k] / up[m][k]: strict chains of m+1 ideals ending /
+    starting at ideal k.
 
-    Level m+1 sums level m over each ideal's down-set (up-set).  Heap
-    positions are a linear extension of P, so z[hi] += z[lo] over the
+    Level m+1 sums level m over each ideal's strict down-set (up-set).
+    Heap positions are a linear extension of P, so z[hi] += z[lo] over the
     covers (lo, hi, p) in ascending p reaches every ideal below hi once
     (the zeta transform of a distributive lattice), and z[lo] += z[hi] in
-    descending p every ideal above lo.  Strict mode drops the ideal itself.
+    descending p every ideal above lo; subtracting level m drops the
+    ideal itself.
     """
     if lattice not in _chain_table_cache:
         edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
         ones = [1] * len(lattice)
-        tables = {m: ([ones], [ones]) for m in (STRICT, MULTI)}
-        _chain_table_cache[lattice] = (edges, [(hi, lo) for lo, hi in reversed(edges)], tables)
-    down_edges, up_edges, tables = _chain_table_cache[lattice]
-    down, up = tables[mode]
+        up_edges = [(hi, lo) for lo, hi in reversed(edges)]
+        _chain_table_cache[lattice] = (edges, up_edges, [ones], [ones])
+    down_edges, up_edges, down, up = _chain_table_cache[lattice]
     while len(down) <= levels:
         for table, edges in ((down, down_edges), (up, up_edges)):
             z = table[-1][:]
             for a, b in edges:
                 z[b] += z[a]
-            table.append([s - v for s, v in zip(z, table[-1])] if mode == STRICT else z)
+            table.append([s - v for s, v in zip(z, table[-1])])
     return down, up
+
+
+def _multichain_weights(k: int, rank: int) -> list[int]:
+    """C(k+1, s+1) for s = 0..min(k, rank).
+
+    A weakly increasing chain of k+1 ideals whose distinct members form a
+    strict chain of s+1 arises in C(k, s) ways; summing over the position
+    that holds a given ideal (Vandermonde) gives, per ideal,
+    c^multi_k = sum_s C(k+1, s+1) * c^strict_s (Stanley, EC I, 3.12).
+    """
+    return [comb(k + 1, s + 1) for s in range(min(k, rank) + 1)]
 
 
 def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int, ...]:
@@ -97,7 +113,8 @@ def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int
 
     A k-chain is a tuple of k+1 ideals, strictly increasing in strict
     mode and weakly increasing in multi mode; in multi mode an ideal is
-    counted once per position it occupies.  In strict mode k = |P|
+    counted once per position it occupies, and the counts are the
+    binomial transform of the strict ones.  In strict mode k = |P|
     counts maximal chains and larger k is out of range.
     """
     if mode not in (STRICT, MULTI):
@@ -105,13 +122,71 @@ def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int
     if k < 0:
         raise DomainError("chain length must be nonnegative")
     rank = len(lattice.heap)
-    if mode == STRICT and k > rank:
-        raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
-    down, up = _chain_tables(lattice, mode, k)
     counts = [0] * len(lattice)
+    if mode == MULTI:
+        for s, w in enumerate(_multichain_weights(k, rank)):
+            counts = [c + w * x for c, x in zip(counts, chain_counts(lattice, s))]
+        return tuple(counts)
+    if k > rank:
+        raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
+    down, up = _chain_tables(lattice, k)
     for a in range(k + 1):
         counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
     return tuple(counts)
+
+
+class ChainRow(NamedTuple):
+    """What the toggle-symmetry and expectation checks read off one
+    vector c of chain counts."""
+
+    differences: tuple[tuple[int, int], ...]  # (element p, d != 0), ascending p
+    ddeg_sum: int  # sum of ddeg * c
+    total: int  # sum of c
+
+    @property
+    def expectation(self) -> Fraction:
+        return Fraction(self.ddeg_sum, self.total)
+
+
+def chain_row(lattice: IdealLattice, counts) -> ChainRow:
+    """The ``ChainRow`` of one count vector c.
+
+    For element p, d = the sum of c over the lower ends of the covers
+    labelled p minus the sum over their upper ends; c is toggle-symmetric
+    exactly when every d is 0, and the nonzero ones are the violations.
+    """
+    diff = [0] * len(lattice.heap)
+    for lo, hi, p in lattice.covers:
+        diff[p] += counts[lo] - counts[hi]
+    nonzero = tuple((p, d) for p, d in enumerate(diff) if d)
+    return ChainRow(nonzero, sum(map(mul, lattice.down_degrees, counts)), sum(counts))
+
+
+def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
+    """The ``ChainRow`` of the strict k-chain counts, k = 0..|P|."""
+    return tuple(chain_row(lattice, chain_counts(lattice, k)) for k in range(len(lattice.heap) + 1))
+
+
+def multichain_rows(strict: tuple[ChainRow, ...]) -> tuple[ChainRow, ...]:
+    """The ``ChainRow`` of the multichain k-chain counts, k = 0..|P|,
+    from the strict rows: every entry is linear in the counts, so it is
+    the C(k+1, s+1) combination of the strict entries.  Only elements
+    with a nonzero strict difference can have a nonzero one here."""
+    rank = len(strict) - 1
+    elements = sorted({p for row in strict for p, _ in row.differences})
+    by_element = [dict(row.differences) for row in strict]
+    rows = []
+    for k in range(rank + 1):
+        weights = _multichain_weights(k, rank)
+        diff = [(p, sum(w * d.get(p, 0) for w, d in zip(weights, by_element))) for p in elements]
+        rows.append(
+            ChainRow(
+                tuple((p, d) for p, d in diff if d),
+                sum(w * row.ddeg_sum for w, row in zip(weights, strict)),
+                sum(w * row.total for w, row in zip(weights, strict)),
+            )
+        )
+    return tuple(rows)
 
 
 def chain_distribution(lattice: IdealLattice, k: int, mode: str = STRICT) -> Distribution:
@@ -121,10 +196,6 @@ def chain_distribution(lattice: IdealLattice, k: int, mode: str = STRICT) -> Dis
     counts = chain_counts(lattice, k, mode)
     total = sum(counts)
     return tuple(Fraction(c, total) for c in counts)
-
-
-def maxchain_distribution(lattice: IdealLattice) -> Distribution:
-    return chain_distribution(lattice, len(lattice.heap), STRICT)
 
 
 class ToggleSymmetryReport(NamedTuple):

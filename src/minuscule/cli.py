@@ -31,20 +31,15 @@ from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
     MULTI,
     STRICT,
-    chain_counts,
     expectation,
     homomesy_report,
     lp_certificate,
+    multichain_rows,
+    strict_chain_rows,
     toggle_symmetry_report,
 )
 from .errors import ConfigurationError, DomainError, ResourceLimitError
-from .heap import (
-    Heap,
-    heap_from_word,
-    heaps_isomorphic,
-    random_linear_extension,
-    word_of_extension,
-)
+from .heap import Heap, word_rebuild_failures
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
 from .stats import identity_suite, tcde_constant
@@ -195,16 +190,9 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
 
 def _word_robustness_failures(bundle: CaseBundle, trials: int, seed: int) -> tuple[int, int]:
     """Rebuild the heap from random linear extensions; each rebuild must
-    be label-preserving isomorphic, which matches the canonical names."""
-    h = bundle.heap
+    be label-preserving isomorphic to it."""
     rng = random.Random(f"{seed}:{bundle.spec.case_id}")
-    failures = 0
-    for _ in range(trials):
-        word = word_of_extension(h, random_linear_extension(h, rng))
-        rebuilt = heap_from_word(bundle.cartan, word, base=bundle.weight)
-        if heaps_isomorphic(h, rebuilt) is None:
-            failures += 1
-    return trials, failures
+    return trials, word_rebuild_failures(bundle.heap, rng, trials)
 
 
 def verify_case(
@@ -231,26 +219,32 @@ def verify_case(
     for row in identity_suite(lattice):
         checks.append(CheckRow(row.check, row.instances, row.failures))
 
-    # Integer weights; maximal chains are the strict |P|-chains.
-    n, rank = len(lattice), len(h)
-    maxchain = chain_counts(lattice, rank, STRICT)
-    named: list[tuple[str, tuple[int, ...]]] = [("uni", (1,) * n), ("maxchain", maxchain)]
+    # Chain counts as integer weights: the uniform distribution is the
+    # strict 0-chains and maxchain the strict |P|-chains, and the
+    # multichain rows are a transform of the strict ones.
+    strict = strict_chain_rows(lattice)
+    chain_rows = {STRICT: strict}
+    if MULTI in chain_modes:
+        chain_rows[MULTI] = multichain_rows(strict)
+    named_rows = [("uni", strict[0]), ("maxchain", strict[-1])]
     for mode in chain_modes:
-        for k in range(rank + 1):
-            counts = maxchain if (mode, k) == (STRICT, rank) else chain_counts(lattice, k, mode)
-            named.append((f"chain_{mode}_{k}", counts))
+        named_rows += [(f"chain_{mode}_{k}", row) for k, row in enumerate(chain_rows[mode])]
+    symmetry_instances = len(h) * len(named_rows)
+    symmetry_failures = 0
+    for name, row in named_rows:
+        symmetry_failures += len(row.differences)
+        dists.append(DistRow(name, row.expectation, constant))
+
+    n = len(lattice)
     action_rows = {action: homomesy_report(lattice, action) for action in ("rowmotion", "gyration")}
     for action, report in action_rows.items():
         for j, row in enumerate(report.rows):
             members = set(row.orbit)
-            named.append((f"{action}_orbit_{j}", tuple(int(k in members) for k in range(n))))
-
-    symmetry_instances = symmetry_failures = 0
-    for name, weights in named:
-        sym = toggle_symmetry_report(lattice, weights)
-        symmetry_instances += sym.instances
-        symmetry_failures += len(sym.violations)
-        dists.append(DistRow(name, expectation(weights, degrees), constant))
+            weights = tuple(int(k in members) for k in range(n))
+            sym = toggle_symmetry_report(lattice, weights)
+            symmetry_instances += sym.instances
+            symmetry_failures += len(sym.violations)
+            dists.append(DistRow(f"{action}_orbit_{j}", expectation(weights, degrees), constant))
     checks.append(CheckRow("toggle_symmetry", symmetry_instances, symmetry_failures))
 
     for mode in chain_modes:

@@ -9,7 +9,9 @@ so elements sharing a label are totally ordered by word position, and
 position order is always a linear extension.  As in Viennot's heaps of
 pieces, each new letter rests on the latest earlier occurrence of its
 own label and of each Dynkin neighbour, so a heap builds in
-O(|P| * deg) mask operations.
+O(|P| * deg) mask operations.  ``word_rebuild_failures`` runs the same
+rule on random linear extensions of a heap, to check that each gives
+the heap back, without building a ``Heap`` per word.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 
+from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
 from .frozen import Frozen
@@ -49,9 +52,6 @@ class Heap(Frozen):
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
-    def less(self, x: int, y: int) -> bool:
-        return bool(self.below[y] >> x & 1)
-
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:
         """Label -> elements carrying it, in heap (= position) order."""
@@ -83,46 +83,54 @@ class Heap(Frozen):
         return all(self.ranks[b] == self.ranks[a] + 1 for a, b in self.covers)
 
 
-def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None = None) -> Heap:
-    """Build the heap of ``word``; ``base`` is the weight the empty ideal maps to.
+def _rest_on_last(
+    neighbours: tuple[tuple[int, ...], ...], rank: int, word, ids
+) -> tuple[list[int], list[int]]:
+    """Down-set masks and lower-cover masks of the letters of ``word``,
+    the j-th letter standing for element ``ids[j]``; both lists and every
+    mask are indexed by element.
 
-    Position j rests on the latest earlier occurrence of each label in
-    ``cd.neighbours[i_j - 1]``: at most deg + 1 candidates, and every
-    earlier position that fails to commute with j lies at or below one.
-    So ``below[j]`` is their down-sets plus the candidates, j covers the
-    candidates outside those down-sets, and the build is O(|P| * deg).
+    Each letter rests on the latest earlier occurrence of each label in
+    ``neighbours[i - 1]``: at most deg + 1 candidates, and every earlier
+    letter that fails to commute with it lies at or below one.  So its
+    down-set is the candidates plus their down-sets, and it covers the
+    candidates outside those down-sets: O(|P| * deg) in all.
     """
+    last_bit = [0] * (rank + 1)  # per label, its latest occurrence as a bit
+    last_below = [0] * (rank + 1)  # per label, that occurrence's down-set
+    below = [0] * len(ids)
+    lower = [0] * len(ids)
+    for i, x in zip(word, ids):
+        candidates = dominated = 0
+        for k in neighbours[i - 1]:
+            candidates |= last_bit[k]
+            dominated |= last_below[k]
+        below[x] = last_below[i] = dominated | candidates
+        lower[x] = candidates & ~dominated
+        last_bit[i] = 1 << x
+    return below, lower
+
+
+def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None = None) -> Heap:
+    """Build the heap of ``word``; ``base`` is the weight the empty ideal
+    maps to.  The order comes from ``_rest_on_last`` in O(|P| * deg)."""
     for i in word:
         _check_node(cd, i)
     if base is not None and len(base) != cd.rank:
         raise DomainError(f"base weight has {len(base)} coordinates, expected {cd.rank}")
     n = len(word)
-    neighbours = cd.neighbours
-    last = [-1] * (cd.rank + 1)
+    below, lower = _rest_on_last(cd.neighbours, cd.rank, word, range(n))
     seen = [0] * (cd.rank + 1)
-    below = [0] * n
     ranks = [0] * n
     covers = []
     names = []
     for j, i in enumerate(word):
-        candidates = []
-        dominated = 0
-        for k in neighbours[i - 1]:
-            c = last[k]
-            if c >= 0:
-                candidates.append(c)
-                dominated |= below[c]
-        mask = dominated
         rank = 0
-        for c in candidates:
-            mask |= 1 << c
-            if not dominated >> c & 1:
-                covers.append((c, j))
-                if ranks[c] >= rank:
-                    rank = ranks[c] + 1
-        below[j] = mask
+        for c in iter_bits(lower[j]):
+            covers.append((c, j))
+            if ranks[c] >= rank:
+                rank = ranks[c] + 1
         ranks[j] = rank
-        last[i] = j
         seen[i] += 1
         names.append((i, seen[i]))
     covers.sort()
@@ -132,12 +140,6 @@ def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None =
         above[c] |= above[j] | 1 << j
     fields = (tuple(word), tuple(below), tuple(above), tuple(covers), tuple(ranks), tuple(names))
     return Heap(cd, *fields, tuple(base) if base is not None else None)
-
-
-def label_fiber(h: Heap, i: int) -> tuple[int, ...]:
-    """Elements labeled ``i`` in heap order (the fiber is totally ordered)."""
-    _check_node(h.cartan, i)
-    return h.fibers[i]
 
 
 def heaps_isomorphic(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
@@ -163,25 +165,72 @@ def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
 
     The ready elements (unchosen, with every lower element chosen) form a
     bit mask, and choosing p can make only its upper covers ready.  Each
-    step takes the r-th ready element, r = ``rng.randrange(#ready)``.
+    step takes the r-th ready element, with r drawn as
+    ``rng.randrange(#ready)`` draws it: ``getrandbits`` of the count's bit
+    length, drawn again while r is out of range.
     """
     below = h.below
     upper = h.upper_covers
+    getrandbits = rng.getrandbits
     chosen = 0
     ready = sum(1 << p for p in range(len(h)) if not below[p])
     out = []
     while ready:
+        count = ready.bit_count()
+        bits = count.bit_length()
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
         m = ready
-        for _ in range(rng.randrange(m.bit_count())):
+        for _ in range(r):
             m &= m - 1
-        p = (m & -m).bit_length() - 1
+        low = m & -m
+        p = low.bit_length() - 1
         out.append(p)
-        chosen |= 1 << p
-        ready ^= 1 << p
+        chosen |= low
+        ready ^= low
         for q in upper[p]:
             if below[q] & chosen == below[q]:
                 ready |= 1 << q
     return tuple(out)
+
+
+def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
+    """How many of ``trials`` random linear extensions of h read off a
+    word whose heap is not h.
+
+    A trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
+    word))`` is None, but builds no heap.  The j-th letter stands for h's
+    element of the same canonical name (the t-th occurrence of label i is
+    ``h.fibers[i][t - 1]``), so ``_rest_on_last`` gives the word's lower
+    covers already mapped into h, and the word passes when they equal
+    h's, element by element.  ``h.covers`` lists each cover once, so equal
+    lower-cover masks mean equal covers.
+    """
+    n = len(h)
+    neighbours, rank = h.cartan.neighbours, h.cartan.rank
+    labels = h.labels
+    fibers = [()] * (rank + 1)
+    for i, fiber in h.fibers.items():
+        fibers[i] = fiber
+    lower_masks = [0] * n
+    for a, b in h.covers:
+        lower_masks[b] |= 1 << a
+    failures = 0
+    for _ in range(trials):
+        word = [labels[p] for p in random_linear_extension(h, rng)]
+        taken = [0] * (rank + 1)
+        names = []
+        try:
+            for i in word:
+                names.append(fibers[i][taken[i]])
+                taken[i] += 1
+        except IndexError:  # label i occurs more often than in h
+            failures += 1
+            continue
+        if len(word) != n or _rest_on_last(neighbours, rank, word, names)[1] != lower_masks:
+            failures += 1
+    return failures
 
 
 def word_of_extension(h: Heap, extension: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,15 +2,17 @@
 
 Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
-filters, exhaustive chain enumeration, subset-table chain counts,
-basis enumeration for polytope vertices, the quadratic heap builder,
-the pairwise structure check) and stays deliberately ignorant of the library's internals.
+filters, exhaustive chain enumeration, subset-table and zeta-table
+chain counts, basis enumeration for polytope vertices, the quadratic
+heap builder, the pairwise structure check) and stays deliberately
+ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
 The quadratic heap builder returns a library ``Heap`` so its fields
-compare directly, and ``rowmotion_by_toggles`` sweeps the library's
-``toggle``.
+compare directly, ``rowmotion_by_toggles`` sweeps the library's
+``toggle``, and ``rebuild_failures_by_composition`` chains the library's
+public heap functions.
 """
 
 from dataclasses import dataclass
@@ -22,11 +24,15 @@ from minuscule import (
     Heap,
     coroot_pairing,
     fundamental_weight,
+    heap_from_word,
+    heaps_isomorphic,
     ideal_weight,
     inner_product,
+    random_linear_extension,
     simple_root,
     tcde_constant,
     toggle,
+    word_of_extension,
 )
 from minuscule.stats import SuiteRow
 
@@ -165,6 +171,35 @@ def subset_table_chain_counts(ideals, k, mode):
     return [sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(n)]
 
 
+def zeta_multichain_counts(lattice, k):
+    """Multichains of k+1 ideals through each ideal, counted once per
+    position, from zeta-transform tables over the cover graph: each level
+    adds the last one over each ideal's down-set (up-set), the ideal
+    itself included.  The reference for the binomial transform behind
+    ``chain_counts(lattice, k, "multi")``."""
+    edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
+    up_edges = [(hi, lo) for lo, hi in reversed(edges)]
+    down, up = [[1] * len(lattice)], [[1] * len(lattice)]
+    while len(down) <= k:
+        for table, pairs in ((down, edges), (up, up_edges)):
+            z = table[-1][:]
+            for a, b in pairs:
+                z[b] += z[a]
+            table.append(z)
+    return [sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(len(lattice))]
+
+
+def maxchain_distribution(lattice):
+    """Probability of each ideal proportional to the maximal chains of
+    ideals through it, by enumerating every chain of |P|+1 ideals."""
+    ideals = lattice.ideals
+    counts = strict_chain_member_counts(
+        len(ideals), lambda a, b: ideals[a] & ~ideals[b] == 0, len(lattice.heap)
+    )
+    total = sum(counts)
+    return tuple(Fraction(c, total) for c in counts)
+
+
 def _rref(rows, rhs):
     """Reduce to an independent system; drops zero rows."""
     aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
@@ -278,6 +313,22 @@ def rescanning_linear_extension(h, rng):
         out.append(p)
         chosen |= 1 << p
     return tuple(out)
+
+
+def less(h, x, y):
+    """Is x strictly below y in the heap?"""
+    return bool(h.below[y] >> x & 1)
+
+
+def rebuild_failures_by_composition(h, rng, trials):
+    """``word_rebuild_failures`` as its three public steps: draw a linear
+    extension, build the heap of its word, test it for isomorphism."""
+    failures = 0
+    for _ in range(trials):
+        word = word_of_extension(h, random_linear_extension(h, rng))
+        if heaps_isomorphic(h, heap_from_word(h.cartan, word)) is None:
+            failures += 1
+    return failures
 
 
 def below_mask_isomorphic(h1, h2):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
@@ -19,7 +21,6 @@ from minuscule import (
     homomesy_report,
     lp_certificate,
     make_distribution,
-    maxchain_distribution,
     orbit_distribution,
     rowmotion,
     action_orbits,
@@ -29,14 +30,16 @@ from minuscule import (
     uniform_distribution,
 )
 import minuscule.cde as cde
-from minuscule.cde import toggle_polytope
+from minuscule.cde import chain_row, multichain_rows, strict_chain_rows, toggle_polytope
 from minuscule.simplex import OPTIMAL, solve_lp
 from conftest import random_heap_word, small_catalog
 from oracles import (
+    maxchain_distribution,
     multi_chain_member_counts,
     polytope_vertices,
     strict_chain_member_counts,
     subset_table_chain_counts,
+    zeta_multichain_counts,
 )
 
 F = Fraction
@@ -158,12 +161,62 @@ def test_chain_counts_match_oracles_on_random_heaps(case):
         for k in lengths:
             counts = list(chain_counts(L, k, mode))
             assert counts == subset_table_chain_counts(L.ideals, k, mode), (mode, k)
+            if mode == "multi":
+                assert counts == zeta_multichain_counts(L, k), k
             if n > 12:
                 continue
             if mode == "strict":
                 assert counts == strict_chain_member_counts(n, leq, k), k
             elif n ** (k + 1) <= 5000:  # the multichain brute force walks n^(k+1) tuples
                 assert counts == multi_chain_member_counts(n, leq, k), k
+
+
+def rows_from_counts(L, counts_by_k):
+    """(violations, expectation) of each count vector, by the
+    per-distribution checks."""
+    return [
+        (
+            tuple((p, e - f) for p, e, f in toggle_symmetry_report(L, counts).violations),
+            expectation(counts, L.down_degrees),
+        )
+        for counts in counts_by_k
+    ]
+
+
+def rows_as_checked(rows):
+    return [(row.differences, row.expectation) for row in rows]
+
+
+def test_chain_rows_match_the_per_distribution_checks_on_the_catalog(catalog, bundle):
+    """Strict rows against the strict counts, and the transformed
+    multichain rows against the zeta-table multichain counts."""
+    for spec in catalog:
+        L = bundle(spec.family, spec.rank, spec.node).lattice
+        levels = range(len(L.heap) + 1)
+        strict = strict_chain_rows(L)
+        assert rows_as_checked(strict) == rows_from_counts(L, [chain_counts(L, k) for k in levels])
+        oracle = rows_from_counts(L, [zeta_multichain_counts(L, k) for k in levels])
+        assert rows_as_checked(multichain_rows(strict)) == oracle, spec
+
+
+@settings(max_examples=60)
+@given(random_heap_word(), st.integers(0, 2**32 - 1))
+def test_multichain_transform_of_perturbed_rows_on_random_heaps(case, seed):
+    """Chain counts are toggle-symmetric on every J(P), so each strict
+    vector gets random integer noise first: the transform must then
+    combine nonzero differences exactly as the per-distribution checks
+    see the combined vectors."""
+    cd, word = case
+    L = enumerate_ideals(heap_from_word(cd, word))
+    rng = random.Random(seed)
+    rank = len(L.heap)
+    strict = [[c + rng.randint(0, 3) for c in chain_counts(L, s)] for s in range(rank + 1)]
+    multi = [
+        [sum(comb(k + 1, s + 1) * strict[s][i] for s in range(k + 1)) for i in range(len(L))]
+        for k in range(rank + 1)
+    ]
+    rows = multichain_rows(tuple(chain_row(L, counts) for counts in strict))
+    assert rows_as_checked(rows) == rows_from_counts(L, multi)
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())

@@ -225,6 +225,25 @@ def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):
     assert CheckRow("heap_words", 7, 0) in result.checks
 
 
+def test_verify_multi_chain_mode_alone(capsys):
+    """Multichain rows come from the strict ones even when the strict
+    rows are not reported; they match those of the default run."""
+    code, out, _ = run(capsys, "verify", "E", "6", "6", "--chain-mode", "multi", "--format=json")
+    assert code == EXIT_OK
+    case = json.loads(out)["cases"][0]
+    _, both, _ = run(capsys, "verify", "E", "6", "6", "--format=json")
+    full = json.loads(both)["cases"][0]
+    names = [d["distribution"] for d in case["distributions"]]
+    assert [f"chain_multi_{k}" for k in range(17)] == [n for n in names if n.startswith("chain_")]
+    checks = {c["check"]: c for c in case["checks"]}
+    assert "cde_strict" not in checks and checks["cde_multi"]["instances"] == 17
+    full_checks = {c["check"]: c for c in full["checks"]}
+    symmetry = full_checks["toggle_symmetry"]["instances"] - 16 * 17  # no strict rows
+    assert checks["toggle_symmetry"] == dict(full_checks["toggle_symmetry"], instances=symmetry)
+    multi = [d for d in full["distributions"] if not d["distribution"].startswith("chain_strict_")]
+    assert case["distributions"] == multi
+
+
 def test_verify_negative_words_is_a_domain_error(capsys):
     code, out, err = run(capsys, "verify", "A", "1", "1", "--words", "-3")
     assert code == EXIT_DOMAIN

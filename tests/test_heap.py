@@ -14,16 +14,18 @@ from minuscule import (
     heap_from_word,
     heaps_isomorphic,
     join_irreducible_indices,
-    label_fiber,
     random_linear_extension,
     word_of_extension,
 )
+from minuscule.heap import Heap, word_rebuild_failures
 from conftest import random_heap_word, small_catalog
 from oracles import (
     below_mask_isomorphic,
     grid_covers,
     grid_word,
+    less,
     quadratic_heap_from_word,
+    rebuild_failures_by_composition,
     rescanning_linear_extension,
 )
 
@@ -54,7 +56,7 @@ def test_grid_shape_from_word():
 def test_word_positions_orders_equal_labels():
     cd = build_cartan("A", 3)
     h = heap_from_word(cd, (2, 1, 3, 2))
-    assert h.less(0, 3)
+    assert less(h, 0, 3)
     assert h.names == ((2, 1), (1, 1), (3, 1), (2, 2))
 
 
@@ -115,12 +117,11 @@ def test_isomorphism_rejects_order_mismatch():
 def test_label_fibers():
     cd = build_cartan("A", 3)
     h = heap_from_word(cd, (2, 1, 3, 2))
-    assert label_fiber(h, 2) == (0, 3)
-    assert label_fiber(h, 1) == (1,)
+    assert h.fibers[2] == (0, 3)
+    assert h.fibers[1] == (1,)
     h_small = heap_from_word(cd, (1,))
-    assert label_fiber(h_small, 2) == ()
-    with pytest.raises(DomainError):
-        label_fiber(h, 4)
+    assert h_small.fibers[2] == ()
+    assert sorted(h.fibers) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
@@ -129,7 +130,7 @@ def test_equal_label_elements_always_comparable(family, rank, node):
     h = build_minuscule_heap(cd, fundamental_weight(cd, node))
     for i in cd.nodes:
         for x, y in combinations(h.fibers[i], 2):
-            assert h.less(x, y) or h.less(y, x)
+            assert less(h, x, y) or less(h, y, x)
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
@@ -193,7 +194,7 @@ def test_hundred_random_words_rebuild_the_same_heap(family, rank, node):
     for _ in range(100):
         ext = random_linear_extension(h, rng)
         assert sorted(ext) == list(range(len(h)))
-        assert all(not h.less(ext[b], ext[a]) for a in range(len(ext)) for b in range(a + 1, len(ext)))
+        assert all(not less(h, ext[b], ext[a]) for a in range(len(ext)) for b in range(a + 1, len(ext)))
         rebuilt = heap_from_word(cd, word_of_extension(h, ext))
         assert heaps_isomorphic(h, rebuilt) is not None
         assert sorted(rebuilt.names) == sorted(h.names)
@@ -219,3 +220,55 @@ def test_heap_functions_agree_with_quadratic_oracles(case, seed):
     random.Random(seed).shuffle(shuffled)
     other = heap_from_word(cd, tuple(shuffled))
     assert heaps_isomorphic(h, other) == below_mask_isomorphic(h, other)
+
+
+def with_covers(h, covers):
+    """h with its cover list replaced and everything else kept."""
+    return Heap(h.cartan, h.labels, h.below, h.above, tuple(sorted(covers)), h.ranks, h.names, h.base)
+
+
+def tampered_covers(h):
+    """h's covers without its first one, and with the first pair a < b
+    that is not a cover added, where such exist."""
+    out = []
+    if h.covers:
+        out.append(h.covers[1:])
+    extra = next(
+        ((a, b) for b in range(len(h)) for a in range(b) if (a, b) not in h.covers), None
+    )
+    if extra is not None:
+        out.append(h.covers + (extra,))
+    return out
+
+
+@settings(max_examples=100)
+@given(random_heap_word(), st.integers(0, 2**32 - 1))
+def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
+    """One trial at a time, the one-pass check and extension + rebuild +
+    isomorphism give the same verdict and consume the same draws, on the
+    heap and on copies with one cover dropped or one added."""
+    cd, word = case
+    h = heap_from_word(cd, word)
+    for heap in [h] + [with_covers(h, covers) for covers in tampered_covers(h)]:
+        rng, ref = random.Random(seed), random.Random(seed)
+        verdicts = []
+        for _ in range(5):
+            verdicts.append(word_rebuild_failures(heap, rng, 1))
+            assert verdicts[-1] == rebuild_failures_by_composition(heap, ref, 1)
+            assert rng.getstate() == ref.getstate()
+        assert verdicts == [int(heap is not h)] * 5
+
+
+def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, bundle):
+    trials = 20
+    tampered_cases = 0
+    for spec in catalog:
+        h = bundle(spec.family, spec.rank, spec.node).heap
+        assert word_rebuild_failures(h, random.Random(spec.case_id), 100) == 0, spec
+        for covers in tampered_covers(h):
+            tampered = with_covers(h, covers)
+            assert word_rebuild_failures(tampered, random.Random(spec.case_id), trials) == trials
+            tampered_cases += 1
+    # A1.1 has no cover to drop, and no pair to add to the one-element or
+    # two-element chains A1.1, A2.1 and A2.2.
+    assert tampered_cases == 2 * len(catalog) - 4
