@@ -30,7 +30,6 @@ from .cde import (
     expectation,
     homomesy_report,
     lp_certificate,
-    make_distribution,
     orbit_distribution,
     toggle_symmetry_report,
     uniform_distribution,
@@ -65,7 +64,6 @@ from .orbit import (
     OrbitPoset,
     build_minuscule_heap,
     generate_orbit,
-    join_irreducible_indices,
     saturated_chain,
     verify_minuscule,
 )

@@ -13,10 +13,13 @@ is not constant on the polytope.
 
 Toggle symmetry, the polytope rows and the witness read the covers
 labelled p: each is one site where p is inserted (lo) and deleted (hi).
+The indicators of all the orbits of an action are checked in one pass.
 
 Strict chain counts (chains ending at, and starting from, each ideal)
 grow one level per chain length, each level the zeta transform of the
-last: one pass over the cover edges, element by element.  Multichain
+last: one pass over the cover edges, element by element.  ``verify``
+reads each count vector once and keeps none; ``chain_counts`` keeps
+every strict vector of a lattice, computed once.  Multichain
 counts are their binomial transform.  Counts stay integers, and the
 checks read them through ``ChainRow``: per-element toggle differences
 and the sums behind the expectation, all linear in the counts, so each
@@ -42,16 +45,7 @@ Distribution = tuple[Fraction, ...]
 STRICT = "strict"
 MULTI = "multi"
 
-_chain_table_cache: "WeakKeyDictionary[IdealLattice, tuple]" = WeakKeyDictionary()
-
-
-def make_distribution(values) -> Distribution:
-    probs = tuple(Fraction(v) for v in values)
-    if any(p < 0 for p in probs):
-        raise DomainError("distribution has a negative entry")
-    if sum(probs) != 1:
-        raise DomainError("distribution does not sum to 1")
-    return probs
+_chain_count_cache: "WeakKeyDictionary[IdealLattice, tuple]" = WeakKeyDictionary()
 
 
 def expectation(weights, values) -> Fraction:
@@ -71,30 +65,44 @@ def uniform_distribution(lattice: IdealLattice) -> Distribution:
     return tuple(Fraction(1, n) for _ in range(n))
 
 
-def _chain_tables(lattice: IdealLattice, levels: int) -> tuple[list, list]:
-    """Tables down[m][k] / up[m][k]: strict chains of m+1 ideals ending /
-    starting at ideal k.
+def _zeta_level(level: list[int], edges) -> list[int]:
+    z = level[:]
+    for a, b in edges:
+        z[b] += z[a]
+    return [s - v for s, v in zip(z, level)]
 
-    Level m+1 sums level m over each ideal's strict down-set (up-set).
-    Heap positions are a linear extension of P, so z[hi] += z[lo] over the
-    covers (lo, hi, p) in ascending p reaches every ideal below hi once
-    (the zeta transform of a distributive lattice), and z[lo] += z[hi] in
-    descending p every ideal above lo; subtracting level m drops the
-    ideal itself.
+
+def _strict_count_levels(lattice: IdealLattice):
+    """Yield the strict k-chains through each ideal, k = 0..|P|.
+
+    With down[m] / up[m] the strict chains of m+1 ideals ending /
+    starting at each ideal, the k-chains through it number the sum over
+    a of down[a] * up[k-a].  Level m+1 sums level m over each ideal's
+    strict down-set (up-set).  Heap positions are a linear extension of
+    P, so z[hi] += z[lo] over the covers (lo, hi, p) in ascending p
+    reaches every ideal below hi once (the zeta transform of a
+    distributive lattice), and z[lo] += z[hi] in descending p every
+    ideal above lo; subtracting level m drops the ideal itself.
     """
-    if lattice not in _chain_table_cache:
-        edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
-        ones = [1] * len(lattice)
-        up_edges = [(hi, lo) for lo, hi in reversed(edges)]
-        _chain_table_cache[lattice] = (edges, up_edges, [ones], [ones])
-    down_edges, up_edges, down, up = _chain_table_cache[lattice]
-    while len(down) <= levels:
-        for table, edges in ((down, down_edges), (up, up_edges)):
-            z = table[-1][:]
-            for a, b in edges:
-                z[b] += z[a]
-            table.append([s - v for s, v in zip(z, table[-1])])
-    return down, up
+    edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
+    up_edges = [(hi, lo) for lo, hi in reversed(edges)]
+    down, up = [[1] * len(lattice)], [[1] * len(lattice)]
+    for k in range(len(lattice.heap) + 1):
+        if k:
+            down.append(_zeta_level(down[-1], edges))
+            up.append(_zeta_level(up[-1], up_edges))
+        counts = [0] * len(lattice)
+        for a in range(k + 1):
+            counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
+        yield tuple(counts)
+
+
+def _strict_counts(lattice: IdealLattice) -> tuple[tuple[int, ...], ...]:
+    """``_strict_count_levels``, computed once per lattice and kept."""
+    counts = _chain_count_cache.get(lattice)
+    if counts is None:
+        counts = _chain_count_cache[lattice] = tuple(_strict_count_levels(lattice))
+    return counts
 
 
 def _multichain_weights(k: int, rank: int) -> list[int]:
@@ -122,16 +130,13 @@ def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int
     if k < 0:
         raise DomainError("chain length must be nonnegative")
     rank = len(lattice.heap)
+    if mode == STRICT:
+        if k > rank:
+            raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
+        return _strict_counts(lattice)[k]
     counts = [0] * len(lattice)
-    if mode == MULTI:
-        for s, w in enumerate(_multichain_weights(k, rank)):
-            counts = [c + w * x for c, x in zip(counts, chain_counts(lattice, s))]
-        return tuple(counts)
-    if k > rank:
-        raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
-    down, up = _chain_tables(lattice, k)
-    for a in range(k + 1):
-        counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
+    for w, strict in zip(_multichain_weights(k, rank), _strict_counts(lattice)):
+        counts = [c + w * x for c, x in zip(counts, strict)]
     return tuple(counts)
 
 
@@ -164,7 +169,7 @@ def chain_row(lattice: IdealLattice, counts) -> ChainRow:
 
 def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
     """The ``ChainRow`` of the strict k-chain counts, k = 0..|P|."""
-    return tuple(chain_row(lattice, chain_counts(lattice, k)) for k in range(len(lattice.heap) + 1))
+    return tuple(chain_row(lattice, counts) for counts in _strict_count_levels(lattice))
 
 
 def multichain_rows(strict: tuple[ChainRow, ...]) -> tuple[ChainRow, ...]:
@@ -220,6 +225,33 @@ def toggle_symmetry_report(lattice: IdealLattice, weights) -> ToggleSymmetryRepo
         minus[p] += weights[hi]
     violations = [(p, e, f) for p, (e, f) in enumerate(zip(plus, minus)) if e != f]
     return ToggleSymmetryReport(n, tuple(violations))
+
+
+def orbit_symmetry_violations(lattice: IdealLattice, orbits) -> tuple[tuple[int, ...], ...]:
+    """Per orbit, the ascending elements p at which the orbit's 0/1
+    indicator is not toggle-symmetric, for ``orbits`` that partition the
+    ideals (an action's orbits).
+
+    The indicator of O is toggle-symmetric at p exactly when the covers
+    labelled p with lo in O are as many as those with hi in O, so one
+    pass over the covers counts every orbit's balance at once; a cover
+    inside one orbit adds to it and takes from it alike.
+    """
+    orbit_of = [0] * len(lattice)
+    for j, orbit in enumerate(orbits):
+        for k in orbit:
+            orbit_of[k] = j
+    balance: dict[tuple[int, int], int] = {}
+    for lo, hi, p in lattice.covers:
+        a, b = orbit_of[lo], orbit_of[hi]
+        if a != b:
+            balance[p, a] = balance.get((p, a), 0) + 1
+            balance[p, b] = balance.get((p, b), 0) - 1
+    violations: list[list[int]] = [[] for _ in orbits]
+    for (p, j), d in sorted(balance.items()):
+        if d:
+            violations[j].append(p)
+    return tuple(map(tuple, violations))
 
 
 def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:

@@ -31,14 +31,13 @@ from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
     MULTI,
     STRICT,
-    expectation,
     homomesy_report,
     lp_certificate,
     multichain_rows,
+    orbit_symmetry_violations,
     strict_chain_rows,
-    toggle_symmetry_report,
 )
-from .errors import ConfigurationError, DomainError, ResourceLimitError
+from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
 from .heap import Heap, word_rebuild_failures
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
@@ -205,7 +204,6 @@ def verify_case(
     lattice = bundle.lattice
     h = bundle.heap
     constant = bundle.constant
-    degrees = lattice.down_degrees
     checks: list[CheckRow] = []
     dists: list[DistRow] = []
 
@@ -235,16 +233,15 @@ def verify_case(
         symmetry_failures += len(row.differences)
         dists.append(DistRow(name, row.expectation, constant))
 
-    n = len(lattice)
     action_rows = {action: homomesy_report(lattice, action) for action in ("rowmotion", "gyration")}
+    # Orbit indicators: their toggle symmetry in one pass per action, and
+    # their expectation is the orbit's mean down-degree.
     for action, report in action_rows.items():
+        violations = orbit_symmetry_violations(lattice, [row.orbit for row in report.rows])
+        symmetry_instances += len(h) * len(report.rows)
+        symmetry_failures += sum(map(len, violations))
         for j, row in enumerate(report.rows):
-            members = set(row.orbit)
-            weights = tuple(int(k in members) for k in range(n))
-            sym = toggle_symmetry_report(lattice, weights)
-            symmetry_instances += sym.instances
-            symmetry_failures += len(sym.violations)
-            dists.append(DistRow(f"{action}_orbit_{j}", expectation(weights, degrees), constant))
+            dists.append(DistRow(f"{action}_orbit_{j}", row.mean, constant))
     checks.append(CheckRow("toggle_symmetry", symmetry_instances, symmetry_failures))
 
     for mode in chain_modes:
@@ -380,7 +377,102 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _verify_spec(
+    spec: CaseSpec, modes: tuple[str, ...], seed: int, words: int, sweep: bool
+) -> CaseResult | None:
+    """Build and verify one case; None when a sweep skips it for
+    exceeding the ideal cap."""
+    try:
+        bundle = _build_case(spec)
+    except ResourceLimitError:
+        if not sweep:
+            raise
+        return None
+    return verify_case(bundle, modes, seed=seed, word_trials=words)
+
+
+def _worker_count(cases: int) -> int:
+    """Processes for ``cases`` independent cases: one per CPU this process
+    may run on, at most one per case, and one where ``os.fork`` is absent."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, cases))
+
+
+def _outcome(run, spec):
+    try:
+        return run(spec)
+    except Exception as exc:
+        return exc
+
+
+def _map_forked(run, specs: list, workers: int) -> list:
+    """The outcome of ``run`` on each spec, in order: its value, or the
+    Exception it raised.
+
+    Forks ``workers`` - 1 processes; worker w runs specs[w::workers] and
+    sends its outcomes back pickled over a pipe, while this process runs
+    specs[0::workers].  Every worker is reaped before this returns or
+    raises.  A worker that dies, exits nonzero or sends unreadable data
+    raises InternalCheckError naming its cases; any other exception here
+    first kills and reaps the workers still running.  The CLI starts no
+    threads, so forking it is safe.
+    """
+    import pickle
+    import signal
+
+    children = []  # (pid, read end of its pipe, its case ids), oldest first
+    try:
+        for w in range(1, workers):
+            share = specs[w::workers]
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The worker returns to no caller: no atexit handler, no
+                # stdout flush, no inherited cleanup runs here.
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump([_outcome(run, s) for s in share], pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), [s.case_id for s in share]))
+        outcomes = [None] * len(specs)
+        outcomes[0::workers] = [_outcome(run, s) for s in specs[0::workers]]
+        for w in range(1, workers):
+            pid, pipe, ids = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            failure = f"verify worker {pid} for {', '.join(ids)}"
+            if status != 0:
+                raise InternalCheckError(f"{failure} failed with wait status {status}")
+            try:
+                share = pickle.loads(data)
+            except Exception as exc:
+                raise InternalCheckError(f"{failure} sent unreadable results") from exc
+            outcomes[w::workers] = share
+        return outcomes
+    except BaseException:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+
+
 def cmd_verify(args) -> int:
+    """Verify one case, or the catalog with ``--all``.  The cases are
+    independent, so they run on ``_worker_count`` processes; the report
+    is the same for any count."""
     given = (args.family, args.rank, args.node)
     if args.all:
         if any(v is not None for v in given):
@@ -398,17 +490,20 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--words must be at least 0, got {args.words}")
     modes = (STRICT, MULTI) if args.chain_mode == "both" else (args.chain_mode,)
 
+    def run(spec):
+        return _verify_spec(spec, modes, args.seed, args.words, args.all)
+
+    workers = _worker_count(len(specs))
+    outcomes = map(run, specs) if workers == 1 else _map_forked(run, specs, workers)
     results = []
     skipped = []
-    for spec in specs:
-        try:
-            bundle = _build_case(spec)
-        except ResourceLimitError:
-            if not args.all:
-                raise
+    for spec, outcome in zip(specs, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is None:
             skipped.append(spec.case_id)
-            continue
-        results.append(verify_case(bundle, modes, seed=args.seed, word_trials=args.words))
+        else:
+            results.append(outcome)
 
     if args.format == "json":
         text = render_verify_json(results, skipped)

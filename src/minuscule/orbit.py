@@ -257,9 +257,3 @@ def saturated_chain(orbit: OrbitPoset) -> tuple[int, ...]:
         i, u = up[u][0]
         word.append(i)
     return tuple(word)
-
-
-def join_irreducible_indices(orbit: OrbitPoset) -> tuple[int, ...]:
-    """Weights covering exactly one weight; in a distributive lattice these
-    are the join-irreducible elements."""
-    return tuple(k for k, a in enumerate(orbit.down_adjacency) if len(a) == 1)

@@ -189,6 +189,17 @@ def zeta_multichain_counts(lattice, k):
     return [sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(len(lattice))]
 
 
+def make_distribution(values):
+    """``values`` as a tuple of Fractions, checked to be a probability
+    distribution."""
+    probs = tuple(Fraction(v) for v in values)
+    if any(p < 0 for p in probs):
+        raise DomainError("distribution has a negative entry")
+    if sum(probs) != 1:
+        raise DomainError("distribution does not sum to 1")
+    return probs
+
+
 def maxchain_distribution(lattice):
     """Probability of each ideal proportional to the maximal chains of
     ideals through it, by enumerating every chain of |P|+1 ideals."""
@@ -365,6 +376,12 @@ def grid_covers(a, b):
             if c < b:
                 covers.add((idx(r, c), idx(r, c + 1)))
     return covers
+
+
+def join_irreducible_indices(orbit):
+    """Weights covering exactly one weight; in a distributive lattice these
+    are the join-irreducible elements."""
+    return tuple(k for k, a in enumerate(orbit.down_adjacency) if len(a) == 1)
 
 
 def orbit_covers(matrix, weights):

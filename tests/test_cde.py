@@ -20,7 +20,6 @@ from minuscule import (
     heap_from_word,
     homomesy_report,
     lp_certificate,
-    make_distribution,
     orbit_distribution,
     rowmotion,
     action_orbits,
@@ -30,10 +29,17 @@ from minuscule import (
     uniform_distribution,
 )
 import minuscule.cde as cde
-from minuscule.cde import chain_row, multichain_rows, strict_chain_rows, toggle_polytope
+from minuscule.cde import (
+    chain_row,
+    multichain_rows,
+    orbit_symmetry_violations,
+    strict_chain_rows,
+    toggle_polytope,
+)
 from minuscule.simplex import OPTIMAL, solve_lp
 from conftest import random_heap_word, small_catalog
 from oracles import (
+    make_distribution,
     maxchain_distribution,
     multi_chain_member_counts,
     polytope_vertices,
@@ -217,6 +223,65 @@ def test_multichain_transform_of_perturbed_rows_on_random_heaps(case, seed):
     ]
     rows = multichain_rows(tuple(chain_row(L, counts) for counts in strict))
     assert rows_as_checked(rows) == rows_from_counts(L, multi)
+
+
+def indicator(L, orbit):
+    members = set(orbit)
+    return tuple(int(k in members) for k in range(len(L)))
+
+
+def violations_by_indicator(L, orbits):
+    """Per orbit, the violating elements of one ``toggle_symmetry_report``
+    on its 0/1 indicator."""
+    return tuple(
+        tuple(p for p, _, _ in toggle_symmetry_report(L, indicator(L, orbit)).violations)
+        for orbit in orbits
+    )
+
+
+def split_off(orbits, j):
+    """The orbits with the first ideal of orbit j moved into an orbit of
+    its own, at the end: orbit j's indicator is tampered with."""
+    k, *rest = orbits[j]
+    return [*orbits[:j], tuple(rest), *orbits[j + 1 :], (k,)]
+
+
+def check_orbit_violations(L, orbits, j):
+    """The one-pass violations equal the per-orbit reports, untampered
+    and with orbit j's indicator tampered; returns both."""
+    found = orbit_symmetry_violations(L, orbits)
+    assert found == violations_by_indicator(L, orbits)
+    tampered = split_off(orbits, j)
+    found_tampered = orbit_symmetry_violations(L, tampered)
+    assert found_tampered == violations_by_indicator(L, tampered)
+    return found, found_tampered
+
+
+def test_orbit_violations_and_means_match_the_per_orbit_checks_on_the_catalog(catalog, bundle):
+    for spec in catalog:
+        L = bundle(spec.family, spec.rank, spec.node).lattice
+        for action in ("rowmotion", "gyration"):
+            rows = homomesy_report(L, action).rows
+            orbits = [row.orbit for row in rows]
+            j = max(range(len(orbits)), key=lambda i: len(orbits[i]))
+            found, tampered = check_orbit_violations(L, orbits, j)
+            assert found == ((),) * len(orbits), (spec, action)
+            # The moved ideal lies on a cover, and no element is both
+            # insertable and deletable at it, so both orbits it touches break.
+            assert tampered[-1] and (tampered[j] or len(orbits[j]) == 1), (spec, action)
+            for row in rows:
+                assert row.mean == expectation(indicator(L, row.orbit), L.down_degrees)
+
+
+@settings(max_examples=60)
+@given(random_heap_word(), st.data())
+def test_orbit_violations_match_the_per_orbit_checks_on_random_heaps(case, data):
+    cd, word = case
+    h = heap_from_word(cd, word)
+    L = enumerate_ideals(h)
+    for action in (rowmotion, gyration) if h.is_graded else (rowmotion,):
+        orbits = action_orbits(L, action)
+        check_orbit_violations(L, orbits, data.draw(st.integers(0, len(orbits) - 1)))
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import IdealLattice, cli
+from minuscule import DomainError, IdealLattice, InternalCheckError, cli
 from minuscule.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -207,6 +208,139 @@ def test_sweep_report_matches_its_golden_digest(capsys, fmt):
     code, out, err = run(capsys, "verify", "--all", "--seed=1", f"--format={fmt}")
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make ``verify --all`` see ``cpus`` CPUs, so it runs on that many
+    processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", sorted(SWEEP_DIGESTS))
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_report_is_the_same_on_any_number_of_processes(capsys, monkeypatch, cpus, fmt):
+    use_cpus(monkeypatch, cpus)
+    code, out, err = run(capsys, "verify", "--all", "--seed=1", f"--format={fmt}")
+    assert_no_worker_left()
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
+
+
+def test_capped_sweep_is_the_same_on_any_number_of_processes(capsys, monkeypatch):
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        runs.append(run(capsys, "verify", "--all", "--cap-ideals", "20", "--words", "5"))
+        assert_no_worker_left()
+    code, out, err = runs[0]
+    assert code == EXIT_RESOURCE and err == ""
+    assert "E7.7,skipped,0,0" in out.splitlines()
+    assert runs == [runs[0]] * 3
+
+
+def catalog_position(cpus, worker):
+    """A catalog position that process ``worker`` (0 is the parent) runs
+    in a sweep on ``cpus`` processes."""
+    return 2 * cpus + worker
+
+
+@pytest.mark.parametrize("earlier", ["worker", "parent"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_raises_the_error_of_the_earliest_failing_case(capsys, monkeypatch, cpus, earlier):
+    """One case run by a worker and one run by the parent raise; the
+    sweep reports the earlier one in catalog order, as a serial sweep
+    would, and prints no report."""
+    use_cpus(monkeypatch, cpus)
+    catalog = default_catalog()
+    in_worker = catalog_position(cpus, 1)
+    in_parent = catalog_position(cpus, 0) + (0 if earlier == "parent" else 2 * cpus)
+    failing = {catalog[in_worker].case_id, catalog[in_parent].case_id}
+    real = cli.verify_case
+
+    def verify_case_or_raise(bundle, *args, **kwargs):
+        if bundle.spec.case_id in failing:
+            raise DomainError(f"planted failure in {bundle.spec.case_id}, pid {os.getpid()}")
+        return real(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_case", verify_case_or_raise)
+    code, out, err = run(capsys, "verify", "--all", "--words", "5")
+    assert_no_worker_left()
+    first = catalog[min(in_worker, in_parent)].case_id
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith(f"error: planted failure in {first}, pid ")
+    ran_in_parent = err == f"error: planted failure in {first}, pid {os.getpid()}\n"
+    assert ran_in_parent == (cpus == 1 or earlier == "parent")
+
+
+@pytest.mark.parametrize("status", [9, 0])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_that_dies_fails_the_sweep_with_its_cases(capsys, monkeypatch, cpus, status):
+    """A worker that exits in the middle of its share, with an error
+    status or with 0 and no results sent, fails the sweep with an
+    InternalCheckError naming its cases; no report is printed."""
+    use_cpus(monkeypatch, cpus)
+    catalog = default_catalog()
+    victim = catalog[catalog_position(cpus, 1)].case_id
+    parent = os.getpid()
+    real = cli.verify_case
+
+    def verify_case_or_exit(bundle, *args, **kwargs):
+        if bundle.spec.case_id == victim and os.getpid() != parent:
+            os._exit(status)
+        return real(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_case", verify_case_or_exit)
+    with pytest.raises(InternalCheckError) as info:
+        main(["verify", "--all", "--words", "5"])
+    assert_no_worker_left()
+    assert capsys.readouterr().out == ""
+    message = str(info.value)
+    assert ", ".join(spec.case_id for spec in catalog[1::cpus]) in message
+    expected = f"wait status {status << 8}" if status else "unreadable results"
+    assert expected in message
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_an_interrupted_sweep_kills_its_workers(capsys, monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    interrupted = default_catalog()[catalog_position(cpus, 0)].case_id
+    real = cli.verify_case
+
+    def verify_case_or_interrupt(bundle, *args, **kwargs):
+        if bundle.spec.case_id == interrupted:
+            raise KeyboardInterrupt
+        return real(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_case", verify_case_or_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--all"])
+    assert_no_worker_left()
+    assert capsys.readouterr().out == ""
+
+
+def test_commands_on_one_process_never_import_pickle():
+    """Single-case verify, build, orbits and a sweep on one CPU take the
+    serial path, which pays for no pickle import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import contextlib, io, os\n"
+        "import minuscule.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv.split()) for argv in (\n"
+        "        'verify A 3 2', 'build A 3 2', 'orbits A 3 2', 'verify --all --words 0')]\n"
+        "print(codes, 'pickle' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[0, 0, 0, 0] False\n"
 
 
 def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):

@@ -13,7 +13,6 @@ from minuscule import (
     generate_orbit,
     heap_from_word,
     heaps_isomorphic,
-    join_irreducible_indices,
     random_linear_extension,
     word_of_extension,
 )
@@ -23,6 +22,7 @@ from oracles import (
     below_mask_isomorphic,
     grid_covers,
     grid_word,
+    join_irreducible_indices,
     less,
     quadratic_heap_from_word,
     rebuild_failures_by_composition,

@@ -8,14 +8,13 @@ from minuscule import (
     build_cartan,
     fundamental_weight,
     generate_orbit,
-    join_irreducible_indices,
     minuscule_catalog,
     saturated_chain,
     simple_reflection,
     verify_minuscule,
 )
 from conftest import small_catalog
-from oracles import closure_orbit
+from oracles import closure_orbit, join_irreducible_indices
 
 
 def test_a2_vector_orbit_listing():
