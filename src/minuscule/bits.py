@@ -14,5 +14,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def bit_string(mask: int, width: int) -> str:
-    """Render ``mask`` as a left-to-right 0/1 string of length ``width``."""
-    return "".join("1" if mask >> p & 1 else "0" for p in range(width))
+    """Render ``mask`` as a left-to-right 0/1 string of length ``width``,
+    position 0 first; bits at or above ``width`` are dropped."""
+    if width == 0:
+        return ""
+    return format(mask & ((1 << width) - 1), f"0{width}b")[::-1]

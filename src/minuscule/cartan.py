@@ -183,15 +183,21 @@ def inner_product(cd: CartanDatum, mu: Weight, nu: Weight) -> Fraction:
     return Fraction(total * cd.omega_sq.numerator, 2 * cd.det * cd.omega_sq.denominator)
 
 
+def _reflect(cd: CartanDatum, i: int, mu: Weight) -> Weight:
+    """mu - mu_i * (row i of the Cartan matrix), unchecked: the arithmetic
+    of ``simple_reflection`` for callers whose node and weight are valid
+    by construction."""
+    mi = mu[i - 1]
+    if mi == 0:
+        return tuple(mu)
+    return tuple([m - mi * a for m, a in zip(mu, cd.matrix[i - 1])])
+
+
 def simple_reflection(cd: CartanDatum, i: int, mu: Weight) -> Weight:
     """Reflect mu through alpha_i: mu - (mu, alpha_i^vee) alpha_i."""
     _check_node(cd, i)
     _check_weight(cd, mu)
-    mi = mu[i - 1]
-    if mi == 0:
-        return tuple(mu)
-    row = cd.matrix[i - 1]
-    return tuple(m - mi * a for m, a in zip(mu, row))
+    return _reflect(cd, i, mu)
 
 
 def is_integral(mu: Weight) -> bool:

@@ -36,7 +36,7 @@ from weakref import WeakKeyDictionary
 
 from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
-from .ideals import IdealLattice, action_orbits, gyration, rowmotion
+from .ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
 from .simplex import OPTIMAL, solve_lp
 from .stats import tcde_constant
 
@@ -367,7 +367,7 @@ def lp_certificate(lattice: IdealLattice) -> LpCertificate:
     return LpCertificate(low.objective, high.objective, low.solution, high.solution, None)
 
 
-ACTIONS = {"rowmotion": rowmotion, "gyration": gyration}
+ACTIONS = {"rowmotion": rowmotion_images, "gyration": gyration_images}
 
 
 class HomomesyRow(NamedTuple):
@@ -397,7 +397,7 @@ def homomesy_report(lattice: IdealLattice, action: str = "rowmotion") -> Homomes
     constant = tcde_constant(h.cartan, h.base)
     degrees = lattice.down_degrees
     rows = []
-    for orbit in action_orbits(lattice, ACTIONS[action]):
+    for orbit in image_orbits(lattice, ACTIONS[action](lattice)):
         mean = Fraction(sum(degrees[k] for k in orbit), len(orbit))
         rows.append(HomomesyRow(orbit, mean, mean == constant))
     return HomomesyReport(action, constant, tuple(rows))

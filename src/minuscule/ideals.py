@@ -1,27 +1,28 @@
 """Order ideals of a heap: enumeration, toggles, and dynamics.
 
 Ideals are bit masks over heap elements.  The lattice enumerator walks
-the cover graph upward from the empty ideal, recording its edges, and
-then freezes a deterministic indexing (by cardinality, then by mask
-value), so ideal indices are stable across runs.  When the heap carries
-a base weight, every ideal also gets the weight obtained by applying
-the reflections of any linear extension of the ideal to the base.
+the cover graph upward from the empty ideal one cardinality at a time,
+so the indexing (by cardinality, then by mask value) is deterministic
+and ideal indices are stable across runs.  When the heap carries a
+base weight, every ideal also gets the weight obtained by applying the
+reflections of any linear extension of the ideal to the base.
 
 The covers ``(lo, hi, p)`` are the one toggle incidence: p can be
 inserted at lo and deleted at hi.  The toggle masks here, and toggle
 symmetry, the polytope rows and the dual witness in ``cde``, all read
-the covers labelled p.
+the covers labelled p.  The rowmotion and gyration permutations and the
+commutation check read the toggle masks; ``rowmotion``, ``gyration``
+and ``toggle_label`` act on one ideal at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from functools import cached_property
 from typing import NamedTuple
 
 from .bits import iter_bits
-from .cartan import Weight, _check_node, simple_reflection
+from .cartan import Weight, _check_node, _reflect, simple_reflection
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .frozen import Frozen
 from .heap import Heap
@@ -107,30 +108,58 @@ class IdealLattice(Frozen):
 
 
 def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
-    """Enumerate J(P) by walking up the cover graph from the empty ideal."""
-    weights: dict[int, Weight] | None = {0: h.base} if h.base is not None else None
-    seen = {0}
-    queue = deque([0])
-    edges = []
-    while queue:
-        m = queue.popleft()
-        for p in addable_elements(h, m):
-            nm = m | (1 << p)
-            edges.append((m, nm, p))
-            if nm not in seen:
-                if len(seen) >= cap:
-                    raise ResourceLimitError(f"ideal count exceeds cap of {cap}")
-                seen.add(nm)
-                if weights is not None:
-                    weights[nm] = simple_reflection(h.cartan, h.labels[p], weights[m])
-                queue.append(nm)
+    """Enumerate J(P) by walking up the cover graph from the empty ideal,
+    one cardinality at a time.
 
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    index = {m: k for k, m in enumerate(masks)}
-    # By lower ideal, then element: a larger element gives a larger upper mask.
-    covers = sorted((index[m], index[nm], p) for m, nm, p in edges)
-    frozen_weights = tuple(weights[m] for m in masks) if weights is not None else None
-    return IdealLattice(h, tuple(masks), tuple(covers), frozen_weights)
+    Each ideal m keeps its ready mask, the elements that can be inserted
+    into it.  Inserting p can make only an upper cover q of p ready, and
+    q is ready in m | p when its down-set lies in m | p, so the ready
+    mask of m | p is that of m without p plus those q: O(deg) per cover.
+    A level sorted by mask value, and walked in that order with each
+    ready mask in ascending elements, lists the ideals and the covers in
+    their final order directly.
+    """
+    below = h.below
+    uppers = tuple(tuple((1 << q, below[q]) for q in qs) for qs in h.upper_covers)
+    labels = h.labels
+    cd = h.cartan
+    ready = [sum(1 << p for p, b in enumerate(below) if not b)]
+    ideals = [0]
+    weights = [h.base]
+    covers = []
+    done = 0
+    while done < len(ideals):
+        fresh = {}  # mask of each new ideal -> (its ready mask, its weight)
+        pending = []  # covers (lo, hi mask, p)
+        for lo in range(done, len(ideals)):
+            m = ideals[lo]
+            r = ready[lo]
+            rest = r
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                nm = m | bit
+                pending.append((lo, nm, p))
+                if nm not in fresh:
+                    if len(ideals) + len(fresh) >= cap:
+                        raise ResourceLimitError(f"ideal count exceeds cap of {cap}")
+                    nr = r ^ bit
+                    for qbit, qbelow in uppers[p]:
+                        if qbelow & nm == qbelow:
+                            nr |= qbit
+                    w = None if h.base is None else _reflect(cd, labels[p], weights[lo])
+                    fresh[nm] = nr, w
+        done = len(ideals)
+        level = sorted(fresh)
+        position = {nm: done + j for j, nm in enumerate(level)}
+        covers += [(lo, position[nm], p) for lo, nm, p in pending]
+        ideals += level
+        for nm in level:
+            nr, w = fresh[nm]
+            ready.append(nr)
+            weights.append(w)
+    return IdealLattice(h, tuple(ideals), tuple(covers), None if h.base is None else tuple(weights))
 
 
 class CommutationReport(NamedTuple):
@@ -146,16 +175,30 @@ class CommutationReport(NamedTuple):
 
 
 def verify_commutation(lattice: IdealLattice) -> CommutationReport:
+    """Toggle every label fiber of every ideal and compare the weight of
+    the result with the reflected weight.
+
+    No two elements of a fiber form a cover in a heap of a reduced word,
+    so the fiber toggles at once: mask ^ ((adds | removes) & fiber), from
+    the ideal's toggle masks.  A word with a repeated letter can put a
+    cover inside a fiber; those labels toggle element by element through
+    ``toggle_label``.
+    """
     h = lattice.heap
     if lattice.weights is None:
         raise DomainError("lattice carries no weights; build the heap with a base weight")
     cd = h.cartan
+    labels = h.labels
+    chained = {labels[a] for a, b in h.covers if labels[a] == labels[b]}
+    fibers = [(i, h.fiber_masks[i]) for i in cd.nodes]
+    index, weights = lattice.index, lattice.weights
     violations = []
-    for k, mask in enumerate(lattice.ideals):
-        w = lattice.weights[k]
-        for i in cd.nodes:
-            toggled = lattice.index[toggle_label(h, mask, i)]
-            if lattice.weights[toggled] != simple_reflection(cd, i, w):
+    for k, (mask, (adds, removes)) in enumerate(zip(lattice.ideals, lattice.toggle_masks)):
+        w = weights[k]
+        flips = adds | removes
+        for i, fiber in fibers:
+            toggled = toggle_label(h, mask, i) if i in chained else mask ^ (flips & fiber)
+            if weights[index[toggled]] != _reflect(cd, i, w):
                 violations.append((k, i))
     return CommutationReport(len(lattice) * cd.rank, tuple(violations))
 
@@ -185,19 +228,60 @@ def gyration(h: Heap, mask: int, even_first: bool = True) -> int:
     return mask
 
 
+def rowmotion_images(lattice: IdealLattice) -> list[int]:
+    """``rowmotion`` of every ideal, in index order: the union of the
+    closed down-sets of the addable elements, read off the toggle masks."""
+    closed = [b | 1 << p for p, b in enumerate(lattice.heap.below)]
+    images = []
+    for adds, _ in lattice.toggle_masks:
+        image = 0
+        for p in iter_bits(adds):
+            image |= closed[p]
+        images.append(image)
+    return images
+
+
+def gyration_images(lattice: IdealLattice) -> list[int]:
+    """``gyration`` of every ideal, in index order.  The even-rank
+    elements that toggle are those of adds | removes, so one phase is
+    I ^ ((adds | removes) & even); the odd phase does the same on the
+    toggle masks of the result."""
+    h = lattice.heap
+    if not h.is_graded:
+        raise DomainError("gyration needs a graded heap")
+    even = sum(1 << p for p, r in enumerate(h.ranks) if r % 2 == 0)
+    odd = h.full_mask ^ even
+    flips = [adds | removes for adds, removes in lattice.toggle_masks]
+    index = lattice.index
+    images = []
+    for m, f in zip(lattice.ideals, flips):
+        half = m ^ (f & even)
+        k = index.get(half)
+        if k is None:
+            raise InternalCheckError("action left the ideal lattice")
+        images.append(half ^ (flips[k] & odd))
+    return images
+
+
 def action_orbits(
     lattice: IdealLattice, step: Callable[[Heap, int], int]
 ) -> tuple[tuple[int, ...], ...]:
-    """Cycle decomposition of a bijection on the lattice.
-
-    ``step`` maps (heap, ideal mask) to an ideal mask.  Orbits are listed
-    by smallest member, each starting from that member.  A non-bijective
-    map raises InternalCheckError.
-    """
+    """Cycle decomposition of a bijection on the lattice; ``step`` maps
+    (heap, ideal mask) to an ideal mask.  See ``image_orbits``."""
     h = lattice.heap
+    return image_orbits(lattice, [step(h, m) for m in lattice.ideals])
+
+
+def image_orbits(lattice: IdealLattice, images: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Cycle decomposition of the map sending the k-th ideal to the ideal
+    mask ``images[k]``.
+
+    Orbits are listed by smallest member, each starting from that member.
+    A non-bijective map raises InternalCheckError.
+    """
     perm = []
-    for m in lattice.ideals:
-        image = lattice.index.get(step(h, m))
+    for m in images:
+        image = lattice.index.get(m)
         if image is None:
             raise InternalCheckError("action left the ideal lattice")
         perm.append(image)

@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from typing import NamedTuple
 
-from .cartan import CartanDatum, Weight, is_dominant, is_integral, simple_reflection
+from .cartan import CartanDatum, Weight, _reflect, is_dominant, is_integral
 from .errors import DomainError, ResourceLimitError
 from .frozen import Frozen
 from .heap import Heap, heap_from_word
@@ -107,6 +107,15 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
     then lexicographically within a layer.  Covers are recorded wherever
     a coordinate equals 1.  Raises DomainError for non-dominant or
     non-integral lam, ResourceLimitError if the orbit outgrows ``cap``.
+
+    Only reflections at a positive coordinate are taken.  For dominant
+    lam, the distance of mu from lam is the length of the shortest w with
+    w lam = mu, and (mu, alpha_i^vee) = (lam, w^-1 alpha_i^vee) is
+    positive exactly when s_i w is longer than w.  So a positive
+    coordinate leads one layer on, to a weight not seen yet; a negative
+    one leads back a layer, and a zero one fixes mu.  The layers are
+    those of the closure under all reflections, and every cover (a
+    coordinate equal to 1) is met in the same pass.
     """
     if len(lam) != cd.rank:
         raise DomainError(f"weight has {len(lam)} coordinates, expected {cd.rank}")
@@ -116,33 +125,31 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
         raise DomainError(f"weight {lam} is not dominant")
     lam = tuple(int(m) for m in lam)
 
-    seen = {lam}
     order = [lam]
     layers = [0]
+    covers = []
     frontier = [lam]
     layer = 0
     while frontier:
         layer += 1
         fresh = set()
+        pending = []  # this layer's covers (u, target weight, i), in (u, i) order
+        u = len(order) - len(frontier)
         for mu in frontier:
-            for i in cd.nodes:
-                nu = simple_reflection(cd, i, mu)
-                if nu != mu and nu not in seen:
+            for i, mi in enumerate(mu, 1):
+                if mi > 0:
+                    nu = _reflect(cd, i, mu)
                     fresh.add(nu)
-        if len(seen) + len(fresh) > cap:
+                    if mi == 1:
+                        pending.append((u, nu, i))
+            u += 1
+        if len(order) + len(fresh) > cap:
             raise ResourceLimitError(f"orbit exceeds cap of {cap} weights")
         frontier = sorted(fresh)
-        seen.update(fresh)
-        for nu in frontier:
-            order.append(nu)
-            layers.append(layer)
-
-    index = {w: k for k, w in enumerate(order)}
-    covers = []
-    for u, mu in enumerate(order):
-        for i in cd.nodes:
-            if mu[i - 1] == 1:
-                covers.append((u, index[simple_reflection(cd, i, mu)], i))
+        position = {nu: len(order) + j for j, nu in enumerate(frontier)}
+        covers += [(u, position[nu], i) for u, nu, i in pending]
+        order += frontier
+        layers += [layer] * len(frontier)
     return OrbitPoset(cd, tuple(order), tuple(covers), tuple(layers))
 
 

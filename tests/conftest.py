@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from minuscule import build_cartan
+from minuscule import build_cartan, generate_orbit
 from minuscule.cli import build_case, default_catalog
 
 # Every property test is derandomized and untimed; each sets only its
@@ -39,6 +41,22 @@ def small_catalog():
         ("D", 5, 5),
         ("E", 6, 6),
     ]
+
+
+@pytest.fixture(scope="session")
+def small_dominant_orbits():
+    """(Cartan datum, weight, orbit) for every dominant weight with
+    coordinates at most 2 summing to at most 3, over A3, A4, D4, D5 and
+    E6: 208 weights, minuscule or not."""
+    out = []
+    for family, rank in [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]:
+        cd = build_cartan(family, rank)
+        out += [
+            (cd, lam, generate_orbit(cd, lam))
+            for lam in product(range(3), repeat=rank)
+            if sum(lam) <= 3
+        ]
+    return out
 
 
 @st.composite

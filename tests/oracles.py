@@ -4,15 +4,17 @@ Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, subset-table and zeta-table
 chain counts, basis enumeration for polytope vertices, the quadratic
-heap builder, the pairwise structure check) and stays deliberately
+heap builder, the pairwise structure check, the all-reflections orbit
+closure and the rescanning ideal enumerator) and stays deliberately
 ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
 The quadratic heap builder returns a library ``Heap`` so its fields
 compare directly, ``rowmotion_by_toggles`` sweeps the library's
-``toggle``, and ``rebuild_failures_by_composition`` chains the library's
-public heap functions.
+``toggle``, ``commutation_violations_by_toggle_label`` its
+``toggle_label``, and ``rebuild_failures_by_composition`` chains the
+library's public heap functions.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from itertools import combinations, product
 from minuscule import (
     DomainError,
     Heap,
+    ResourceLimitError,
     coroot_pairing,
     fundamental_weight,
     heap_from_word,
@@ -29,9 +32,11 @@ from minuscule import (
     ideal_weight,
     inner_product,
     random_linear_extension,
+    simple_reflection,
     simple_root,
     tcde_constant,
     toggle,
+    toggle_label,
     word_of_extension,
 )
 from minuscule.stats import SuiteRow
@@ -54,6 +59,79 @@ def closure_orbit(matrix, lam):
         if not fresh:
             return seen
         seen |= fresh
+
+
+def all_reflections_orbit(matrix, lam):
+    """The orbit as the library built it before it walked positive
+    coordinates only: a breadth-first closure under every reflection,
+    each layer sorted, then the covers from a rescan of every (weight,
+    node).  Returns (weights, covers, layers)."""
+    rank = len(matrix)
+    seen = {lam}
+    order, layers = [lam], [0]
+    frontier = [lam]
+    while frontier:
+        fresh = {reflect(matrix, i, mu) for mu in frontier for i in range(1, rank + 1)} - seen
+        layer = layers[-1] + 1
+        frontier = sorted(fresh)
+        seen |= fresh
+        order += frontier
+        layers += [layer] * len(frontier)
+    index = {w: k for k, w in enumerate(order)}
+    covers = tuple(
+        (u, index[reflect(matrix, i, mu)], i)
+        for u, mu in enumerate(order)
+        for i in range(1, rank + 1)
+        if mu[i - 1] == 1
+    )
+    return tuple(order), covers, tuple(layers)
+
+
+def scanning_ideals(h, cap):
+    """J(P) as the library enumerated it before it kept ready masks: a
+    breadth-first walk up from the empty ideal that rescans all of P for
+    the addable elements of each ideal, then sorts the ideals by
+    (cardinality, mask) and the covers.  Returns (ideals, covers,
+    weights), or raises the library's ResourceLimitError when a new ideal
+    would take the count past ``cap``."""
+    matrix = h.cartan.matrix
+    seen = {0}
+    queue = [0]
+    weights = {0: h.base}
+    edges = []
+    for m in queue:
+        for p in range(len(h)):
+            if m >> p & 1 or h.below[p] & m != h.below[p]:
+                continue
+            nm = m | 1 << p
+            edges.append((m, nm, p))
+            if nm not in seen:
+                if len(seen) >= cap:
+                    raise ResourceLimitError(f"ideal count exceeds cap of {cap}")
+                seen.add(nm)
+                if h.base is not None:
+                    weights[nm] = reflect(matrix, h.labels[p], weights[m])
+                queue.append(nm)
+    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
+    index = {m: k for k, m in enumerate(masks)}
+    covers = tuple(sorted((index[m], index[nm], p) for m, nm, p in edges))
+    return tuple(masks), covers, None if h.base is None else tuple(weights[m] for m in masks)
+
+
+def commutation_violations_by_toggle_label(lattice):
+    """(ideal index, node) pairs where toggling the label fiber element by
+    element, through the library's ``toggle_label``, lands on an ideal
+    whose weight is not the reflected weight."""
+    h = lattice.heap
+    cd = h.cartan
+    index = {m: k for k, m in enumerate(lattice.ideals)}
+    return tuple(
+        (k, i)
+        for k, mask in enumerate(lattice.ideals)
+        for i in cd.nodes
+        if lattice.weights[index[toggle_label(h, mask, i)]]
+        != simple_reflection(cd, i, lattice.weights[k])
+    )
 
 
 def gauss_jordan_inverse(matrix):
@@ -94,6 +172,11 @@ def powerset_ideal_masks(below, n):
         if all(below[p] & mask == below[p] for p in range(n) if mask >> p & 1):
             out.append(mask)
     return sorted(out, key=lambda m: (bin(m).count("1"), m))
+
+
+def bit_string_by_positions(mask, width):
+    """0/1 string of ``mask``, one position at a time, lowest bit first."""
+    return "".join("1" if mask >> p & 1 else "0" for p in range(width))
 
 
 def is_ideal(h, mask):

@@ -210,6 +210,37 @@ def test_sweep_report_matches_its_golden_digest(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
 
 
+# sha256 of the stdout of the benchmark's explore command lines, and of
+# the DOT rendering and the CSV orbit tables, per command line.
+EXPLORE_DIGESTS = {
+    "build A 9 5 --format=json": "1fee6a7c1d037deb86bdea5ba9bc2abaeca5c375debcf8365ac9308119b95ac4",
+    "build D 9 9 --format=json": "00d0eb64ee490c168ec40f23f64069f3fb83e84fadfe3f81bf888a3ff5052630",
+    "build D 10 10 --format=json": "ad2c15e11d005cfd972434e6467cec188cd24a38640a86365a275585965991c0",
+    "build E 6 6 --format=json": "2c926c4ec0fb3986d7bca84492becbf1f4abc64dc9674461fd83da4ff0c58042",
+    "build E 7 7 --format=json": "84af589f87a5466df9b46468ee929179cc32781da1b2bfe3d3e9534347657cd6",
+    "build E 7 7 --format=dot": "0e19940bafeaabb36ce8309b25efdf2d2327e17f2c59f40a1693b4a41b115af4",
+    "orbits A 9 5 --action=rowmotion --format=json": "09b4c5a7d9225ed397ff3442e37c99cb49d41ff5dcf54e47d255f0c07a40d99d",
+    "orbits A 9 5 --action=gyration --format=json": "f20d6978ef561ebd353e5a5ea34cba8904abfee564576a60bef5a8aef9a25780",
+    "orbits D 9 9 --action=rowmotion --format=json": "7b59987e1584082414a3f311d6a9c443e4bccc1773019392498ad7639b1f9a00",
+    "orbits D 9 9 --action=gyration --format=json": "0b37a5474456631177fd191eec002cc4d78a2719d262cb2993ce158128ec145d",
+    "orbits D 10 10 --action=rowmotion --format=json": "8bdc1f5fcde64e6b86842262bb5841d40fb202e3544bd58fc4857b04852904f3",
+    "orbits D 10 10 --action=gyration --format=json": "69e4501047a790fd25344d8a1e07d5b2d3d76688a3ac5c7ffc999b593af66cf3",
+    "orbits E 6 6 --action=rowmotion --format=json": "e8babc1a8c0d30f27e1bfa8e828cacd585514625d3afc6996962ab4933cf3c45",
+    "orbits E 6 6 --action=gyration --format=json": "8155ff8680fec3e0eea1072b1dfa445792169019527716fe0209c13fa09a6bcd",
+    "orbits E 7 7 --action=rowmotion --format=json": "d5f93b8f239b2ffb81b4f336d89f661bd86156defdfcb645a6e9a4582d2e3756",
+    "orbits E 7 7 --action=gyration --format=json": "421f56a36a87da86c2a641676b0e8c0a40e779d5d94e9814b64bd438b46e8328",
+    "orbits E 6 6 --action=rowmotion --format=csv": "6925027f58fa2d59096f660c2d5c39c9baf57c75399dfac7c8372a1471aeb890",
+    "orbits E 6 6 --action=gyration --format=csv": "6925027f58fa2d59096f660c2d5c39c9baf57c75399dfac7c8372a1471aeb890",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXPLORE_DIGESTS))
+def test_explore_output_matches_its_golden_digest(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_DIGESTS[argv]
+
+
 def use_cpus(monkeypatch, cpus):
     """Make ``verify --all`` see ``cpus`` CPUs, so it runs on that many
     processes."""
@@ -341,6 +372,73 @@ def test_commands_on_one_process_never_import_pickle():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[0, 0, 0, 0] False\n"
+
+
+def run_module(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m minuscule`` in a fresh interpreter, on this checkout's
+    package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "minuscule", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "build A 3 2",
+        "build E 6 6 --format=dot",
+        "orbits D 5 5 --action=gyration --format=json",
+        "verify A 3 2 --words 5",
+        "build A 3 9",
+        "build X 3 2",
+        "verify A 16 8 --cap-ideals 10",
+    ],
+)
+def test_module_exit_matches_the_in_process_cli(capsys, argv):
+    """The module ends without the interpreter's teardown, and prints and
+    exits as ``cli.main`` does in process; argparse's exit 2 included."""
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    proc = run_module(*argv.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == {"build A 3 9": 2, "build X 3 2": 2, "verify A 16 8 --cap-ideals 10": 3}.get(argv, 0)
+
+
+def test_module_out_file_equals_its_stdout(tmp_path):
+    proc = run_module("orbits", "E", "6", "6", "--format=json", "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "E6.6.rowmotion.json").read_text() == proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv,buffered_code", [("build E 6 6", 1), ("orbits A 3 2", 120)])
+def test_module_on_a_closed_pipe_exits_as_the_interpreter_does(argv, buffered_code, unbuffered):
+    """Exit codes of a normal interpreter exit with stdout closed: a report
+    larger than the stream buffer fails in ``write`` (1, with a
+    traceback); a small one fails in the flush at exit (120, with no
+    traceback), or in ``write`` when unbuffered."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = run_module(*argv.split(), stdout=write_fd, unbuffered=unbuffered)
+    finally:
+        os.close(write_fd)
+    code = 1 if unbuffered else buffered_code
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code
+    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    if code == 120:
+        assert len(lines) == 2 and lines[0].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    else:
+        assert lines[0] == "Traceback (most recent call last):"
 
 
 def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
@@ -17,13 +18,26 @@ from minuscule import (
     heap_from_word,
     ideal_weight,
     rowmotion,
+    saturated_chain,
     simple_reflection,
     toggle,
     toggle_label,
     verify_commutation,
 )
 from conftest import random_heap_word, small_catalog
-from oracles import is_ideal, less, powerset_ideal_masks, rescan_covers, rowmotion_by_toggles
+from minuscule.bits import bit_string
+from minuscule.cli import build_case, default_catalog
+from minuscule.ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
+from oracles import (
+    bit_string_by_positions,
+    commutation_violations_by_toggle_label,
+    is_ideal,
+    less,
+    powerset_ideal_masks,
+    rescan_covers,
+    rowmotion_by_toggles,
+    scanning_ideals,
+)
 
 
 def grid_heap():
@@ -287,3 +301,136 @@ def test_cover_order_matches_a_rescan_on_random_heaps(case):
     h = heap_from_word(cd, word)
     L = enumerate_ideals(h)
     assert L.covers == rescan_covers(h, L.ideals)
+
+
+def ideals_or_cap_message(enumerate, h, cap):
+    try:
+        return enumerate(h, cap)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def assert_enumeration_matches_the_scanning_walk(h, caps):
+    """Equal ideals, covers and weights, or the same cap message, under
+    every cap."""
+    for cap in caps:
+        got = ideals_or_cap_message(enumerate_ideals, h, cap)
+        if not isinstance(got, str):
+            got = got.ideals, got.covers, got.weights
+        assert got == ideals_or_cap_message(scanning_ideals, h, cap)
+
+
+def test_ready_mask_walk_matches_the_scanning_walk_on_the_catalog():
+    for spec in default_catalog():
+        h = build_case(spec.family, spec.rank, spec.node).heap
+        n = len(enumerate_ideals(h))
+        assert_enumeration_matches_the_scanning_walk(h, (n, n - 1, n // 2, 0))
+
+
+def test_ready_mask_walk_matches_the_scanning_walk_on_small_dominant_weights(
+    small_dominant_orbits,
+):
+    """The heap that ``verify_minuscule`` builds for each weight: the
+    saturated chain of its orbit, on its base weight."""
+    for cd, lam, orb in small_dominant_orbits:
+        h = heap_from_word(cd, saturated_chain(orb), base=lam)
+        n = len(enumerate_ideals(h))
+        assert_enumeration_matches_the_scanning_walk(h, (n, n - 1, n // 2))
+
+
+@settings(max_examples=100)
+@given(random_heap_word(with_base=True), st.booleans(), st.integers(0, 40))
+def test_ready_mask_walk_matches_the_scanning_walk_on_random_heaps(case, with_base, cap):
+    cd, word, base = case
+    h = heap_from_word(cd, word, base=base if with_base else None)
+    assert_enumeration_matches_the_scanning_walk(h, (cap, 10**6))
+
+
+def assert_action_images_match_the_per_ideal_actions(L):
+    h = L.heap
+    images = rowmotion_images(L)
+    assert images == [rowmotion(h, m) for m in L.ideals]
+    assert image_orbits(L, images) == action_orbits(L, rowmotion)
+    if not h.is_graded:
+        for act in (gyration_images, lambda L: action_orbits(L, gyration)):
+            with pytest.raises(DomainError, match="graded"):
+                act(L)
+        return
+    images = gyration_images(L)
+    assert images == [gyration(h, m) for m in L.ideals]
+    assert image_orbits(L, images) == action_orbits(L, gyration)
+
+
+def test_action_images_match_the_per_ideal_actions_on_the_catalog():
+    for spec in default_catalog():
+        assert_action_images_match_the_per_ideal_actions(
+            build_case(spec.family, spec.rank, spec.node).lattice
+        )
+
+
+@settings(max_examples=100)
+@given(random_heap_word())
+def test_action_images_match_the_per_ideal_actions_on_random_heaps(case):
+    cd, word = case
+    assert_action_images_match_the_per_ideal_actions(enumerate_ideals(heap_from_word(cd, word)))
+
+
+def test_non_graded_heap_has_no_gyration():
+    cd = build_cartan("A", 3)
+    h = heap_from_word(cd, (1, 1, 3, 2))  # 2 covers the second 1 (rank 1) and 3 (rank 0)
+    assert not h.is_graded
+    assert_action_images_match_the_per_ideal_actions(enumerate_ideals(h))
+
+
+def test_action_images_keep_the_bijection_checks():
+    h = grid_heap()
+    L = enumerate_ideals(h)
+    with pytest.raises(InternalCheckError, match="left the ideal lattice"):
+        image_orbits(L, [0] * (len(L) - 1) + [0b1000])
+    no_covers = IdealLattice(h, L.ideals, (), L.weights)
+    with pytest.raises(InternalCheckError, match="not a bijection"):
+        image_orbits(no_covers, rowmotion_images(no_covers))
+    # A false cover makes the top element (rank 2, even) toggle into the
+    # empty ideal, which is no ideal of the grid.
+    false_cover = IdealLattice(h, L.ideals, L.covers + ((0, 1, 3),), L.weights)
+    with pytest.raises(InternalCheckError, match="left the ideal lattice"):
+        gyration_images(false_cover)
+
+
+def test_commutation_on_toggle_masks_names_the_same_violations_as_label_toggles():
+    tampered_cases = 0
+    for spec in default_catalog():
+        L = build_case(spec.family, spec.rank, spec.node).lattice
+        assert verify_commutation(L).violations == commutation_violations_by_toggle_label(L) == ()
+        k = len(L) // 2
+        w = L.weights[k]
+        weights = L.weights[:k] + ((w[0] + 1,) + w[1:],) + L.weights[k + 1 :]
+        tampered = IdealLattice(L.heap, L.ideals, L.covers, weights)
+        violations = verify_commutation(tampered).violations
+        assert violations == commutation_violations_by_toggle_label(tampered)
+        tampered_cases += bool(violations)
+    assert tampered_cases == len(default_catalog())
+
+
+@settings(max_examples=100)
+@given(random_heap_word(with_base=True))
+def test_commutation_on_toggle_masks_matches_label_toggles_on_random_heaps(case):
+    """Random words repeat letters, so some fibers hold a cover and take
+    the element-by-element path."""
+    cd, word, base = case
+    L = enumerate_ideals(heap_from_word(cd, word, base=base))
+    report = verify_commutation(L)
+    assert report.violations == commutation_violations_by_toggle_label(L)
+    assert report.instances == len(L) * cd.rank
+
+
+@settings(max_examples=200)
+@given(st.integers(-(2**80), 2**80), st.integers(0, 70))
+def test_bit_string_matches_the_per_position_rendering(mask, width):
+    assert bit_string(mask, width) == bit_string_by_positions(mask, width)
+    assert len(bit_string(mask, width)) == width
+
+
+def test_bit_string_of_width_zero_is_empty():
+    assert bit_string(0, 0) == bit_string(0b1011, 0) == ""
+    assert bit_string(0b1011, 3) == "110"

@@ -14,7 +14,8 @@ from minuscule import (
     verify_minuscule,
 )
 from conftest import small_catalog
-from oracles import closure_orbit, join_irreducible_indices
+from minuscule.cli import default_catalog
+from oracles import all_reflections_orbit, closure_orbit, join_irreducible_indices
 
 
 def test_a2_vector_orbit_listing():
@@ -60,6 +61,36 @@ def test_non_dominant_and_non_integral_rejected():
 
     with pytest.raises(DomainError):
         generate_orbit(cd, (Fraction(1, 2), Fraction(0)))
+
+
+def assert_orbit_matches_the_all_reflections_closure(cd, lam, orb):
+    """Equal weights, covers and layers, and the cap message with the cap
+    at one less than the orbit's size, at half of it and at 0."""
+    want = all_reflections_orbit(cd.matrix, lam)
+    assert (orb.weights, orb.covers, orb.layers) == want
+    size = len(want[0])
+    for cap in (size - 1, size // 2, 0):
+        with pytest.raises(ResourceLimitError) as exc:
+            generate_orbit(cd, lam, cap)
+        assert str(exc.value) == f"orbit exceeds cap of {cap} weights"
+
+
+def test_orbit_walk_matches_the_all_reflections_closure_on_the_catalog():
+    for spec in default_catalog():
+        cd = build_cartan(spec.family, spec.rank)
+        lam = fundamental_weight(cd, spec.node)
+        size = len(generate_orbit(cd, lam))
+        assert_orbit_matches_the_all_reflections_closure(cd, lam, generate_orbit(cd, lam, size))
+
+
+def test_orbit_walk_matches_the_all_reflections_closure_on_small_dominant_weights(
+    small_dominant_orbits,
+):
+    """Positive coordinates lead a layer on for any dominant weight, not
+    only a minuscule one; the caps fall inside and between layers."""
+    assert len(small_dominant_orbits) == 208
+    for cd, lam, orb in small_dominant_orbits:
+        assert_orbit_matches_the_all_reflections_closure(cd, lam, orb)
 
 
 def test_orbit_cap():
