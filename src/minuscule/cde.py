@@ -255,12 +255,17 @@ def orbit_symmetry_violations(lattice: IdealLattice, orbits) -> tuple[tuple[int,
 
 
 def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:
-    """Uniform on the given ideal indices, zero elsewhere."""
+    """Uniform on the given ideal indices, zero elsewhere.  Each index
+    must name an ideal, and at most once."""
     if not orbit:
         raise DomainError("empty orbit")
     share = Fraction(1, len(orbit))
     probs = [Fraction(0)] * len(lattice)
     for k in orbit:
+        if not 0 <= k < len(probs):
+            raise DomainError(f"ideal index {k} out of range 0..{len(probs) - 1}")
+        if probs[k]:
+            raise DomainError(f"ideal index {k} repeats in the orbit")
         probs[k] = share
     return tuple(probs)
 

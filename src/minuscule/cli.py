@@ -41,7 +41,7 @@ from .errors import ConfigurationError, DomainError, InternalCheckError, Resourc
 from .heap import Heap, word_rebuild_failures
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
-from .stats import identity_suite, tcde_constant
+from .stats import CheckRow, identity_suite, tcde_constant
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,12 +58,6 @@ class CaseSpec(NamedTuple):
     @property
     def case_id(self) -> str:
         return f"{self.family}{self.rank}.{self.node}"
-
-
-class NonMinusculeError(DomainError):
-    def __init__(self, spec: CaseSpec, report: MinusculeReport):
-        super().__init__(f"{spec.case_id}: {report.summary()}")
-        self.report = report
 
 
 class CaseBundle(NamedTuple):
@@ -104,7 +98,7 @@ def _build_case(spec: CaseSpec) -> CaseBundle:
         raise ResourceLimitError(f"ideal count exceeds cap of {spec.cap_ideals}") from None
     report = verify_minuscule(cd, orb)
     if not report.ok:
-        raise NonMinusculeError(spec, report)
+        raise DomainError(f"{spec.case_id}: {report.summary()}")
     lattice = report.lattice
     return CaseBundle(spec, cd, lam, orb, report, lattice.heap, lattice)
 
@@ -120,20 +114,9 @@ def build_case(
 # verify
 
 
-class CheckRow(NamedTuple):
-    check: str
-    instances: int
-    failures: int
-
-
 class DistRow(NamedTuple):
     name: str
     expectation: Fraction
-    constant: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.expectation == self.constant
 
 
 class CaseResult(NamedTuple):
@@ -214,8 +197,7 @@ def verify_case(
     com = verify_commutation(lattice)
     checks.append(CheckRow("commutation", com.instances, len(com.violations)))
 
-    for row in identity_suite(lattice):
-        checks.append(CheckRow(row.check, row.instances, row.failures))
+    checks += identity_suite(lattice)
 
     # Chain counts as integer weights: the uniform distribution is the
     # strict 0-chains and maxchain the strict |P|-chains, and the
@@ -231,7 +213,7 @@ def verify_case(
     symmetry_failures = 0
     for name, row in named_rows:
         symmetry_failures += len(row.differences)
-        dists.append(DistRow(name, row.expectation, constant))
+        dists.append(DistRow(name, row.expectation))
 
     action_rows = {action: homomesy_report(lattice, action) for action in ("rowmotion", "gyration")}
     # Orbit indicators: their toggle symmetry in one pass per action, and
@@ -241,15 +223,13 @@ def verify_case(
         symmetry_instances += len(h) * len(report.rows)
         symmetry_failures += sum(map(len, violations))
         for j, row in enumerate(report.rows):
-            dists.append(DistRow(f"{action}_orbit_{j}", row.mean, constant))
+            dists.append(DistRow(f"{action}_orbit_{j}", row.mean))
     checks.append(CheckRow("toggle_symmetry", symmetry_instances, symmetry_failures))
 
     for mode in chain_modes:
-        prefix = f"chain_{mode}_"
-        rows = [d for d in dists if d.name.startswith(prefix)]
-        checks.append(
-            CheckRow(f"cde_{mode}", len(rows), sum(1 for d in rows if not d.equal))
-        )
+        rows = chain_rows[mode]
+        failures = sum(row.expectation != constant for row in rows)
+        checks.append(CheckRow(f"cde_{mode}", len(rows), failures))
 
     cert = lp_certificate(lattice)
     lp_failures = int(cert.minimum != constant) + int(cert.maximum != constant)
@@ -302,8 +282,8 @@ def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
                         "case": res.case_id,
                         "distribution": d.name,
                         "expectation": serialize.frac_str(d.expectation),
-                        "constant": serialize.frac_str(d.constant),
-                        "equal": d.equal,
+                        "constant": serialize.frac_str(res.constant),
+                        "equal": d.expectation == res.constant,
                     }
                     for d in res.distributions
                 ],
@@ -377,20 +357,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _verify_spec(
-    spec: CaseSpec, modes: tuple[str, ...], seed: int, words: int, sweep: bool
-) -> CaseResult | None:
-    """Build and verify one case; None when a sweep skips it for
-    exceeding the ideal cap."""
-    try:
-        bundle = _build_case(spec)
-    except ResourceLimitError:
-        if not sweep:
-            raise
-        return None
-    return verify_case(bundle, modes, seed=seed, word_trials=words)
-
-
 def _worker_count(cases: int) -> int:
     """Processes for ``cases`` independent cases: one per CPU this process
     may run on, at most one per case, and one where ``os.fork`` is absent."""
@@ -416,14 +382,15 @@ def _map_forked(run, specs: list, workers: int) -> list:
 
     Forks ``workers`` - 1 processes; worker w runs specs[w::workers] and
     sends its outcomes back pickled over a pipe, while this process runs
-    specs[0::workers].  Every worker is reaped before this returns or
-    raises.  A worker that dies, exits nonzero or sends unreadable data
-    raises InternalCheckError naming its cases; any other exception here
-    first kills and reaps the workers still running.  The CLI starts no
-    threads, so forking it is safe.
+    specs[0::workers], so one worker forks nothing and imports no pickle.
+    Every worker is reaped before this returns or raises.  A worker that
+    dies, exits nonzero or sends unreadable data raises InternalCheckError
+    naming its cases; any other exception here first kills and reaps the
+    workers still running.  The CLI starts no threads, so forking it is
+    safe.
     """
-    import pickle
-    import signal
+    if workers > 1:
+        import pickle
 
     children = []  # (pid, read end of its pipe, its case ids), oldest first
     try:
@@ -462,6 +429,8 @@ def _map_forked(run, specs: list, workers: int) -> list:
             outcomes[w::workers] = share
         return outcomes
     except BaseException:
+        import signal
+
         for pid, pipe, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -491,10 +460,17 @@ def cmd_verify(args) -> int:
     modes = (STRICT, MULTI) if args.chain_mode == "both" else (args.chain_mode,)
 
     def run(spec):
-        return _verify_spec(spec, modes, args.seed, args.words, args.all)
+        """The case's result; None when a sweep skips it for exceeding
+        the ideal cap."""
+        try:
+            bundle = _build_case(spec)
+        except ResourceLimitError:
+            if not args.all:
+                raise
+            return None
+        return verify_case(bundle, modes, seed=args.seed, word_trials=args.words)
 
-    workers = _worker_count(len(specs))
-    outcomes = map(run, specs) if workers == 1 else _map_forked(run, specs, workers)
+    outcomes = _map_forked(run, specs, _worker_count(len(specs)))
     results = []
     skipped = []
     for spec, outcome in zip(specs, outcomes):

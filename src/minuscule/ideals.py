@@ -49,8 +49,11 @@ def toggle(h: Heap, mask: int, p: int) -> int:
 
 
 def toggle_label(h: Heap, mask: int, i: int) -> int:
-    """Toggle every element of the label fiber; the fiber contains no
-    covers, so the order does not matter."""
+    """Toggle every element of the label fiber, in ascending heap order.
+    The order does not matter exactly when no two fiber elements form a
+    cover, as in every heap of a reduced word, so in every minuscule heap.
+    In the heap of the word (1, 1) the two elements form a cover, and the
+    descending order gives another ideal."""
     _check_node(h.cartan, i)
     for p in h.fibers[i]:
         mask = toggle(h, mask, p)

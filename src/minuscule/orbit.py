@@ -220,8 +220,13 @@ def verify_minuscule(cd: CartanDatum, orbit: OrbitPoset) -> MinusculeReport:
     covers: the orbit is then isomorphic to J(P), hence a distributive
     lattice (Rush and Shi).  The check is linear in the at most
     |J(P)| * rank covers; enumerating J(P) costs O(|J(P)| * |P|).
+    Orbit weights of another rank and a cyclic cover digraph are a
+    DomainError.
     """
     n = len(orbit)
+    for w in orbit.weights:
+        if len(w) != cd.rank:
+            raise DomainError(f"orbit weights have {len(w)} coordinates, expected {cd.rank}")
     pairing = tuple(
         (w, i, w[i - 1])
         for w in orbit.weights
@@ -255,12 +260,15 @@ def saturated_chain(orbit: OrbitPoset) -> tuple[int, ...]:
 
     On a minuscule orbit every such walk is a maximal chain of full
     length; ``verify_minuscule`` certifies the orbit through the heap of
-    this word.
+    this word.  A walk longer than ``len(orbit) - 1`` steps repeats a
+    weight, so it raises DomainError on a cyclic cover digraph.
     """
     word = []
     u = orbit.bottom
     up = orbit.up_adjacency
     while up[u]:
+        if len(word) == len(orbit) - 1:
+            raise DomainError("cover digraph contains a cycle")
         i, u = up[u][0]
         word.append(i)
     return tuple(word)

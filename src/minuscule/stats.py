@@ -49,7 +49,9 @@ def tcde_constant(cd: CartanDatum, lam: Weight) -> Fraction:
     return 2 * inner_product(cd, lam, lam) / cd.omega_sq
 
 
-class SuiteRow(NamedTuple):
+class CheckRow(NamedTuple):
+    """One report row: a check, its instance count and its failures."""
+
     check: str
     instances: int
     failures: int
@@ -60,7 +62,7 @@ def _adjugate_sums(cd: CartanDatum, mu: Weight) -> list[Rational]:
     return [sum(m * a for m, a in zip(mu, row) if m) for row in cd.adjugate]
 
 
-def identity_suite(lattice: IdealLattice) -> tuple[SuiteRow, ...]:
+def identity_suite(lattice: IdealLattice) -> tuple[CheckRow, ...]:
     """Check every identity on every (ideal, node) pair of a lattice."""
     h = lattice.heap
     cd = h.cartan
@@ -109,9 +111,9 @@ def identity_suite(lattice: IdealLattice) -> tuple[SuiteRow, ...]:
         decomposition += scale * ddeg != target + reconstructed or statistic_sum != target
     pairs = len(lattice) * cd.rank
     return (
-        SuiteRow("label_count", pairs, label),
-        SuiteRow("signed_toggle_sum", pairs, signed),
-        SuiteRow("weighted_toggle_sum", pairs, weighted),
-        SuiteRow("fiber_statistic", pairs, statistic),
-        SuiteRow("ddeg_decomposition", len(lattice), decomposition),
+        CheckRow("label_count", pairs, label),
+        CheckRow("signed_toggle_sum", pairs, signed),
+        CheckRow("weighted_toggle_sum", pairs, weighted),
+        CheckRow("fiber_statistic", pairs, statistic),
+        CheckRow("ddeg_decomposition", len(lattice), decomposition),
     )

@@ -39,7 +39,7 @@ from minuscule import (
     toggle_label,
     word_of_extension,
 )
-from minuscule.stats import SuiteRow
+from minuscule.stats import CheckRow
 
 
 def reflect(matrix, i, mu):
@@ -743,6 +743,6 @@ def per_triple_identity_suite(lattice):
         if not check_ddeg_decomposition(h, mask).ok:
             decomposition_failures += 1
     pairs = len(lattice) * cd.rank
-    rows = [SuiteRow(name, pairs, failures[name]) for name, _ in per_node_checks]
-    rows.append(SuiteRow("ddeg_decomposition", len(lattice), decomposition_failures))
+    rows = [CheckRow(name, pairs, failures[name]) for name, _ in per_node_checks]
+    rows.append(CheckRow("ddeg_decomposition", len(lattice), decomposition_failures))
     return tuple(rows)

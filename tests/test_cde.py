@@ -349,6 +349,23 @@ def test_orbit_distribution_shapes():
         orbit_distribution(L, ())
 
 
+@pytest.mark.parametrize(
+    "orbit,message",
+    [
+        ((3, 3), "ideal index 3 repeats in the orbit"),
+        ((0, 5, 0), "ideal index 0 repeats in the orbit"),
+        ((-1,), "ideal index -1 out of range 0..5"),
+        ((6,), "ideal index 6 out of range 0..5"),
+        ((99,), "ideal index 99 out of range 0..5"),
+    ],
+)
+def test_orbit_distribution_rejects_bad_indices(orbit, message):
+    _, L = grid_lattice()
+    with pytest.raises(DomainError) as info:
+        orbit_distribution(L, orbit)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("family,rank,node", small_catalog())
 def test_cde_all_chain_lengths(family, rank, node):
     cd = build_cartan(family, rank)

@@ -1,9 +1,15 @@
 """The minuscule certificate: agreement with the cubic brute-force oracle,
 named counterexamples on tampered orbit posets, and the scale ladder."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import minuscule
 from minuscule import (
+    DomainError,
     OrbitPoset,
     build_cartan,
     fundamental_weight,
@@ -138,6 +144,41 @@ def test_short_chain_misses_a_weight():
     report = verify_minuscule(cd, OrbitPoset(cd, orb.weights, orb.covers[:1], orb.layers))
     assert not report.ok
     assert report.summary() == "not minuscule: orbit weight (0, -1) is the weight of no ideal"
+
+
+def test_cyclic_cover_digraph_is_a_domain_error():
+    """Two covers 0 -> 1 -> 0 in the A1 orbit: the walk up from the
+    bottom stops after |orbit| - 1 steps instead of going round the cycle.
+    Run in a fresh interpreter with a timeout and a 256 MiB address space,
+    so a walk that never ends fails the test instead of hanging it or
+    growing its word without bound."""
+    src = str(Path(minuscule.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from minuscule import (DomainError, OrbitPoset, build_cartan, fundamental_weight,\n"
+        "    generate_orbit, saturated_chain, verify_minuscule)\n"
+        "cd = build_cartan('A', 1)\n"
+        "orb = generate_orbit(cd, fundamental_weight(cd, 1))\n"
+        "cyclic = OrbitPoset(cd, orb.weights, ((0, 1, 1), (1, 0, 1)), orb.layers)\n"
+        "for check in (saturated_chain, lambda o: verify_minuscule(cd, o)):\n"
+        "    try:\n"
+        "        check(cyclic)\n"
+        "    except DomainError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=20
+    ).stdout
+    assert out == "cover digraph contains a cycle\n" * 2
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_orbit_of_another_rank_is_a_domain_error(rank):
+    orb = _orbit("A", rank, 1)[1]
+    with pytest.raises(DomainError) as info:
+        verify_minuscule(build_cartan("A", 3), orb)
+    assert str(info.value) == f"orbit weights have {rank} coordinates, expected 3"
 
 
 def test_non_minuscule_builds_no_lattice():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from minuscule import DomainError, IdealLattice, InternalCheckError, cli
 from minuscule.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -355,8 +356,9 @@ def test_an_interrupted_sweep_kills_its_workers(capsys, monkeypatch, cpus):
 
 
 def test_commands_on_one_process_never_import_pickle():
-    """Single-case verify, build, orbits and a sweep on one CPU take the
-    serial path, which pays for no pickle import."""
+    """Single-case verify, build, orbits and a sweep on one CPU fork no
+    worker, so they pay for no pickle import, nor for the signal import
+    of the worker cleanup."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
@@ -366,12 +368,12 @@ def test_commands_on_one_process_never_import_pickle():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv.split()) for argv in (\n"
         "        'verify A 3 2', 'build A 3 2', 'orbits A 3 2', 'verify --all --words 0')]\n"
-        "print(codes, 'pickle' in sys.modules)"
+        "print(codes, 'pickle' in sys.modules, 'signal' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[0, 0, 0, 0] False\n"
+    assert out == "[0, 0, 0, 0] False False\n"
 
 
 def run_module(*argv, stdout=subprocess.PIPE, unbuffered=False):
@@ -455,6 +457,30 @@ def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):
     result = verify_case(build_case("A", 3, 2), seed=4, word_trials=7)
     assert calls == [("A3.2", 7, 4)]
     assert CheckRow("heap_words", 7, 0) in result.checks
+
+
+def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):
+    """One strict chain row of A3.2 off the constant fails ``cde_strict``
+    once, and ``cde_multi`` on each multichain row built on it (k = 2, 3,
+    4); the JSON shows which distributions miss the constant."""
+    real = cli.strict_chain_rows
+
+    def tampered(lattice):
+        rows = list(real(lattice))
+        rows[2] = rows[2]._replace(ddeg_sum=rows[2].ddeg_sum + 1)
+        return tuple(rows)
+
+    monkeypatch.setattr(cli, "strict_chain_rows", tampered)
+    code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(out)
+    case = payload["cases"][0]
+    failures = {row["check"]: row["failures"] for row in case["checks"]}
+    assert (failures["cde_strict"], failures["cde_multi"]) == (1, 3)
+    assert payload["total_failures"] == 4
+    unequal = {d["distribution"] for d in case["distributions"] if not d["equal"]}
+    assert unequal == {"chain_strict_2", "chain_multi_2", "chain_multi_3", "chain_multi_4"}
+    assert {d["constant"] for d in case["distributions"]} == {"1/1"}
 
 
 def test_verify_multi_chain_mode_alone(capsys):

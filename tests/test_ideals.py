@@ -129,6 +129,15 @@ def test_toggle_label_examples():
     assert toggle_label(h, 0b0001, 1) == 0b0011
 
 
+def test_toggle_label_order_matters_on_a_fiber_cover():
+    """In the heap of the non-reduced word (1, 1) the two label-1
+    elements form a cover: ascending toggles reach the full ideal, and
+    descending ones only the bottom element."""
+    h = heap_from_word(build_cartan("A", 1), (1, 1))
+    assert toggle_label(h, 0, 1) == 0b11
+    assert toggle(h, toggle(h, 0, 1), 0) == 0b01
+
+
 def test_toggle_label_is_order_free_on_fibers():
     cd = build_cartan("D", 4)
     h = build_minuscule_heap(cd, fundamental_weight(cd, 1))
