@@ -211,8 +211,9 @@ def is_dominant(mu: Weight) -> bool:
 def minuscule_catalog(cd: CartanDatum) -> tuple[int, ...]:
     """Nodes k for which omega_k is a minuscule weight.
 
-    The list is a lookup; it is cross-validated at runtime by the orbit
-    verifier, which accepts exactly these nodes.
+    The list is a lookup that the library itself does not call; the
+    tests cross-check it against the orbit verifier, which accepts
+    exactly these nodes.
     """
     if cd.family == "A":
         return tuple(cd.nodes)

@@ -88,14 +88,20 @@ def default_catalog() -> tuple[CaseSpec, ...]:
 
 @lru_cache(maxsize=None)
 def _build_case(spec: CaseSpec) -> CaseBundle:
+    # A minuscule orbit has exactly |J(P)| weights, so the ideal cap bounds
+    # the orbit before any heap or lattice is built.  The orbit of a nonzero
+    # dominant weight spans the weight space and sums to zero, so it has at
+    # least rank + 1 weights: a rank at or above the cap exceeds it before
+    # any Cartan data is built.
+    capped = f"ideal count exceeds cap of {spec.cap_ideals}"
+    if spec.rank >= spec.cap_ideals:
+        raise ResourceLimitError(capped)
     cd = build_cartan(spec.family, spec.rank)
     lam = fundamental_weight(cd, spec.node)
-    # A minuscule orbit has exactly |J(P)| weights, so the ideal cap bounds
-    # the orbit before any heap or lattice is built.
     try:
         orb = generate_orbit(cd, lam, cap=spec.cap_ideals)
     except ResourceLimitError:
-        raise ResourceLimitError(f"ideal count exceeds cap of {spec.cap_ideals}") from None
+        raise ResourceLimitError(capped) from None
     report = verify_minuscule(cd, orb)
     if not report.ok:
         raise DomainError(f"{spec.case_id}: {report.summary()}")
@@ -157,9 +163,8 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
         for p in iter_bits(mask):
             members[p] |= 1 << a
         dominated[w] |= 1 << a
-    up = orb.up_adjacency
-    for u in orb.topological_order():
-        for _, v in up[u]:
+    for u, up in enumerate(orb.up_adjacency):  # covers ascend in index
+        for _, v in up:
             dominated[v] |= dominated[u]
     full = lattice.heap.full_mask
     for mask, w in zip(ideals, weight_pos):
@@ -369,25 +374,34 @@ def _worker_count(cases: int) -> int:
     return max(1, min(cpus, cases))
 
 
-def _outcome(run, spec):
-    try:
-        return run(spec)
-    except Exception as exc:
-        return exc
+def _outcomes(run, specs: list) -> list:
+    """The outcome of ``run`` on each spec, in order, up to the first
+    Exception raised, which is the last outcome; the specs after it are
+    not run."""
+    outcomes = []
+    for spec in specs:
+        try:
+            outcomes.append(run(spec))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
 
 
 def _map_forked(run, specs: list, workers: int) -> list:
-    """The outcome of ``run`` on each spec, in order: its value, or the
-    Exception it raised.
+    """The outcome of ``run`` on each spec, in order, up to the first
+    Exception raised: its value, or that Exception, which is the last.
 
     Forks ``workers`` - 1 processes; worker w runs specs[w::workers] and
     sends its outcomes back pickled over a pipe, while this process runs
     specs[0::workers], so one worker forks nothing and imports no pickle.
-    Every worker is reaped before this returns or raises.  A worker that
-    dies, exits nonzero or sends unreadable data raises InternalCheckError
-    naming its cases; any other exception here first kills and reaps the
-    workers still running.  The CLI starts no threads, so forking it is
-    safe.
+    Each process stops its share at the share's first Exception; every
+    spec it skips comes after that one, so after the first Exception of
+    all, where the outcomes end.  Every worker is reaped before this
+    returns or raises.  A worker that dies, exits nonzero or sends
+    unreadable data raises InternalCheckError naming its cases; any other
+    exception here first kills and reaps the workers still running.  The
+    CLI starts no threads, so forking it is safe.
     """
     if workers > 1:
         import pickle
@@ -405,14 +419,13 @@ def _map_forked(run, specs: list, workers: int) -> list:
                 try:
                     os.close(read_fd)
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump([_outcome(run, s) for s in share], pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(_outcomes(run, share), pipe, pickle.HIGHEST_PROTOCOL)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb"), [s.case_id for s in share]))
-        outcomes = [None] * len(specs)
-        outcomes[0::workers] = [_outcome(run, s) for s in specs[0::workers]]
+        shares = [_outcomes(run, specs[0::workers])]
         for w in range(1, workers):
             pid, pipe, ids = children[0]
             with pipe:
@@ -426,7 +439,12 @@ def _map_forked(run, specs: list, workers: int) -> list:
                 share = pickle.loads(data)
             except Exception as exc:
                 raise InternalCheckError(f"{failure} sent unreadable results") from exc
-            outcomes[w::workers] = share
+            shares.append(share)
+        outcomes = []
+        for k in range(len(specs)):
+            outcomes.append(shares[k % workers][k // workers])
+            if isinstance(outcomes[-1], Exception):
+                break
         return outcomes
     except BaseException:
         import signal

@@ -10,7 +10,6 @@ certifies exactly that and reports any violation it finds.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,7 +23,12 @@ DEFAULT_ORBIT_CAP = 10**6
 
 
 class OrbitPoset(Frozen):
-    """Orbit weights with cover edges ``(u, v, i)`` meaning v = u - alpha_i."""
+    """Orbit weights with cover edges ``(u, v, i)`` meaning v = u - alpha_i.
+
+    Weight indices ascend along every cover (u < v): ``generate_orbit``
+    lists the weights layer by layer, so index order is a linear
+    extension of the orbit, and the walks here take the weights in it.
+    """
 
     def __init__(
         self,
@@ -51,50 +55,25 @@ class OrbitPoset(Frozen):
             adj[u].append((i, v))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @cached_property
-    def down_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.weights]
-        for u, v, i in self.covers:
-            adj[v].append((i, u))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def maximal_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, a in enumerate(self.up_adjacency) if not a)
-
     @property
     def top(self) -> int:
-        maxima = self.maximal_indices
+        maxima = [k for k, a in enumerate(self.up_adjacency) if not a]
         if len(maxima) != 1:
             raise DomainError(f"orbit has {len(maxima)} maximal weights, not 1")
         return maxima[0]
 
     @cached_property
     def below_masks(self) -> tuple[int, ...]:
-        """Strict down-sets as bit masks over weight indices."""
+        """Strict down-sets as bit masks over weight indices, built in
+        index order; a cover that does not ascend in index, as every
+        cycle of the cover digraph has, raises DomainError."""
         below = [0] * len(self.weights)
-        for u in self.topological_order():
-            for _, v in self.up_adjacency[u]:
+        for u, up in enumerate(self.up_adjacency):
+            for _, v in up:
+                if v <= u:
+                    raise DomainError(f"orbit cover {u} -> {v} does not ascend in weight index")
                 below[v] |= below[u] | (1 << u)
         return tuple(below)
-
-    def topological_order(self) -> list[int]:
-        """Weight indices with every weight after the weights it covers;
-        raises DomainError on a cyclic cover digraph."""
-        n = len(self.weights)
-        indeg = [len(a) for a in self.down_adjacency]
-        queue = deque(k for k in range(n) if indeg[k] == 0)
-        order = []
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for _, v in self.up_adjacency[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(order) != n:
-            raise DomainError("cover digraph contains a cycle")
-        return order
 
     def __len__(self) -> int:
         return len(self.weights)

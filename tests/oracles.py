@@ -17,6 +17,7 @@ compare directly, ``rowmotion_by_toggles`` sweeps the library's
 library's public heap functions.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -464,7 +465,8 @@ def grid_covers(a, b):
 def join_irreducible_indices(orbit):
     """Weights covering exactly one weight; in a distributive lattice these
     are the join-irreducible elements."""
-    return tuple(k for k, a in enumerate(orbit.down_adjacency) if len(a) == 1)
+    lower = Counter(v for _, v, _ in orbit.covers)
+    return tuple(k for k in range(len(orbit)) if lower[k] == 1)
 
 
 def orbit_covers(matrix, weights):
@@ -477,15 +479,11 @@ def orbit_covers(matrix, weights):
     ]
 
 
-def is_distributive_lattice(n, edges):
-    """Is the reflexive-transitive closure of ``edges`` on 0..n-1 a
-    distributive lattice?
-
-    Down-sets come from a fixpoint closure over plain bit masks; the meet
-    of x and y is the element whose down-set is the intersection of
-    theirs (joins dually), and the distributive law is tested on every
-    triple.  Cubic, so only for small n.
-    """
+def down_set_closure(n, edges):
+    """Per element of 0..n-1, its down-set in the reflexive-transitive
+    closure of the edges (u, v), meaning u below v, as a bit mask: a
+    fixpoint over the edges in the order given, so it assumes no order
+    of the elements and ends on cycles too."""
     down = [1 << k for k in range(n)]
     changed = True
     while changed:
@@ -494,6 +492,19 @@ def is_distributive_lattice(n, edges):
             if down[u] & ~down[v]:
                 down[v] |= down[u]
                 changed = True
+    return down
+
+
+def is_distributive_lattice(n, edges):
+    """Is the reflexive-transitive closure of ``edges`` on 0..n-1 a
+    distributive lattice?
+
+    Down-sets come from ``down_set_closure``; the meet of x and y is the
+    element whose down-set is the intersection of theirs (joins dually),
+    and the distributive law is tested on every triple.  Cubic, so only
+    for small n.
+    """
+    down = down_set_closure(n, edges)
     if len(set(down)) != n:
         return False  # a cycle: not antisymmetric
     up = [sum(1 << v for v in range(n) if down[v] >> u & 1) for u in range(n)]

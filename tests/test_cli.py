@@ -309,6 +309,23 @@ def test_sweep_raises_the_error_of_the_earliest_failing_case(capsys, monkeypatch
     assert ran_in_parent == (cpus == 1 or earlier == "parent")
 
 
+def test_a_sweep_stops_at_its_first_failing_case(capsys, monkeypatch):
+    """On one process the sweep verifies no case after the first failing
+    one, whose error it raises as before."""
+    use_cpus(monkeypatch, 1)
+    first = default_catalog()[0].case_id
+    calls = []
+
+    def verify_case_or_raise(bundle, *args, **kwargs):
+        calls.append(bundle.spec.case_id)
+        raise DomainError(f"planted failure in {bundle.spec.case_id}")
+
+    monkeypatch.setattr(cli, "verify_case", verify_case_or_raise)
+    code, out, err = run(capsys, "verify", "--all", "--words", "5")
+    assert (code, out, err) == (EXIT_DOMAIN, "", f"error: planted failure in {first}\n")
+    assert calls == [first]
+
+
 @pytest.mark.parametrize("status", [9, 0])
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_worker_that_dies_fails_the_sweep_with_its_cases(capsys, monkeypatch, cpus, status):
@@ -483,23 +500,25 @@ def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):
     assert {d["constant"] for d in case["distributions"]} == {"1/1"}
 
 
-def test_verify_multi_chain_mode_alone(capsys):
-    """Multichain rows come from the strict ones even when the strict
-    rows are not reported; they match those of the default run."""
-    code, out, _ = run(capsys, "verify", "E", "6", "6", "--chain-mode", "multi", "--format=json")
+@pytest.mark.parametrize("mode,other", [("strict", "multi"), ("multi", "strict")])
+def test_verify_one_chain_mode_alone(capsys, mode, other):
+    """One chain mode's rows match those of the default run when the
+    other mode is not reported; multichain rows come from the strict ones
+    even when the strict rows are not reported."""
+    code, out, _ = run(capsys, "verify", "E", "6", "6", "--chain-mode", mode, "--format=json")
     assert code == EXIT_OK
     case = json.loads(out)["cases"][0]
     _, both, _ = run(capsys, "verify", "E", "6", "6", "--format=json")
     full = json.loads(both)["cases"][0]
     names = [d["distribution"] for d in case["distributions"]]
-    assert [f"chain_multi_{k}" for k in range(17)] == [n for n in names if n.startswith("chain_")]
+    assert [f"chain_{mode}_{k}" for k in range(17)] == [n for n in names if n.startswith("chain_")]
     checks = {c["check"]: c for c in case["checks"]}
-    assert "cde_strict" not in checks and checks["cde_multi"]["instances"] == 17
+    assert f"cde_{other}" not in checks and checks[f"cde_{mode}"]["instances"] == 17
     full_checks = {c["check"]: c for c in full["checks"]}
-    symmetry = full_checks["toggle_symmetry"]["instances"] - 16 * 17  # no strict rows
+    symmetry = full_checks["toggle_symmetry"]["instances"] - 16 * 17  # no rows of the other mode
     assert checks["toggle_symmetry"] == dict(full_checks["toggle_symmetry"], instances=symmetry)
-    multi = [d for d in full["distributions"] if not d["distribution"].startswith("chain_strict_")]
-    assert case["distributions"] == multi
+    kept = [d for d in full["distributions"] if not d["distribution"].startswith(f"chain_{other}_")]
+    assert case["distributions"] == kept
 
 
 def test_verify_negative_words_is_a_domain_error(capsys):
@@ -577,6 +596,31 @@ def test_cap_ideals_stops_before_the_lattice_is_built(capsys, monkeypatch):
     assert code == EXIT_RESOURCE
     assert out == ""
     assert err == "error: ideal count exceeds cap of 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (("build", "A", "99999999999999999999", "1"), 10**6),
+        (("verify", "D", "10000000", "1"), 10**6),
+        (("orbits", "D", "5", "9", "--cap-ideals", "5"), 5),
+    ],
+)
+def test_a_rank_past_the_ideal_cap_exits_before_any_cartan_data_is_built(argv, cap):
+    """An orbit has more weights than the rank, so a rank at or above the
+    cap exits 3 at once, before the node is checked.  Run in a fresh
+    interpreter with a timeout and a 256 MiB address space, so laying out
+    rank x rank Cartan data fails the test instead of exhausting memory."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from minuscule.cli import main\n"
+        f"sys.exit(main({list(argv)!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (EXIT_RESOURCE, "")
+    assert proc.stderr == f"error: ideal count exceeds cap of {cap}\n"
 
 
 def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):

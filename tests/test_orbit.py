@@ -4,6 +4,7 @@ import pytest
 
 from minuscule import (
     DomainError,
+    OrbitPoset,
     ResourceLimitError,
     build_cartan,
     fundamental_weight,
@@ -15,7 +16,12 @@ from minuscule import (
 )
 from conftest import small_catalog
 from minuscule.cli import default_catalog
-from oracles import all_reflections_orbit, closure_orbit, join_irreducible_indices
+from oracles import (
+    all_reflections_orbit,
+    closure_orbit,
+    down_set_closure,
+    join_irreducible_indices,
+)
 
 
 def test_a2_vector_orbit_listing():
@@ -197,5 +203,37 @@ def test_join_irreducibles_cover_one_weight():
     cd = build_cartan("A", 3)
     orb = generate_orbit(cd, fundamental_weight(cd, 2))
     irr = join_irreducible_indices(orb)
-    assert all(len(orb.down_adjacency[k]) == 1 for k in irr)
+    assert all(sum(v == k for _, v, _ in orb.covers) == 1 for k in irr)
     assert len(irr) == 4
+
+
+def test_below_masks_are_the_closure_of_the_covers(small_dominant_orbits):
+    """Every cover ascends in weight index, on every catalog orbit and on
+    the 208 small dominant orbits, and the strict down-sets walked in
+    index order are those of the order-free fixpoint closure."""
+    orbits = [orb for _, _, orb in small_dominant_orbits]
+    for spec in default_catalog():
+        cd = build_cartan(spec.family, spec.rank)
+        orbits.append(generate_orbit(cd, fundamental_weight(cd, spec.node)))
+    assert len(orbits) == 208 + 46
+    for orb in orbits:
+        assert all(u < v for u, v, _ in orb.covers)
+        down = down_set_closure(len(orb), [(u, v) for u, v, _ in orb.covers])
+        assert orb.below_masks == tuple(m & ~(1 << k) for k, m in enumerate(down))
+
+
+def test_a_cover_going_down_in_index_is_a_domain_error():
+    """The cyclic A1 orbits 0 -> 1 -> 0 and 0 -> 1 -> 1, and the A2
+    vector orbit listed top first, which is acyclic but has its covers
+    going down in index."""
+    a1 = generate_orbit(build_cartan("A", 1), (1,))
+    a2 = generate_orbit(build_cartan("A", 2), (1, 0))
+    flipped = tuple((2 - u, 2 - v, i) for u, v, i in a2.covers)
+    for orb, edge in (
+        (OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers), "1 -> 0"),
+        (OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 1, 1)), a1.layers), "1 -> 1"),
+        (OrbitPoset(a2.cartan, a2.weights[::-1], flipped, a2.layers[::-1]), "1 -> 0"),
+    ):
+        with pytest.raises(DomainError) as info:
+            orb.below_masks
+        assert str(info.value) == f"orbit cover {edge} does not ascend in weight index"
