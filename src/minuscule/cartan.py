@@ -2,14 +2,18 @@
 
 Weights are plain tuples of coordinates in the fundamental-weight basis,
 so the i-th coordinate of ``mu`` is the coroot pairing (mu, alpha_i^vee).
-All roots are normalized to squared length 2, which makes coroots
-coincide with roots; the simple root alpha_i then has coordinate vector
-equal to row i of the Cartan matrix, and both reflections and coroot
-pairings are integer row operations.
+Every root has squared length 2, fixed here once as the class constant
+``CartanDatum.omega_sq``: types A, D and E are simply laced, so no other
+length occurs.  Coroots then coincide with roots; the simple root
+alpha_i has coordinate vector equal to row i of the Cartan matrix, and
+both reflections and coroot pairings are integer row operations.
 
 The inverse Cartan matrix is kept as an integer adjugate and determinant
-from ``_bareiss_solve``, the fraction-free solver ``cde`` shares, so an
-inner product of integral weights is an integer sum over det C.
+from ``_bareiss_solve``, the fraction-free solver ``cde`` shares for its
+dual witness (when no witness exists, ``cde`` runs the simplex, which
+pivots by Bland's rule only).  ``det_pairings`` gives det C (mu,
+omega_i) for every node, so an inner product of integral weights is an
+integer sum over det C.
 
 Node numbering follows Bourbaki.  In type D the fork sits at node
 rank-2, with nodes rank-1 and rank as the two prongs.  In type E the
@@ -84,6 +88,8 @@ class CartanDatum(Frozen):
     """A simply laced Cartan matrix with its integer adjugate and
     determinant, so that inverse = adjugate / det."""
 
+    omega_sq = Fraction(2)  # (alpha_i, alpha_i) for every root
+
     def __init__(
         self,
         family: str,
@@ -91,11 +97,8 @@ class CartanDatum(Frozen):
         matrix: tuple[tuple[int, ...], ...],
         adjugate: tuple[tuple[int, ...], ...],
         det: int,
-        omega_sq: Fraction,
     ) -> None:
-        self._set(
-            family=family, rank=rank, matrix=matrix, adjugate=adjugate, det=det, omega_sq=omega_sq
-        )
+        self._set(family=family, rank=rank, matrix=matrix, adjugate=adjugate, det=det)
 
     @property
     def nodes(self) -> range:
@@ -139,7 +142,7 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     columns, det = _bareiss_solve(matrix, identity)
     adjugate = tuple(zip(*columns))
     frozen = tuple(tuple(row) for row in matrix)
-    return CartanDatum(family, rank, frozen, adjugate, det, Fraction(2))
+    return CartanDatum(family, rank, frozen, adjugate, det)
 
 
 def _check_node(cd: CartanDatum, i: int) -> None:
@@ -170,17 +173,19 @@ def coroot_pairing(cd: CartanDatum, mu: Weight, i: int) -> Rational:
     return mu[i - 1]
 
 
+def det_pairings(cd: CartanDatum, mu: Weight) -> list[Rational]:
+    """det C (mu, omega_i) for every node i: the entries of (adj C) mu,
+    integers for an integral weight.  Unchecked."""
+    return [sum(m * a for m, a in zip(mu, row) if m) for row in cd.adjugate]
+
+
 def inner_product(cd: CartanDatum, mu: Weight, nu: Weight) -> Fraction:
-    """Exact inner product, via (omega_i, omega_j) = adjugate[i][j] *
-    omega_sq / (2 det).  The sum stays an integer for integral weights;
-    a single Fraction is built at the end."""
+    """Exact inner product mu^T (adj C) nu / det C, via (omega_i, omega_j)
+    = adjugate[i][j] / det.  The sum stays an integer for integral
+    weights; a single Fraction is built at the end."""
     _check_weight(cd, mu)
     _check_weight(cd, nu)
-    total = 0
-    for mi, row in zip(mu, cd.adjugate):
-        if mi:
-            total += mi * sum(nj * a for nj, a in zip(nu, row) if nj)
-    return Fraction(total * cd.omega_sq.numerator, 2 * cd.det * cd.omega_sq.denominator)
+    return Fraction(sum(m * s for m, s in zip(mu, det_pairings(cd, nu)) if m), cd.det)
 
 
 def _reflect(cd: CartanDatum, i: int, mu: Weight) -> Weight:

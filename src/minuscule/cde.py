@@ -285,10 +285,6 @@ class LpCertificate(NamedTuple):
     maximizer: Distribution
     witness: tuple[Fraction, ...] | None
 
-    @property
-    def constant(self) -> bool:
-        return self.minimum == self.maximum
-
 
 def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[Fraction]], list[Fraction]]:
     """Equality system of the toggle-symmetric polytope: probabilities

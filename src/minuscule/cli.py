@@ -144,7 +144,8 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
     One instance per (ideal a, ideal b) pair, counted with bit masks over
     ideal indices: for each b, the ideals contained in it (those outside
     the members of every element not in b) against the ideals whose
-    weight lies at or below b's weight in the orbit."""
+    weight lies at or below b's weight in the orbit.  A weight with no
+    orbit position lies in no orbit down-set and has none below it."""
     lattice, orb = bundle.lattice, bundle.orbit
     n = len(lattice)
     instances = 2 + n * n
@@ -158,11 +159,12 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
     members = [0] * len(lattice.heap)  # per element, the ideals holding it
     # per orbit weight, the ideals whose weight lies at or below it
     dominated = [0] * len(orb)
-    weight_pos = [orb.index[w] for w in lattice.weights]
+    weight_pos = [orb.index.get(w) for w in lattice.weights]
     for a, (mask, w) in enumerate(zip(ideals, weight_pos)):
         for p in iter_bits(mask):
             members[p] |= 1 << a
-        dominated[w] |= 1 << a
+        if w is not None:
+            dominated[w] |= 1 << a
     for u, up in enumerate(orb.up_adjacency):  # covers ascend in index
         for _, v in up:
             dominated[v] |= dominated[u]
@@ -171,7 +173,8 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
         outside = 0
         for p in iter_bits(full & ~mask):
             outside |= members[p]
-        failures += ((everything & ~outside) ^ dominated[w]).bit_count()
+        below = 0 if w is None else dominated[w]
+        failures += ((everything & ~outside) ^ below).bit_count()
     return instances, failures
 
 

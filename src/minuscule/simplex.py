@@ -1,13 +1,11 @@
 """Exact two-phase simplex over the rationals.
 
 Solves  min/max c.x  subject to  A x = b, x >= 0  with a dense Fraction
-tableau.  The entering column is chosen by most negative reduced cost
-until a degenerate stall is detected, after which pivoting switches
-permanently to Bland's rule (smallest eligible entering index; ratio
-ties broken by smallest basic variable).  Any cycle would consist of
-degenerate pivots, so every run ends under a rule that provably
-terminates.  Redundant equality rows are detected and dropped at the
-end of phase one.
+tableau.  Every pivot follows Bland's rule: the smallest column index
+with a negative reduced cost enters, and ratio ties leave by smallest
+basic variable.  That rule never cycles, so every run terminates.
+Redundant equality rows are detected and dropped at the end of phase
+one.
 
 The down-degree certificate (``cde.lp_certificate``) calls it only for
 objectives that are not constant on the toggle polytope, where no dual
@@ -48,21 +46,10 @@ def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
 def _run_simplex(
     tableau: list[list[Fraction]], basis: list[int], ncols: int
 ) -> str:
-    """Minimize; the objective row sits last and only columns < ncols
-    may enter."""
-    stall = 0
-    bland = False
+    """Minimize by Bland's rule; the objective row sits last and only
+    columns < ncols may enter."""
     while True:
-        zrow = tableau[-1]
-        if bland:
-            entering = next((j for j in range(ncols) if zrow[j] < 0), None)
-        else:
-            entering = None
-            worst = Fraction(0)
-            for j in range(ncols):
-                if zrow[j] < worst:
-                    worst = zrow[j]
-                    entering = j
+        entering = next((j for j in range(ncols) if tableau[-1][j] < 0), None)
         if entering is None:
             return OPTIMAL
         leaving = None
@@ -76,10 +63,6 @@ def _run_simplex(
                     leaving = r
         if leaving is None:
             return UNBOUNDED
-        if not bland:
-            stall = stall + 1 if best == 0 else 0
-            if stall > len(tableau) + ncols:
-                bland = True
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
 

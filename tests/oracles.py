@@ -538,17 +538,19 @@ def cubic_minuscule_verdict(matrix, lam):
 def pairwise_structure_failures(bundle):
     """The ``structure`` check row of ``verify``, one (ideal, ideal) pair
     at a time: sizes, the weight multisets, and containment of ideals
-    against the orbit order of their weights."""
+    against the orbit order of their weights.  A weight outside the
+    orbit lies below no weight and has no weight below it."""
     lattice, orb = bundle.lattice, bundle.orbit
     n = len(lattice)
     failures = int(n != len(orb)) + int(sorted(lattice.weights) != sorted(orb.weights))
     order = [m | (1 << k) for k, m in enumerate(orb.below_masks)]
-    weight_pos = [orb.index[w] for w in lattice.weights]
+    weight_pos = [orb.index.get(w) for w in lattice.weights]
     for a in range(n):
         mask_a, wa = lattice.ideals[a], weight_pos[a]
         for b in range(n):
             contained = mask_a & ~lattice.ideals[b] == 0
-            dominated = bool(order[weight_pos[b]] >> wa & 1)
+            wb = weight_pos[b]
+            dominated = None not in (wa, wb) and bool(order[wb] >> wa & 1)
             if contained != dominated:
                 failures += 1
     return 2 + n * n, failures

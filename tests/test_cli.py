@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import DomainError, IdealLattice, InternalCheckError, cli
+from minuscule import DomainError, Heap, IdealLattice, InternalCheckError, cli
 from minuscule.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -24,7 +24,11 @@ from minuscule.cli import (
     render_verify_csv,
     verify_case,
 )
-from oracles import pairwise_structure_failures
+from oracles import (
+    commutation_violations_by_toggle_label,
+    pairwise_structure_failures,
+    per_triple_identity_suite,
+)
 
 
 def run(capsys, *argv):
@@ -500,6 +504,61 @@ def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):
     assert {d["constant"] for d in case["distributions"]} == {"1/1"}
 
 
+def _swap_weights_of_ideals_1_and_2(bundle):
+    L = bundle.lattice
+    weights = L.weights[:1] + L.weights[2:3] + L.weights[1:2] + L.weights[3:]
+    return bundle._replace(lattice=IdealLattice(L.heap, L.ideals, L.covers, weights))
+
+
+def _shift_heap_base_by_omega_1(bundle):
+    h, L = bundle.heap, bundle.lattice
+    base = (h.base[0] + 1,) + h.base[1:]
+    heap = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, base)
+    return bundle._replace(heap=heap, lattice=IdealLattice(heap, L.ideals, L.covers, L.weights))
+
+
+@pytest.mark.parametrize(
+    "tamper,failing",
+    [
+        (
+            _swap_weights_of_ideals_1_and_2,
+            {
+                "structure": 4,
+                "commutation": 7,
+                "label_count": 2,
+                "signed_toggle_sum": 4,
+                "weighted_toggle_sum": 3,
+            },
+        ),
+        (
+            _shift_heap_base_by_omega_1,
+            {
+                "label_count": 18,
+                "fiber_statistic": 12,
+                "ddeg_decomposition": 6,
+                "homomesy_rowmotion": 2,
+                "homomesy_gyration": 2,
+            },
+        ),
+    ],
+)
+def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, tamper, failing):
+    """A3.2 with a fault planted in its lattice or heap: ``verify`` exits
+    1, the identity rows equal the per-triple oracle, ``structure`` the
+    pairwise oracle and ``commutation`` the element-by-element toggles,
+    and exactly the rows the fault must trip fail."""
+    bundle = tamper(build_case("A", 3, 2))
+    monkeypatch.setattr(cli, "_build_case", lambda spec: bundle)
+    code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
+    assert code == EXIT_CHECK_FAILED
+    failures = {row["check"]: row["failures"] for row in json.loads(out)["cases"][0]["checks"]}
+    assert {check: n for check, n in failures.items() if n} == failing
+    for row in per_triple_identity_suite(bundle.lattice):
+        assert failures[row.check] == row.failures
+    assert failures["structure"] == pairwise_structure_failures(bundle)[1]
+    assert failures["commutation"] == len(commutation_violations_by_toggle_label(bundle.lattice))
+
+
 @pytest.mark.parametrize("mode,other", [("strict", "multi"), ("multi", "strict")])
 def test_verify_one_chain_mode_alone(capsys, mode, other):
     """One chain mode's rows match those of the default run when the
@@ -640,10 +699,14 @@ def test_structure_check_matches_the_pairwise_oracle():
         assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
         L = bundle.lattice
         ideals = L.ideals[:1] + L.ideals[2:3] + L.ideals[1:2] + L.ideals[3:]
+        # a coroot pairing of 2 never occurs on a minuscule orbit
+        moved = (2,) + L.weights[1][1:]
+        assert moved not in bundle.orbit.index
         for weights, masks in (
             (L.weights[1:] + L.weights[:1], L.ideals),  # rotated
             (L.weights[:-1] + L.weights[:1], L.ideals),  # not injective
             (L.weights, ideals),  # two ideals swapped
+            (L.weights[:1] + (moved,) + L.weights[2:], L.ideals),  # off the orbit
         ):
             lattice = IdealLattice(L.heap, masks, L.covers, weights)
             tampered = bundle._replace(lattice=lattice)
