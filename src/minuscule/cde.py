@@ -15,15 +15,19 @@ Toggle symmetry, the polytope rows and the witness read the covers
 labelled p: each is one site where p is inserted (lo) and deleted (hi).
 The indicators of all the orbits of an action are checked in one pass.
 
-Strict chain counts (chains ending at, and starting from, each ideal)
-grow one level per chain length, each level the zeta transform of the
-last: one pass over the cover edges, element by element.  ``verify``
-reads each count vector once and keeps none; ``chain_counts`` keeps
-every strict vector of a lattice, computed once.  Multichain
-counts are their binomial transform.  Counts stay integers, and the
-checks read them through ``ChainRow``: per-element toggle differences
-and the sums behind the expectation, all linear in the counts, so each
-multichain row is the same combination of the strict rows.
+Strict chain counts are packed: each ideal's down polynomial (chains
+ending at it, by length) is one integer at t = 2^W, built in one walk
+of the ideals in index order that hands a running zeta-transform prefix
+up each cover, and its up polynomial is the same walk on the dual
+lattice.  One product per ideal then holds its strict k-chain count in
+W-bit slot k, with W from a bound on every sum the rows take, so no
+slot carries.  The products are computed once per lattice and kept;
+``chain_counts`` and the rows read the same ones.  Multichain counts
+are their binomial transform.  Counts stay integers, and the checks
+read them through ``ChainRow``: per-element toggle differences and the
+sums behind the expectation, all linear in the counts, so each row is
+read off whole-integer sums of the products, and each multichain row is
+the same combination of the strict rows.
 """
 
 from __future__ import annotations
@@ -65,44 +69,96 @@ def uniform_distribution(lattice: IdealLattice) -> Distribution:
     return tuple(Fraction(1, n) for _ in range(n))
 
 
-def _zeta_level(level: list[int], edges) -> list[int]:
-    z = level[:]
-    for a, b in edges:
-        z[b] += z[a]
-    return [s - v for s, v in zip(z, level)]
+def _cover_lists(lattice: IdealLattice):
+    """Per ideal in index order, its upper covers (p, hi) in ascending p,
+    for the lattice and for its dual (ideal N-1-x, element |P|-1-p).
+    A cover whose lo does not precede hi in index, or that names an
+    ideal or element out of range, raises: the walk would read it late."""
+    n, rank = len(lattice), len(lattice.heap)
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    dual: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for lo, hi, p in lattice.covers:
+        if not (0 <= lo < hi < n and 0 <= p < rank):
+            raise InternalCheckError(
+                f"cover ({lo}, {hi}, {p}) does not ascend in ideal index"
+                f" within {n} ideals and {rank} elements"
+            )
+        upper[lo].append((p, hi))
+        dual[n - 1 - hi].append((rank - 1 - p, n - 1 - lo))
+    for covers in upper + dual:
+        covers.sort()
+    return upper, dual
 
 
-def _strict_count_levels(lattice: IdealLattice):
-    """Yield the strict k-chains through each ideal, k = 0..|P|.
+def _down_polynomials(upper, shift: int):
+    """Yield F_x(2**shift) for every ideal x in index order, F_x(t) =
+    sum_m down[m][x] t^m with down[m][x] the strict chains of m+1 ideals
+    ending at x.
 
-    With down[m] / up[m] the strict chains of m+1 ideals ending /
-    starting at each ideal, the k-chains through it number the sum over
-    a of down[a] * up[k-a].  Level m+1 sums level m over each ideal's
-    strict down-set (up-set).  Heap positions are a linear extension of
-    P, so z[hi] += z[lo] over the covers (lo, hi, p) in ascending p
-    reaches every ideal below hi once (the zeta transform of a
-    distributive lattice), and z[lo] += z[hi] in descending p every
-    ideal above lo; subtracting level m drops the ideal itself.
+    F_x = 1 + t * sum_{p in Max(x)} Z_p(x - p), where Z_p(y) sums F over
+    the ideals z <= y with y - z inside the elements before p.  Heap
+    positions are a linear extension of P, so the largest element of
+    x - z is maximal in x, and sorting the ideals below x by it is the
+    zeta transform of a distributive lattice (Stanley, EC I, 3.4):
+    Z_p(y) = F_y + sum_{q in Max(y), q < p} Z_q(y - q), the running
+    prefix at y, handed up each cover (y, y + p, p) in index order.
     """
-    edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
-    up_edges = [(hi, lo) for lo, hi in reversed(edges)]
-    down, up = [[1] * len(lattice)], [[1] * len(lattice)]
-    for k in range(len(lattice.heap) + 1):
-        if k:
-            down.append(_zeta_level(down[-1], edges))
-            up.append(_zeta_level(up[-1], up_edges))
-        counts = [0] * len(lattice)
-        for a in range(k + 1):
-            counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
-        yield tuple(counts)
+    inbox: list = [[] for _ in upper]
+    for x, covers in enumerate(upper):
+        incoming = sorted(inbox[x])
+        inbox[x] = None
+        f = 1 + (sum(z for _, z in incoming) << shift)
+        run, i = f, 0
+        for p, hi in covers:
+            while i < len(incoming) and incoming[i][0] < p:
+                run += incoming[i][1]
+                i += 1
+            inbox[hi].append((p, run))
+        yield f
 
 
-def _strict_counts(lattice: IdealLattice) -> tuple[tuple[int, ...], ...]:
-    """``_strict_count_levels``, computed once per lattice and kept."""
-    counts = _chain_count_cache.get(lattice)
-    if counts is None:
-        counts = _chain_count_cache[lattice] = tuple(_strict_count_levels(lattice))
-    return counts
+def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
+    """(W, products): per ideal x, P_x = F_x * G_x at t = 2**W, whose
+    W-bit slot k holds the strict k-chains through x, k = 0..|P|.
+    Computed once per lattice and kept.
+
+    G_x, the up polynomial, is F on the dual lattice.  At t = 1 the
+    product is every strict chain through x, which bounds each of its
+    coefficients; W is the bit length of the largest sum the rows take
+    of them (per element p over either end of its covers, of ddeg times
+    them, or of them all), so no slot of a product or of such a sum
+    carries into the next (Kronecker substitution).
+    """
+    cached = _chain_count_cache.get(lattice)
+    if cached is not None:
+        return cached
+    upper, dual = _cover_lists(lattice)
+
+    def polynomials(shift):
+        up = list(_down_polynomials(dual, shift))  # dual index N-1-x: last is x = 0
+        return [f * up.pop() for f in _down_polynomials(upper, shift)]
+
+    lows, highs, ddeg_sum, total = _chain_sums(lattice, polynomials(0))
+    width = max(max(lows + highs, default=0), ddeg_sum, total).bit_length()
+    cached = _chain_count_cache[lattice] = (width, tuple(polynomials(width)))
+    return cached
+
+
+def _chain_sums(lattice: IdealLattice, products) -> tuple[list[int], list[int], int, int]:
+    """Per element p, the sum of ``products`` over the lower ends of the
+    covers labelled p and over their upper ends; then the sum of ddeg
+    times them, and their sum."""
+    lows, highs = [0] * len(lattice.heap), [0] * len(lattice.heap)
+    for lo, hi, p in lattice.covers:
+        lows[p] += products[lo]
+        highs[p] += products[hi]
+    return lows, highs, sum(map(mul, lattice.down_degrees, products)), sum(products)
+
+
+def _unpack(value: int, width: int, slots: int) -> list[int]:
+    """The ``slots`` W-bit slots of ``value``, lowest first."""
+    mask = (1 << width) - 1
+    return [value >> (k * width) & mask for k in range(slots)]
 
 
 def _multichain_weights(k: int, rank: int) -> list[int]:
@@ -130,14 +186,14 @@ def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int
     if k < 0:
         raise DomainError("chain length must be nonnegative")
     rank = len(lattice.heap)
+    if mode == STRICT and k > rank:
+        raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
+    width, products = _strict_products(lattice)
     if mode == STRICT:
-        if k > rank:
-            raise DomainError(f"strict chain length {k} exceeds lattice rank {rank}")
-        return _strict_counts(lattice)[k]
-    counts = [0] * len(lattice)
-    for w, strict in zip(_multichain_weights(k, rank), _strict_counts(lattice)):
-        counts = [c + w * x for c, x in zip(counts, strict)]
-    return tuple(counts)
+        mask = (1 << width) - 1
+        return tuple(c >> (k * width) & mask for c in products)
+    weights = _multichain_weights(k, rank)
+    return tuple(sum(map(mul, weights, _unpack(c, width, len(weights)))) for c in products)
 
 
 class ChainRow(NamedTuple):
@@ -153,23 +209,35 @@ class ChainRow(NamedTuple):
         return Fraction(self.ddeg_sum, self.total)
 
 
-def chain_row(lattice: IdealLattice, counts) -> ChainRow:
-    """The ``ChainRow`` of one count vector c.
+def read_chain_rows(lattice: IdealLattice, width: int, products) -> tuple[ChainRow, ...]:
+    """The ``ChainRow`` of every slot k = 0..|P| of the packed
+    ``products`` (W-bit slots, as ``_strict_products`` makes them).
 
-    For element p, d = the sum of c over the lower ends of the covers
-    labelled p minus the sum over their upper ends; c is toggle-symmetric
-    exactly when every d is 0, and the nonzero ones are the violations.
+    For element p and each k, d = the sum of slot k over the lower ends
+    of the covers labelled p minus the sum over their upper ends; the
+    counts are toggle-symmetric at p exactly when every d is 0.  The two
+    packed sums are compared whole and unpacked only when they differ.
     """
-    diff = [0] * len(lattice.heap)
-    for lo, hi, p in lattice.covers:
-        diff[p] += counts[lo] - counts[hi]
-    nonzero = tuple((p, d) for p, d in enumerate(diff) if d)
-    return ChainRow(nonzero, sum(map(mul, lattice.down_degrees, counts)), sum(counts))
+    slots = len(lattice.heap) + 1
+    lows, highs, ddeg_sum, total = _chain_sums(lattice, products)
+    differences: list[list[tuple[int, int]]] = [[] for _ in range(slots)]
+    for p, (low, high) in enumerate(zip(lows, highs)):
+        if low != high:
+            pairs = zip(_unpack(low, width, slots), _unpack(high, width, slots))
+            for k, (a, b) in enumerate(pairs):
+                if a != b:
+                    differences[k].append((p, a - b))
+    return tuple(
+        ChainRow(tuple(diff), s, c)
+        for diff, s, c in zip(
+            differences, _unpack(ddeg_sum, width, slots), _unpack(total, width, slots)
+        )
+    )
 
 
 def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
     """The ``ChainRow`` of the strict k-chain counts, k = 0..|P|."""
-    return tuple(chain_row(lattice, counts) for counts in _strict_count_levels(lattice))
+    return read_chain_rows(lattice, *_strict_products(lattice))
 
 
 def multichain_rows(strict: tuple[ChainRow, ...]) -> tuple[ChainRow, ...]:

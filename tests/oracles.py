@@ -3,10 +3,10 @@
 Everything here recomputes results from first principles with the
 dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, subset-table and zeta-table
-chain counts, basis enumeration for polytope vertices, the quadratic
-heap builder, the pairwise structure check, the all-reflections orbit
-closure and the rescanning ideal enumerator) and stays deliberately
-ignorant of the library's internals.
+chain counts, zeta-level strict chain rows, basis enumeration for
+polytope vertices, the quadratic heap builder, the pairwise structure
+check, the all-reflections orbit closure and the rescanning ideal
+enumerator) and stays deliberately ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
@@ -40,6 +40,7 @@ from minuscule import (
     toggle_label,
     word_of_extension,
 )
+from minuscule.cde import ChainRow
 from minuscule.stats import CheckRow
 
 
@@ -253,6 +254,54 @@ def subset_table_chain_counts(ideals, k, mode):
             else:
                 table.append([prev[i] + sum(prev[j] for j in related[i]) for i in range(n)])
     return [sum(down[a][i] * up[k - a][i] for a in range(k + 1)) for i in range(n)]
+
+
+def _zeta_level(level, edges):
+    z = level[:]
+    for a, b in edges:
+        z[b] += z[a]
+    return [s - v for s, v in zip(z, level)]
+
+
+def zeta_strict_count_levels(lattice):
+    """Yield the strict k-chains through each ideal, k = 0..|P|, from
+    zeta-transform tables over the cover graph.
+
+    With down[m] / up[m] the strict chains of m+1 ideals ending /
+    starting at each ideal, the k-chains through it number the sum over
+    a of down[a] * up[k-a].  Level m+1 sums level m over each ideal's
+    strict down-set (up-set): z[hi] += z[lo] over the covers (lo, hi, p)
+    in ascending p reaches every ideal below hi once, z[lo] += z[hi] in
+    descending p every ideal above lo, and subtracting level m drops the
+    ideal itself.  The reference for the packed strict counts."""
+    edges = [(lo, hi) for lo, hi, _ in sorted(lattice.covers, key=lambda c: c[2])]
+    up_edges = [(hi, lo) for lo, hi in reversed(edges)]
+    down, up = [[1] * len(lattice)], [[1] * len(lattice)]
+    for k in range(len(lattice.heap) + 1):
+        if k:
+            down.append(_zeta_level(down[-1], edges))
+            up.append(_zeta_level(up[-1], up_edges))
+        counts = [0] * len(lattice)
+        for a in range(k + 1):
+            counts = [c + d * u for c, d, u in zip(counts, down[a], up[k - a])]
+        yield tuple(counts)
+
+
+def chain_row(lattice, counts):
+    """The ``ChainRow`` of one count vector c, in one pass over the
+    covers: for element p, d = the sum of c over the lower ends of the
+    covers labelled p minus the sum over their upper ends."""
+    diff = [0] * len(lattice.heap)
+    for lo, hi, p in lattice.covers:
+        diff[p] += counts[lo] - counts[hi]
+    nonzero = tuple((p, d) for p, d in enumerate(diff) if d)
+    ddeg_sum = sum(d * c for d, c in zip(lattice.down_degrees, counts))
+    return ChainRow(nonzero, ddeg_sum, sum(counts))
+
+
+def zeta_strict_chain_rows(lattice):
+    """The strict chain rows, one ``chain_row`` pass per zeta level."""
+    return tuple(chain_row(lattice, counts) for counts in zeta_strict_count_levels(lattice))
 
 
 def zeta_multichain_counts(lattice, k):

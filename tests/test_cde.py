@@ -30,15 +30,22 @@ from minuscule import (
 )
 import minuscule.cde as cde
 from minuscule.cde import (
-    chain_row,
+    ChainRow,
+    _chain_sums,
+    _strict_products,
+    _unpack,
     multichain_rows,
     orbit_symmetry_violations,
+    read_chain_rows,
     strict_chain_rows,
     toggle_polytope,
 )
+from minuscule.errors import InternalCheckError
+from minuscule.ideals import IdealLattice
 from minuscule.simplex import OPTIMAL, solve_lp
 from conftest import random_heap_word, small_catalog
 from oracles import (
+    chain_row,
     make_distribution,
     maxchain_distribution,
     multi_chain_member_counts,
@@ -46,6 +53,7 @@ from oracles import (
     strict_chain_member_counts,
     subset_table_chain_counts,
     zeta_multichain_counts,
+    zeta_strict_chain_rows,
 )
 
 F = Fraction
@@ -223,6 +231,84 @@ def test_multichain_transform_of_perturbed_rows_on_random_heaps(case, seed):
     ]
     rows = multichain_rows(tuple(chain_row(L, counts) for counts in strict))
     assert rows_as_checked(rows) == rows_from_counts(L, multi)
+
+
+def test_strict_chain_rows_match_the_zeta_level_oracle_on_the_catalog(catalog, bundle):
+    for spec in catalog:
+        L = bundle(spec.family, spec.rank, spec.node).lattice
+        assert strict_chain_rows(L) == zeta_strict_chain_rows(L), spec
+
+
+@pytest.mark.parametrize("family,rank,node", [("A", 9, 5), ("D", 9, 9)])
+def test_strict_chain_rows_match_the_zeta_level_oracle_on_the_ladder(bundle, family, rank, node):
+    L = bundle(family, rank, node).lattice
+    assert strict_chain_rows(L) == zeta_strict_chain_rows(L)
+
+
+@settings(max_examples=60)
+@given(random_heap_word())
+def test_strict_chain_rows_match_the_zeta_level_oracle_on_random_heaps(case):
+    cd, word = case
+    L = enumerate_ideals(heap_from_word(cd, word))
+    assert strict_chain_rows(L) == zeta_strict_chain_rows(L)
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_every_packed_sum_round_trips_through_its_slots(family, rank, node):
+    """Each slot of each sum the rows read is below 2^W, and the slots
+    pack back to the sum: no slot carries into the next."""
+    cd = build_cartan(family, rank)
+    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    width, products = _strict_products(L)
+    slots = len(L.heap) + 1
+    lows, highs, ddeg_sum, total = _chain_sums(L, products)
+    for value in [*products, *lows, *highs, ddeg_sum, total]:
+        unpacked = _unpack(value, width, slots)
+        assert all(0 <= s < 1 << width for s in unpacked)
+        assert sum(s << (k * width) for k, s in enumerate(unpacked)) == value
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_a_bumped_slot_is_reported_at_its_chain_length_and_element(family, rank, node):
+    """One more k-chain at ideal x breaks toggle symmetry in row k alone:
+    d = +1 at each element insertable at x and -1 at each deletable one,
+    and the row's sums gain ddeg(x) and 1.  The bottom ideal of a
+    minuscule lattice has one upper cover, so its bump names one (k, p)."""
+    cd = build_cartan(family, rank)
+    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    width, products = _strict_products(L)
+    rows = read_chain_rows(L, width, products)
+    assert rows == strict_chain_rows(L)
+    rank_p = len(L.heap)
+    for x in sorted({0, len(L) // 2, len(L) - 1}):
+        adds, removes = L.toggle_masks[x]
+        signs = {p: 1 for p in range(rank_p) if adds >> p & 1}
+        signs.update({p: -1 for p in range(rank_p) if removes >> p & 1})
+        expected = tuple(sorted(signs.items()))
+        for k in sorted({0, rank_p // 2, rank_p}):
+            bumped = list(products)
+            bumped[x] += 1 << (k * width)
+            got = read_chain_rows(L, width, bumped)
+            want = list(rows)
+            want[k] = ChainRow(expected, rows[k].ddeg_sum + L.down_degrees[x], rows[k].total + 1)
+            assert got == tuple(want), (x, k)
+            if x == 0:
+                (p,) = signs
+                named = [(j, row.differences) for j, row in enumerate(got) if row.differences]
+                assert named == [(k, ((p, 1),))]
+
+
+def test_a_cover_that_does_not_ascend_in_index_raises():
+    """The packed pass walks the ideals in index order, so a cover whose
+    lo does not precede hi would be read too late: it raises instead."""
+    _, L = grid_lattice()
+    lo, hi, p = L.covers[0]
+    for bad in ((hi, lo, p), (lo, lo, p), (lo, len(L), p), (lo, hi, len(L.heap))):
+        tampered = IdealLattice(L.heap, L.ideals, (bad,) + L.covers[1:], L.weights)
+        with pytest.raises(InternalCheckError, match="does not ascend"):
+            strict_chain_rows(tampered)
+        with pytest.raises(InternalCheckError, match="does not ascend"):
+            chain_counts(tampered, 1)
 
 
 def indicator(L, orbit):
