@@ -11,14 +11,11 @@ from .cartan import (
     CartanDatum,
     Weight,
     build_cartan,
-    coroot_pairing,
     fundamental_weight,
     inner_product,
     is_dominant,
     is_integral,
-    minuscule_catalog,
     simple_reflection,
-    simple_root,
 )
 from .cde import (
     Distribution,
@@ -53,7 +50,6 @@ from .ideals import (
     action_orbits,
     enumerate_ideals,
     gyration,
-    ideal_weight,
     rowmotion,
     toggle,
     toggle_label,

@@ -106,11 +106,6 @@ class CartanDatum(Frozen):
         return range(1, self.rank + 1)
 
     @cached_property
-    def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact inverse of the Cartan matrix, adjugate / det."""
-        return tuple(tuple(Fraction(a, self.det) for a in row) for row in self.adjugate)
-
-    @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Row i-1 lists the nodes j with A[i][j] != 0: node i and its
         Dynkin neighbours, the labels whose reflections do not commute."""
@@ -146,6 +141,9 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
 
 
 def _check_node(cd: CartanDatum, i: int) -> None:
+    """A node is an int (not a bool) in 1..rank; anything else raises."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise DomainError(f"node must be an integer, got {i!r}")
     if not 1 <= i <= cd.rank:
         raise DomainError(f"node {i} out of range for {cd.family}{cd.rank}")
 
@@ -158,19 +156,6 @@ def _check_weight(cd: CartanDatum, mu: Weight) -> None:
 def fundamental_weight(cd: CartanDatum, k: int) -> Weight:
     _check_node(cd, k)
     return tuple(int(j == k - 1) for j in range(cd.rank))
-
-
-def simple_root(cd: CartanDatum, i: int) -> Weight:
-    """alpha_i in fundamental-weight coordinates (row i of the Cartan matrix)."""
-    _check_node(cd, i)
-    return cd.matrix[i - 1]
-
-
-def coroot_pairing(cd: CartanDatum, mu: Weight, i: int) -> Rational:
-    """(mu, alpha_i^vee); just the i-th fundamental coordinate."""
-    _check_node(cd, i)
-    _check_weight(cd, mu)
-    return mu[i - 1]
 
 
 def det_pairings(cd: CartanDatum, mu: Weight) -> list[Rational]:
@@ -211,19 +196,3 @@ def is_integral(mu: Weight) -> bool:
 
 def is_dominant(mu: Weight) -> bool:
     return all(m >= 0 for m in mu)
-
-
-def minuscule_catalog(cd: CartanDatum) -> tuple[int, ...]:
-    """Nodes k for which omega_k is a minuscule weight.
-
-    The list is a lookup that the library itself does not call; the
-    tests cross-check it against the orbit verifier, which accepts
-    exactly these nodes.
-    """
-    if cd.family == "A":
-        return tuple(cd.nodes)
-    if cd.family == "D":
-        return (1, cd.rank - 1, cd.rank)
-    if cd.rank == 6:
-        return (1, 6)
-    return (7,)

@@ -13,7 +13,8 @@ is not constant on the polytope.
 
 Toggle symmetry, the polytope rows and the witness read the covers
 labelled p: each is one site where p is inserted (lo) and deleted (hi).
-The indicators of all the orbits of an action are checked in one pass.
+``label_sums`` is the one sum of an ideal weighting over either end of
+those covers, and every toggle-balance check reads it.
 
 Strict chain counts are packed: each ideal's down polynomial (chains
 ending at it, by length) is one integer at t = 2^W, built in one walk
@@ -27,7 +28,9 @@ are their binomial transform.  Counts stay integers, and the checks
 read them through ``ChainRow``: per-element toggle differences and the
 sums behind the expectation, all linear in the counts, so each row is
 read off whole-integer sums of the products, and each multichain row is
-the same combination of the strict rows.
+the same combination of the strict rows.  The 0/1 indicators of an
+action's orbits are packed the same way, orbit j in slot j, and read by
+the same reader.
 """
 
 from __future__ import annotations
@@ -144,14 +147,22 @@ def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
     return cached
 
 
-def _chain_sums(lattice: IdealLattice, products) -> tuple[list[int], list[int], int, int]:
-    """Per element p, the sum of ``products`` over the lower ends of the
-    covers labelled p and over their upper ends; then the sum of ddeg
-    times them, and their sum."""
+def label_sums(lattice: IdealLattice, values) -> tuple[list, list]:
+    """(lows, highs): per element p, the sum of ``values`` (one per ideal)
+    over the lower ends of the covers labelled p and over their upper
+    ends.  A weighting is toggle-symmetric at p exactly when the two
+    sums are equal."""
     lows, highs = [0] * len(lattice.heap), [0] * len(lattice.heap)
     for lo, hi, p in lattice.covers:
-        lows[p] += products[lo]
-        highs[p] += products[hi]
+        lows[p] += values[lo]
+        highs[p] += values[hi]
+    return lows, highs
+
+
+def _chain_sums(lattice: IdealLattice, products) -> tuple[list[int], list[int], int, int]:
+    """``label_sums`` of ``products``, then the sum of ddeg times them,
+    and their sum."""
+    lows, highs = label_sums(lattice, products)
     return lows, highs, sum(map(mul, lattice.down_degrees, products)), sum(products)
 
 
@@ -198,7 +209,8 @@ def chain_counts(lattice: IdealLattice, k: int, mode: str = STRICT) -> tuple[int
 
 class ChainRow(NamedTuple):
     """What the toggle-symmetry and expectation checks read off one
-    vector c of chain counts."""
+    integer weighting c of the ideals: a vector of chain counts, or the
+    0/1 indicator of an orbit."""
 
     differences: tuple[tuple[int, int], ...]  # (element p, d != 0), ascending p
     ddeg_sum: int  # sum of ddeg * c
@@ -209,16 +221,19 @@ class ChainRow(NamedTuple):
         return Fraction(self.ddeg_sum, self.total)
 
 
-def read_chain_rows(lattice: IdealLattice, width: int, products) -> tuple[ChainRow, ...]:
-    """The ``ChainRow`` of every slot k = 0..|P| of the packed
-    ``products`` (W-bit slots, as ``_strict_products`` makes them).
+def read_chain_rows(
+    lattice: IdealLattice, width: int, products, slots: int
+) -> tuple[ChainRow, ...]:
+    """The ``ChainRow`` of every slot k < ``slots`` of the packed
+    ``products``, one per ideal, in W-bit slots that no sum read here
+    carries out of.
 
     For element p and each k, d = the sum of slot k over the lower ends
     of the covers labelled p minus the sum over their upper ends; the
-    counts are toggle-symmetric at p exactly when every d is 0.  The two
-    packed sums are compared whole and unpacked only when they differ.
+    weighting is toggle-symmetric at p exactly when every d is 0.  The
+    two packed sums are compared whole and unpacked only when they
+    differ.
     """
-    slots = len(lattice.heap) + 1
     lows, highs, ddeg_sum, total = _chain_sums(lattice, products)
     differences: list[list[tuple[int, int]]] = [[] for _ in range(slots)]
     for p, (low, high) in enumerate(zip(lows, highs)):
@@ -237,7 +252,24 @@ def read_chain_rows(lattice: IdealLattice, width: int, products) -> tuple[ChainR
 
 def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
     """The ``ChainRow`` of the strict k-chain counts, k = 0..|P|."""
-    return read_chain_rows(lattice, *_strict_products(lattice))
+    return read_chain_rows(lattice, *_strict_products(lattice), len(lattice.heap) + 1)
+
+
+def orbit_rows(lattice: IdealLattice, orbits) -> tuple[ChainRow, ...]:
+    """The ``ChainRow`` of each orbit's 0/1 indicator, orbit j in slot j.
+
+    An ideal of a lattice from ``enumerate_ideals`` is the lower end of
+    at most one cover labelled p and the upper end of at most one, and
+    its down-degree is at most |P|; so for orbits that partition the
+    ideals no slot of any sum the rows read exceeds |J(P)| * |P|, and W =
+    bit_length(|J(P)| * (|P| + 1)) keeps every slot from carrying.
+    """
+    width = (len(lattice) * (len(lattice.heap) + 1)).bit_length()
+    packed = [0] * len(lattice)
+    for j, orbit in enumerate(orbits):
+        for k in orbit:
+            packed[k] += 1 << (j * width)
+    return read_chain_rows(lattice, width, packed, len(orbits))
 
 
 def multichain_rows(strict: tuple[ChainRow, ...]) -> tuple[ChainRow, ...]:
@@ -286,40 +318,9 @@ def toggle_symmetry_report(lattice: IdealLattice, weights) -> ToggleSymmetryRepo
     """Toggle symmetry of a distribution or of counts (scale-free)."""
     if len(weights) != len(lattice):
         raise DomainError("distribution length does not match lattice")
-    n = len(lattice.heap)
-    plus, minus = [0] * n, [0] * n
-    for lo, hi, p in lattice.covers:
-        plus[p] += weights[lo]
-        minus[p] += weights[hi]
+    plus, minus = label_sums(lattice, weights)
     violations = [(p, e, f) for p, (e, f) in enumerate(zip(plus, minus)) if e != f]
-    return ToggleSymmetryReport(n, tuple(violations))
-
-
-def orbit_symmetry_violations(lattice: IdealLattice, orbits) -> tuple[tuple[int, ...], ...]:
-    """Per orbit, the ascending elements p at which the orbit's 0/1
-    indicator is not toggle-symmetric, for ``orbits`` that partition the
-    ideals (an action's orbits).
-
-    The indicator of O is toggle-symmetric at p exactly when the covers
-    labelled p with lo in O are as many as those with hi in O, so one
-    pass over the covers counts every orbit's balance at once; a cover
-    inside one orbit adds to it and takes from it alike.
-    """
-    orbit_of = [0] * len(lattice)
-    for j, orbit in enumerate(orbits):
-        for k in orbit:
-            orbit_of[k] = j
-    balance: dict[tuple[int, int], int] = {}
-    for lo, hi, p in lattice.covers:
-        a, b = orbit_of[lo], orbit_of[hi]
-        if a != b:
-            balance[p, a] = balance.get((p, a), 0) + 1
-            balance[p, b] = balance.get((p, b), 0) - 1
-    violations: list[list[int]] = [[] for _ in orbits]
-    for (p, j), d in sorted(balance.items()):
-        if d:
-            violations[j].append(p)
-    return tuple(map(tuple, violations))
+    return ToggleSymmetryReport(len(lattice.heap), tuple(violations))
 
 
 def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:
@@ -376,15 +377,18 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     certifies.  When A has full row rank the solution is unique and
     passes the check exactly when ddeg lies in the row span of A.  A
     singular Gram matrix also gives None.
+
+    The masks are ``label_sums`` of the values 1 << x, and A ddeg is
+    ``label_sums`` of ddeg.  In a lattice from ``enumerate_ideals`` no
+    ideal is an end of two covers with one label, so each sum of masks
+    is their OR; on a malformed lattice the Gram matrix may be wrong,
+    and the exact check still decides.
     """
     degrees = lattice.down_degrees
     m = len(lattice.heap) + 1
-    plus, minus = [0] * (m - 1), [0] * (m - 1)
-    rhs = [sum(degrees)] + [0] * (m - 1)
-    for lo, hi, p in lattice.covers:
-        plus[p] |= 1 << lo
-        minus[p] |= 1 << hi
-        rhs[p + 1] += degrees[lo] - degrees[hi]
+    plus, minus = label_sums(lattice, [1 << x for x in range(len(lattice))])
+    lows, highs = label_sums(lattice, degrees)
+    rhs = [sum(degrees)] + [a - b for a, b in zip(lows, highs)]
     gram = [[0] * m for _ in range(m)]
     gram[0][0] = len(lattice)
     # gram[0][p + 1] is 0: each cover labelled p is one insert and one delete site.

@@ -34,7 +34,7 @@ from .cde import (
     homomesy_report,
     lp_certificate,
     multichain_rows,
-    orbit_symmetry_violations,
+    orbit_rows,
     strict_chain_rows,
 )
 from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
@@ -196,7 +196,6 @@ def verify_case(
     h = bundle.heap
     constant = bundle.constant
     checks: list[CheckRow] = []
-    dists: list[DistRow] = []
 
     rep = bundle.report
     checks.append(CheckRow("minuscule", len(bundle.orbit), 0 if rep.ok else 1))
@@ -207,9 +206,11 @@ def verify_case(
 
     checks += identity_suite(lattice)
 
-    # Chain counts as integer weights: the uniform distribution is the
-    # strict 0-chains and maxchain the strict |P|-chains, and the
-    # multichain rows are a transform of the strict ones.
+    # Integer weightings of the ideals, each read as one ChainRow: chain
+    # counts (the uniform distribution is the strict 0-chains and maxchain
+    # the strict |P|-chains, and the multichain rows are a transform of
+    # the strict ones) and the indicator of each rowmotion and gyration
+    # orbit, whose expectation is the orbit's mean down-degree.
     strict = strict_chain_rows(lattice)
     chain_rows = {STRICT: strict}
     if MULTI in chain_modes:
@@ -217,22 +218,13 @@ def verify_case(
     named_rows = [("uni", strict[0]), ("maxchain", strict[-1])]
     for mode in chain_modes:
         named_rows += [(f"chain_{mode}_{k}", row) for k, row in enumerate(chain_rows[mode])]
-    symmetry_instances = len(h) * len(named_rows)
-    symmetry_failures = 0
-    for name, row in named_rows:
-        symmetry_failures += len(row.differences)
-        dists.append(DistRow(name, row.expectation))
-
-    action_rows = {action: homomesy_report(lattice, action) for action in ("rowmotion", "gyration")}
-    # Orbit indicators: their toggle symmetry in one pass per action, and
-    # their expectation is the orbit's mean down-degree.
-    for action, report in action_rows.items():
-        violations = orbit_symmetry_violations(lattice, [row.orbit for row in report.rows])
-        symmetry_instances += len(h) * len(report.rows)
-        symmetry_failures += sum(map(len, violations))
-        for j, row in enumerate(report.rows):
-            dists.append(DistRow(f"{action}_orbit_{j}", row.mean))
-    checks.append(CheckRow("toggle_symmetry", symmetry_instances, symmetry_failures))
+    homomesy = [homomesy_report(lattice, action) for action in ("rowmotion", "gyration")]
+    for report in homomesy:
+        rows = orbit_rows(lattice, [row.orbit for row in report.rows])
+        named_rows += [(f"{report.action}_orbit_{j}", row) for j, row in enumerate(rows)]
+    symmetry_failures = sum(len(row.differences) for _, row in named_rows)
+    checks.append(CheckRow("toggle_symmetry", len(h) * len(named_rows), symmetry_failures))
+    dists = [DistRow(name, row.expectation) for name, row in named_rows]
 
     for mode in chain_modes:
         rows = chain_rows[mode]
@@ -252,14 +244,9 @@ def verify_case(
         else [serialize.frac_str(v) for v in cert.witness],
     }
 
-    for action, report in action_rows.items():
-        checks.append(
-            CheckRow(
-                f"homomesy_{action}",
-                len(report.rows),
-                sum(1 for r in report.rows if not r.matches),
-            )
-        )
+    for report in homomesy:
+        failures = sum(not row.matches for row in report.rows)
+        checks.append(CheckRow(f"homomesy_{report.action}", len(report.rows), failures))
 
     checks.append(CheckRow("heap_words", *_word_robustness_failures(bundle, word_trials, seed)))
     return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), lp)

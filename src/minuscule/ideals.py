@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .bits import iter_bits
-from .cartan import Weight, _check_node, _reflect, simple_reflection
+from .cartan import Weight, _check_node, _reflect
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .frozen import Frozen
 from .heap import Heap
@@ -58,18 +58,6 @@ def toggle_label(h: Heap, mask: int, i: int) -> int:
     for p in h.fibers[i]:
         mask = toggle(h, mask, p)
     return mask
-
-
-def ideal_weight(h: Heap, mask: int) -> Weight:
-    """Weight of an ideal: fold the reflections of a linear extension
-    over the base weight.  Ascending positions are such an extension."""
-    if h.base is None:
-        raise DomainError("heap carries no base weight")
-    w = h.base
-    cd = h.cartan
-    for p in iter_bits(mask):
-        w = simple_reflection(cd, h.labels[p], w)
-    return w
 
 
 class IdealLattice(Frozen):

@@ -14,7 +14,11 @@ The quadratic heap builder returns a library ``Heap`` so its fields
 compare directly, ``rowmotion_by_toggles`` sweeps the library's
 ``toggle``, ``commutation_violations_by_toggle_label`` its
 ``toggle_label``, and ``rebuild_failures_by_composition`` chains the
-library's public heap functions.
+library's public heap functions.  The lookups that only tests read
+(the Cartan inverse as Fractions, the minuscule node table, simple
+roots, coroot pairings and the weight of an ideal folded from its
+reflections) live here too, the last through the library's public
+``simple_reflection``.
 """
 
 from collections import Counter
@@ -26,15 +30,12 @@ from minuscule import (
     DomainError,
     Heap,
     ResourceLimitError,
-    coroot_pairing,
     fundamental_weight,
     heap_from_word,
     heaps_isomorphic,
-    ideal_weight,
     inner_product,
     random_linear_extension,
     simple_reflection,
-    simple_root,
     tcde_constant,
     toggle,
     toggle_label,
@@ -154,6 +155,50 @@ def gauss_jordan_inverse(matrix):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def cartan_inverse(cd):
+    """The exact inverse of the Cartan matrix, adjugate / det."""
+    return tuple(tuple(Fraction(a, cd.det) for a in row) for row in cd.adjugate)
+
+
+def minuscule_catalog(cd):
+    """Nodes k for which omega_k is a minuscule weight, by table; the
+    tests cross-check it against the orbit verifier, which accepts
+    exactly these nodes."""
+    if cd.family == "A":
+        return tuple(cd.nodes)
+    if cd.family == "D":
+        return (1, cd.rank - 1, cd.rank)
+    if cd.rank == 6:
+        return (1, 6)
+    return (7,)
+
+
+def simple_root(cd, i):
+    """alpha_i in fundamental-weight coordinates: row i of the Cartan
+    matrix."""
+    return cd.matrix[i - 1]
+
+
+def coroot_pairing(cd, mu, i):
+    """(mu, alpha_i^vee): the i-th fundamental coordinate of mu.  A node
+    outside 1..rank or a weight of another rank raises DomainError."""
+    if not 1 <= i <= cd.rank or len(mu) != cd.rank:
+        raise DomainError(f"no pairing of {mu!r} with coroot {i} of {cd!r}")
+    return mu[i - 1]
+
+
+def ideal_weight(h, mask):
+    """Weight of an ideal: fold the reflections of a linear extension
+    (ascending positions) over the heap's base weight."""
+    if h.base is None:
+        raise DomainError("heap carries no base weight")
+    w = h.base
+    for p in range(len(h.labels)):
+        if mask >> p & 1:
+            w = simple_reflection(h.cartan, h.labels[p], w)
+    return w
 
 
 def identity_product(a, b):

@@ -9,15 +9,21 @@ from minuscule import (
     ConfigurationError,
     DomainError,
     build_cartan,
-    coroot_pairing,
     fundamental_weight,
+    heap_from_word,
     inner_product,
     is_dominant,
-    minuscule_catalog,
     simple_reflection,
+    toggle_label,
+)
+from oracles import (
+    cartan_inverse,
+    coroot_pairing,
+    gauss_jordan_inverse,
+    identity_product,
+    minuscule_catalog,
     simple_root,
 )
-from oracles import gauss_jordan_inverse, identity_product
 
 ALL_TYPES = [("A", r) for r in range(1, 8)] + [("D", r) for r in range(3, 9)] + [
     ("E", 6),
@@ -47,7 +53,7 @@ def test_d4_fork_at_node_two():
     neighbors = {j + 1 for j in range(4) if cd.matrix[1][j] == -1}
     assert neighbors == {1, 3, 4}
     assert cd.neighbours[1] == (1, 2, 3, 4)
-    assert identity_product(cd.matrix, cd.inverse)
+    assert identity_product(cd.matrix, cartan_inverse(cd))
 
 
 def test_e7_chain_and_branch():
@@ -70,7 +76,7 @@ def test_matrix_invariants(family, rank):
             assert cd.matrix[i][j] == cd.matrix[j][i]
             if i != j:
                 assert cd.matrix[i][j] in (0, -1)
-    assert identity_product(cd.matrix, cd.inverse)
+    assert identity_product(cd.matrix, cartan_inverse(cd))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 2), ("D", 2), ("E", 5), ("E", 8), ("F", 4)])
@@ -112,6 +118,28 @@ def test_pairing_index_out_of_range():
     cd = build_cartan("A", 2)
     with pytest.raises(DomainError):
         coroot_pairing(cd, (1, 0), 3)
+
+
+A3 = build_cartan("A", 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fundamental_weight(A3, 1.5),
+        lambda: fundamental_weight(A3, True),
+        lambda: heap_from_word(A3, ("1",)),
+        lambda: simple_reflection(A3, 1.0, (1, 0, 0)),
+        lambda: toggle_label(heap_from_word(A3, (1, 2, 3)), 0, 2.5),
+    ],
+    ids=["float_weight", "bool_weight", "str_word", "float_reflection", "float_toggle"],
+)
+def test_a_node_that_is_not_an_int_is_a_domain_error(call):
+    """A node is an int and not a bool, as a rank must be; a value in
+    range of another type raises DomainError, not a zero weight, a
+    TypeError or a KeyError."""
+    with pytest.raises(DomainError, match="node must be an integer"):
+        call()
 
 
 def test_reflection_example_and_orbit():
@@ -195,7 +223,7 @@ def test_adjugate_over_det_is_the_gauss_jordan_inverse(family, rank):
     cd = build_cartan(family, rank)
     assert cd.det == EXPECTED_DET[family](rank)
     assert all(isinstance(a, int) for row in cd.adjugate for a in row)
-    assert cd.inverse == gauss_jordan_inverse(cd.matrix)
+    assert cartan_inverse(cd) == gauss_jordan_inverse(cd.matrix)
 
 
 SUPPORTED_UP_TO_RANK_8 = (

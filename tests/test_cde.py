@@ -23,7 +23,6 @@ from minuscule import (
     orbit_distribution,
     rowmotion,
     action_orbits,
-    simple_root,
     tcde_constant,
     toggle_symmetry_report,
     uniform_distribution,
@@ -35,7 +34,7 @@ from minuscule.cde import (
     _strict_products,
     _unpack,
     multichain_rows,
-    orbit_symmetry_violations,
+    orbit_rows,
     read_chain_rows,
     strict_chain_rows,
     toggle_polytope,
@@ -50,6 +49,7 @@ from oracles import (
     maxchain_distribution,
     multi_chain_member_counts,
     polytope_vertices,
+    simple_root,
     strict_chain_member_counts,
     subset_table_chain_counts,
     zeta_multichain_counts,
@@ -277,9 +277,9 @@ def test_a_bumped_slot_is_reported_at_its_chain_length_and_element(family, rank,
     cd = build_cartan(family, rank)
     L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
     width, products = _strict_products(L)
-    rows = read_chain_rows(L, width, products)
-    assert rows == strict_chain_rows(L)
     rank_p = len(L.heap)
+    rows = read_chain_rows(L, width, products, rank_p + 1)
+    assert rows == strict_chain_rows(L)
     for x in sorted({0, len(L) // 2, len(L) - 1}):
         adds, removes = L.toggle_masks[x]
         signs = {p: 1 for p in range(rank_p) if adds >> p & 1}
@@ -288,7 +288,7 @@ def test_a_bumped_slot_is_reported_at_its_chain_length_and_element(family, rank,
         for k in sorted({0, rank_p // 2, rank_p}):
             bumped = list(products)
             bumped[x] += 1 << (k * width)
-            got = read_chain_rows(L, width, bumped)
+            got = read_chain_rows(L, width, bumped, rank_p + 1)
             want = list(rows)
             want[k] = ChainRow(expected, rows[k].ddeg_sum + L.down_degrees[x], rows[k].total + 1)
             assert got == tuple(want), (x, k)
@@ -316,13 +316,9 @@ def indicator(L, orbit):
     return tuple(int(k in members) for k in range(len(L)))
 
 
-def violations_by_indicator(L, orbits):
-    """Per orbit, the violating elements of one ``toggle_symmetry_report``
-    on its 0/1 indicator."""
-    return tuple(
-        tuple(p for p, _, _ in toggle_symmetry_report(L, indicator(L, orbit)).violations)
-        for orbit in orbits
-    )
+def elements_by_row(rows):
+    """Per row, the ascending elements at which it is not toggle-symmetric."""
+    return tuple(tuple(p for p, _ in row.differences) for row in rows)
 
 
 def split_off(orbits, j):
@@ -332,14 +328,25 @@ def split_off(orbits, j):
     return [*orbits[:j], tuple(rest), *orbits[j + 1 :], (k,)]
 
 
+def check_orbit_rows(L, orbits):
+    """The packed orbit rows equal ``toggle_symmetry_report`` on each
+    orbit's indicator, and ``expectation`` on each nonempty one; returns
+    the rows."""
+    rows = orbit_rows(L, orbits)
+    for orbit, row in zip(orbits, rows, strict=True):
+        report = toggle_symmetry_report(L, indicator(L, orbit))
+        assert row.differences == tuple((p, e - f) for p, e, f in report.violations)
+        assert row.total == len(orbit)
+        if orbit:
+            assert row.expectation == expectation(indicator(L, orbit), L.down_degrees)
+    return rows
+
+
 def check_orbit_violations(L, orbits, j):
-    """The one-pass violations equal the per-orbit reports, untampered
-    and with orbit j's indicator tampered; returns both."""
-    found = orbit_symmetry_violations(L, orbits)
-    assert found == violations_by_indicator(L, orbits)
-    tampered = split_off(orbits, j)
-    found_tampered = orbit_symmetry_violations(L, tampered)
-    assert found_tampered == violations_by_indicator(L, tampered)
+    """The packed rows' violations equal the per-orbit reports,
+    untampered and with orbit j's indicator tampered; returns both."""
+    found = elements_by_row(check_orbit_rows(L, orbits))
+    found_tampered = elements_by_row(check_orbit_rows(L, split_off(orbits, j)))
     return found, found_tampered
 
 
@@ -357,6 +364,52 @@ def test_orbit_violations_and_means_match_the_per_orbit_checks_on_the_catalog(ca
             assert tampered[-1] and (tampered[j] or len(orbits[j]) == 1), (spec, action)
             for row in rows:
                 assert row.mean == expectation(indicator(L, row.orbit), L.down_degrees)
+
+
+@pytest.mark.parametrize("family,rank,node", [("A", 9, 5), ("D", 9, 9)])
+@pytest.mark.parametrize("action", ["rowmotion", "gyration"])
+def test_orbit_rows_match_the_per_orbit_checks_on_the_ladder(bundle, family, rank, node, action):
+    L = bundle(family, rank, node).lattice
+    report = homomesy_report(L, action)
+    rows = check_orbit_rows(L, [row.orbit for row in report.rows])
+    assert [row.expectation for row in rows] == [row.mean for row in report.rows]
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_orbit_rows_of_the_coarsest_and_finest_partitions(bundle, family, rank, node):
+    """One orbit of every ideal is the uniform weighting: symmetric, with
+    the constant as its expectation.  The singletons are the point
+    masses, each asymmetric at every element its ideal can toggle."""
+    case = bundle(family, rank, node)
+    L = case.lattice
+    (whole,) = check_orbit_rows(L, [tuple(range(len(L)))])
+    assert (whole.differences, whole.expectation) == ((), case.constant)
+    for k, row in enumerate(check_orbit_rows(L, [(k,) for k in range(len(L))])):
+        adds, removes = L.toggle_masks[k]
+        toggled = [p for p in range(len(L.heap)) if (adds | removes) >> p & 1]
+        assert [p for p, _ in row.differences] == toggled
+
+
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_every_packed_orbit_sum_round_trips_through_its_slots(bundle, family, rank, node):
+    """At W = bit_length(|J(P)| * (|P| + 1)), every slot of every sum the
+    orbit rows read is at most |J(P)| * |P|, and the slots pack back to
+    the sum, for both actions' orbits and the coarsest and finest
+    partitions."""
+    L = bundle(family, rank, node).lattice
+    n, rank_p = len(L), len(L.heap)
+    width = (n * (rank_p + 1)).bit_length()
+    partitions = [action_orbits(L, rowmotion), action_orbits(L, gyration)]
+    partitions += [[tuple(range(n))], [(k,) for k in range(n)]]
+    for orbits in partitions:
+        packed = [
+            sum(1 << (j * width) for j, orbit in enumerate(orbits) if k in orbit) for k in range(n)
+        ]
+        lows, highs, ddeg_sum, total = _chain_sums(L, packed)
+        for value in [*packed, *lows, *highs, ddeg_sum, total]:
+            unpacked = _unpack(value, width, len(orbits))
+            assert all(0 <= s <= n * rank_p for s in unpacked)
+            assert sum(s << (j * width) for j, s in enumerate(unpacked)) == value
 
 
 @settings(max_examples=60)

@@ -215,6 +215,20 @@ def test_sweep_report_matches_its_golden_digest(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[fmt]
 
 
+# sha256 of the stdout of the benchmark's two ladder command lines.
+LADDER_DIGESTS = {
+    "verify A 9 5 --format=json --seed=1": "cc59e3d69e1b0d0c918e009842faec712a84d76d53a4e06b4ad1c78fcde54d4d",
+    "verify D 9 9 --format=json --seed=1": "6160fe1dc5e4f9232f8131e6afeb6f9eff54c44080f4543a11ebc77edcc59757",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LADDER_DIGESTS))
+def test_ladder_report_matches_its_golden_digest(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LADDER_DIGESTS[argv]
+
+
 # sha256 of the stdout of the benchmark's explore command lines, and of
 # the DOT rendering and the CSV orbit tables, per command line.
 EXPLORE_DIGESTS = {

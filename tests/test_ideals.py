@@ -16,7 +16,6 @@ from minuscule import (
     fundamental_weight,
     gyration,
     heap_from_word,
-    ideal_weight,
     rowmotion,
     saturated_chain,
     simple_reflection,
@@ -31,6 +30,7 @@ from minuscule.ideals import IdealLattice, gyration_images, image_orbits, rowmot
 from oracles import (
     bit_string_by_positions,
     commutation_violations_by_toggle_label,
+    ideal_weight,
     is_ideal,
     less,
     powerset_ideal_masks,

@@ -9,7 +9,6 @@ from minuscule import (
     build_cartan,
     fundamental_weight,
     generate_orbit,
-    minuscule_catalog,
     saturated_chain,
     simple_reflection,
     verify_minuscule,
@@ -21,6 +20,7 @@ from oracles import (
     closure_orbit,
     down_set_closure,
     join_irreducible_indices,
+    minuscule_catalog,
 )
 
 

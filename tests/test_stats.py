@@ -10,12 +10,10 @@ from minuscule import (
     IdealLattice,
     build_cartan,
     build_minuscule_heap,
-    coroot_pairing,
     enumerate_ideals,
     fundamental_weight,
     heap_from_word,
     identity_suite,
-    ideal_weight,
     tcde_constant,
     toggle_symmetry_report,
 )
@@ -27,8 +25,10 @@ from oracles import (
     check_label_count_formula,
     check_signed_toggle_sum,
     check_weighted_toggle_sum,
+    coroot_pairing,
     down_degree,
     fiber_statistic,
+    ideal_weight,
     label_count,
     per_triple_identity_suite,
     snapshot,
