@@ -260,13 +260,16 @@ def orbit_rows(lattice: IdealLattice, orbits) -> tuple[ChainRow, ...]:
 
     An ideal of a lattice from ``enumerate_ideals`` is the lower end of
     at most one cover labelled p and the upper end of at most one, and
-    its down-degree is at most |P|; so for orbits that partition the
-    ideals no slot of any sum the rows read exceeds |J(P)| * |P|, and W =
-    bit_length(|J(P)| * (|P| + 1)) keeps every slot from carrying.
+    its down-degree is at most |P|; so for 0/1 indicators no slot of any
+    sum the rows read exceeds |J(P)| * |P|, and W = bit_length(|J(P)| *
+    (|P| + 1)) keeps every slot from carrying.  An empty orbit (no
+    expectation), an index out of range or one repeated within an orbit
+    (not a 0/1 indicator) raises ``DomainError``.
     """
     width = (len(lattice) * (len(lattice.heap) + 1)).bit_length()
     packed = [0] * len(lattice)
     for j, orbit in enumerate(orbits):
+        _check_orbit(lattice, orbit)
         for k in orbit:
             packed[k] += 1 << (j * width)
     return read_chain_rows(lattice, width, packed, len(orbits))
@@ -323,18 +326,27 @@ def toggle_symmetry_report(lattice: IdealLattice, weights) -> ToggleSymmetryRepo
     return ToggleSymmetryReport(len(lattice.heap), tuple(violations))
 
 
-def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:
-    """Uniform on the given ideal indices, zero elsewhere.  Each index
-    must name an ideal, and at most once."""
+def _check_orbit(lattice: IdealLattice, orbit) -> None:
+    """An orbit is nonempty, and each of its indices names an ideal, at
+    most once."""
     if not orbit:
         raise DomainError("empty orbit")
+    seen = set()
+    for k in orbit:
+        if not 0 <= k < len(lattice):
+            raise DomainError(f"ideal index {k} out of range 0..{len(lattice) - 1}")
+        if k in seen:
+            raise DomainError(f"ideal index {k} repeats in the orbit")
+        seen.add(k)
+
+
+def orbit_distribution(lattice: IdealLattice, orbit: tuple[int, ...]) -> Distribution:
+    """Uniform on the given ideal indices, zero elsewhere; the orbit is
+    checked as in ``orbit_rows``."""
+    _check_orbit(lattice, orbit)
     share = Fraction(1, len(orbit))
     probs = [Fraction(0)] * len(lattice)
     for k in orbit:
-        if not 0 <= k < len(probs):
-            raise DomainError(f"ideal index {k} out of range 0..{len(probs) - 1}")
-        if probs[k]:
-            raise DomainError(f"ideal index {k} repeats in the orbit")
         probs[k] = share
     return tuple(probs)
 

@@ -9,15 +9,18 @@ so elements sharing a label are totally ordered by word position, and
 position order is always a linear extension.  As in Viennot's heaps of
 pieces, each new letter rests on the latest earlier occurrence of its
 own label and of each Dynkin neighbour, so a heap builds in
-O(|P| * deg) mask operations.  ``word_rebuild_failures`` runs the same
-rule on random linear extensions of a heap, to check that each gives
-the heap back, without building a ``Heap`` per word.
+O(|P| * deg) mask operations.  A linear extension of a heap is a
+maximal chain of its lattice of order ideals, so
+``word_rebuild_failures`` checks that random linear extensions give the
+heap back as random walks up that lattice: one memo per call holds the
+states the walks pass through, and the same rule's verdict on each
+letter, so no ``Heap`` is built and each step is checked once.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cache, cached_property
 
 from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
@@ -51,6 +54,11 @@ class Heap(Frozen):
     @property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
+
+    @property
+    def minimal_mask(self) -> int:
+        """The elements with nothing below them."""
+        return sum(1 << p for p, b in enumerate(self.below) if not b)
 
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:
@@ -160,38 +168,49 @@ def heaps_isomorphic(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
     return tuple(sigma)
 
 
+def _draw(getrandbits, count: int) -> int:
+    """r in range(count) as ``rng.randrange(count)`` draws it:
+    ``getrandbits`` of the count's bit length, drawn again while r is out
+    of range."""
+    bits = count.bit_length()
+    r = getrandbits(bits)
+    while r >= count:
+        r = getrandbits(bits)
+    return r
+
+
+def _take(below, upper, chosen: int, ready: int, r: int) -> tuple[int, int, int]:
+    """Choose the r-th ready element p, in ascending order; return p and
+    the chosen and ready masks after it.  Choosing p can make only its
+    upper covers ready."""
+    m = ready
+    for _ in range(r):
+        m &= m - 1
+    low = m & -m
+    p = low.bit_length() - 1
+    chosen |= low
+    ready ^= low
+    for q in upper[p]:
+        if below[q] & chosen == below[q]:
+            ready |= 1 << q
+    return p, chosen, ready
+
+
 def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
     """A uniform-ish random linear extension, deterministic given ``rng``.
 
     The ready elements (unchosen, with every lower element chosen) form a
-    bit mask, and choosing p can make only its upper covers ready.  Each
-    step takes the r-th ready element, with r drawn as
-    ``rng.randrange(#ready)`` draws it: ``getrandbits`` of the count's bit
-    length, drawn again while r is out of range.
+    bit mask, and each step takes the r-th of them with r drawn as
+    ``rng.randrange(#ready)`` draws it.
     """
-    below = h.below
-    upper = h.upper_covers
+    below, upper = h.below, h.upper_covers
     getrandbits = rng.getrandbits
-    chosen = 0
-    ready = sum(1 << p for p in range(len(h)) if not below[p])
+    chosen, ready = 0, h.minimal_mask
     out = []
     while ready:
-        count = ready.bit_count()
-        bits = count.bit_length()
-        r = getrandbits(bits)
-        while r >= count:
-            r = getrandbits(bits)
-        m = ready
-        for _ in range(r):
-            m &= m - 1
-        low = m & -m
-        p = low.bit_length() - 1
+        r = _draw(getrandbits, ready.bit_count())
+        p, chosen, ready = _take(below, upper, chosen, ready, r)
         out.append(p)
-        chosen |= low
-        ready ^= low
-        for q in upper[p]:
-            if below[q] & chosen == below[q]:
-                ready |= 1 << q
     return tuple(out)
 
 
@@ -199,37 +218,85 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     """How many of ``trials`` random linear extensions of h read off a
     word whose heap is not h.
 
-    A trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
-    word))`` is None, but builds no heap.  The j-th letter stands for h's
-    element of the same canonical name (the t-th occurrence of label i is
-    ``h.fibers[i][t - 1]``), so ``_rest_on_last`` gives the word's lower
-    covers already mapped into h, and the word passes when they equal
-    h's, element by element.  ``h.covers`` lists each cover once, so equal
-    lower-cover masks mean equal covers.
+    Each trial is a walk up J(h) that draws as ``random_linear_extension``
+    does, from state to state (chosen mask, ready mask).  Its j-th letter,
+    label i, stands for h's element of the same canonical name (the t-th
+    occurrence of label i is ``h.fibers[i][t - 1]``) and rests, as in
+    ``_rest_on_last``, on the latest occurrence of each label in
+    ``neighbours[i - 1]``.  The chosen elements with those labels name
+    these occurrences, and while every earlier letter has passed, their
+    down-sets are the closure of ``h.covers``.  So the verdict on a
+    letter is a function of the element drawn and those chosen elements,
+    computed once per call.  Each state keeps one slot per ready element,
+    filled with that verdict and the next state the first time a trial
+    draws it, so a walk through known states costs a draw per step.
+
+    A trial fails at a failing step, at an element chosen twice, or when
+    its walk stops before every element is chosen.  Only covers that are
+    not those of h's order make a walk choose an element twice or stop
+    early; with covers added or dropped, or one reversed, a walk that
+    chooses an element twice still chooses them all, so its word is
+    longer than h.
+
+    Precondition: ``h.names`` are the canonical (label, occurrence) pairs
+    of ``h.labels``, as in every heap ``heap_from_word`` builds.  Then a
+    trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
+    word))`` is None.  Otherwise the two can differ: the isomorphism
+    matches h by name, this check by label.
     """
     n = len(h)
-    neighbours, rank = h.cartan.neighbours, h.cartan.rank
-    labels = h.labels
-    fibers = [()] * (rank + 1)
-    for i, fiber in h.fibers.items():
-        fibers[i] = fiber
-    lower_masks = [0] * n
+    below, upper, labels = h.below, h.upper_covers, h.labels
+    neighbours, fibers, fiber_masks = h.cartan.neighbours, h.fibers, h.fiber_masks
+    lower = [0] * n
     for a, b in h.covers:
-        lower_masks[b] |= 1 << a
+        lower[b] |= 1 << a
+    down = [0] * n  # the closure of the covers below each element
+    changed = True
+    while changed:  # one pass and a check when covers ascend in position
+        changed = False
+        for x in range(n):
+            m = down[x]
+            for c in iter_bits(lower[x]):
+                m |= down[c] | 1 << c
+            if m != down[x]:
+                down[x], changed = m, True
+    around = [sum(fiber_masks[k] for k in neighbours[i - 1]) for i in labels]
+
+    @cache
+    def passes(p: int, seen: int) -> bool:
+        """Does the letter that p's label i reads off rest on h's lower
+        covers of its element, when ``seen`` are the chosen elements with
+        labels in neighbours[i - 1]?"""
+        i = labels[p]
+        candidates = dominated = 0
+        for k in neighbours[i - 1]:
+            t = (seen & fiber_masks[k]).bit_count()
+            if t:
+                y = fibers[k][t - 1]
+                candidates |= 1 << y
+                dominated |= down[y]
+        return candidates & ~dominated == lower[fibers[i][(seen & fiber_masks[i]).bit_count()]]
+
+    states: dict[tuple[int, int], list] = {}
+    start = states[0, h.minimal_mask] = [None] * h.minimal_mask.bit_count()
+    getrandbits = rng.getrandbits
+    full = h.full_mask
     failures = 0
     for _ in range(trials):
-        word = [labels[p] for p in random_linear_extension(h, rng)]
-        taken = [0] * (rank + 1)
-        names = []
-        try:
-            for i in word:
-                names.append(fibers[i][taken[i]])
-                taken[i] += 1
-        except IndexError:  # label i occurs more often than in h
-            failures += 1
-            continue
-        if len(word) != n or _rest_on_last(neighbours, rank, word, names)[1] != lower_masks:
-            failures += 1
+        chosen, ready, slots, passed = 0, h.minimal_mask, start, True
+        while slots:
+            r = _draw(getrandbits, len(slots))
+            slot = slots[r]
+            if slot is None:
+                p, next_chosen, next_ready = _take(below, upper, chosen, ready, r)
+                ok = next_chosen != chosen and passes(p, chosen & around[p])
+                following = states.get((next_chosen, next_ready))
+                if following is None:
+                    following = states[next_chosen, next_ready] = [None] * next_ready.bit_count()
+                slot = slots[r] = ok, next_chosen, next_ready, following
+            ok, chosen, ready, slots = slot
+            passed = passed and ok
+        failures += not passed or chosen != full
     return failures
 
 

@@ -13,12 +13,13 @@ Fraction inner products and weights from the library's public API.
 The quadratic heap builder returns a library ``Heap`` so its fields
 compare directly, ``rowmotion_by_toggles`` sweeps the library's
 ``toggle``, ``commutation_violations_by_toggle_label`` its
-``toggle_label``, and ``rebuild_failures_by_composition`` chains the
-library's public heap functions.  The lookups that only tests read
-(the Cartan inverse as Fractions, the minuscule node table, simple
-roots, coroot pairings and the weight of an ideal folded from its
-reflections) live here too, the last through the library's public
-``simple_reflection``.
+``toggle_label``, ``rebuild_failures_by_composition`` chains the
+library's public heap functions, and ``replayed_rebuild_failures``
+replays the heap builder's ``_rest_on_last`` once per whole word.  The
+lookups that only tests read (the Cartan inverse as Fractions, the
+minuscule node table, simple roots, coroot pairings and the weight of
+an ideal folded from its reflections) live here too, the last through
+the library's public ``simple_reflection``.
 """
 
 from collections import Counter
@@ -42,6 +43,7 @@ from minuscule import (
     word_of_extension,
 )
 from minuscule.cde import ChainRow
+from minuscule.heap import _rest_on_last
 from minuscule.stats import CheckRow
 
 
@@ -516,6 +518,33 @@ def rebuild_failures_by_composition(h, rng, trials):
     for _ in range(trials):
         word = word_of_extension(h, random_linear_extension(h, rng))
         if heaps_isomorphic(h, heap_from_word(h.cartan, word)) is None:
+            failures += 1
+    return failures
+
+
+def replayed_rebuild_failures(h, rng, trials):
+    """``word_rebuild_failures`` as one replay of ``_rest_on_last`` per
+    whole word: the t-th occurrence of label i in the word stands for
+    ``h.fibers[i][t - 1]``, and the word passes when its lower covers,
+    so mapped into h, equal h's element by element."""
+    n = len(h)
+    neighbours, rank = h.cartan.neighbours, h.cartan.rank
+    lower_masks = [0] * n
+    for a, b in h.covers:
+        lower_masks[b] |= 1 << a
+    failures = 0
+    for _ in range(trials):
+        word = word_of_extension(h, random_linear_extension(h, rng))
+        taken = Counter()
+        names = []
+        try:
+            for i in word:
+                names.append(h.fibers[i][taken[i]])
+                taken[i] += 1
+        except IndexError:  # label i occurs more often than in h
+            failures += 1
+            continue
+        if len(word) != n or _rest_on_last(neighbours, rank, word, names)[1] != lower_masks:
             failures += 1
     return failures
 

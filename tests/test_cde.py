@@ -323,22 +323,22 @@ def elements_by_row(rows):
 
 def split_off(orbits, j):
     """The orbits with the first ideal of orbit j moved into an orbit of
-    its own, at the end: orbit j's indicator is tampered with."""
+    its own, at the end: orbit j's indicator is tampered with.  An orbit
+    left empty is dropped, since ``orbit_rows`` rejects it."""
     k, *rest = orbits[j]
-    return [*orbits[:j], tuple(rest), *orbits[j + 1 :], (k,)]
+    kept = [tuple(rest)] if rest else []
+    return [*orbits[:j], *kept, *orbits[j + 1 :], (k,)]
 
 
 def check_orbit_rows(L, orbits):
     """The packed orbit rows equal ``toggle_symmetry_report`` on each
-    orbit's indicator, and ``expectation`` on each nonempty one; returns
-    the rows."""
+    orbit's indicator, and ``expectation`` on each; returns the rows."""
     rows = orbit_rows(L, orbits)
     for orbit, row in zip(orbits, rows, strict=True):
         report = toggle_symmetry_report(L, indicator(L, orbit))
         assert row.differences == tuple((p, e - f) for p, e, f in report.violations)
         assert row.total == len(orbit)
-        if orbit:
-            assert row.expectation == expectation(indicator(L, orbit), L.down_degrees)
+        assert row.expectation == expectation(indicator(L, orbit), L.down_degrees)
     return rows
 
 
@@ -388,6 +388,21 @@ def test_orbit_rows_of_the_coarsest_and_finest_partitions(bundle, family, rank, 
         adds, removes = L.toggle_masks[k]
         toggled = [p for p in range(len(L.heap)) if (adds | removes) >> p & 1]
         assert [p for p, _ in row.differences] == toggled
+
+
+@pytest.mark.parametrize(
+    "orbits,message",
+    [
+        ([(0, 1), ()], "empty orbit"),
+        ([(0, 6)], "ideal index 6 out of range 0..5"),
+        ([(2,), (3, 1, 3)], "ideal index 3 repeats in the orbit"),
+    ],
+)
+def test_orbit_rows_reject_what_is_not_an_orbit_indicator(orbits, message):
+    _, L = grid_lattice()
+    with pytest.raises(DomainError) as info:
+        orbit_rows(L, orbits)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())

@@ -26,6 +26,7 @@ from oracles import (
     less,
     quadratic_heap_from_word,
     rebuild_failures_by_composition,
+    replayed_rebuild_failures,
     rescanning_linear_extension,
 )
 
@@ -272,3 +273,67 @@ def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, 
     # A1.1 has no cover to drop, and no pair to add to the one-element or
     # two-element chains A1.1, A2.1 and A2.2.
     assert tampered_cases == 2 * len(catalog) - 4
+
+
+def with_labels_swapped(h, x, y):
+    """h with the labels of elements x and y swapped and everything else,
+    its names too, kept."""
+    labels = list(h.labels)
+    labels[x], labels[y] = labels[y], labels[x]
+    return Heap(h.cartan, tuple(labels), h.below, h.above, h.covers, h.ranks, h.names, h.base)
+
+
+def same_count_and_draws(check, reference, heap, seed, trials):
+    """Both counts agree and consume the same draws; returns the count."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    failures = check(heap, rng, trials)
+    assert failures == reference(heap, ref, trials)
+    assert rng.getstate() == ref.getstate()
+    return failures
+
+
+@settings(max_examples=100)
+@given(random_heap_word(), st.integers(0, 2**32 - 1), st.integers(20, 50), st.data())
+def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, data):
+    """With 20 to 50 trials per call, walks pass through states an
+    earlier trial filled: the failure count and the draws consumed equal
+    the whole-word replay's on the heap, on copies with a cover dropped,
+    added or reversed, and on a copy with two labels swapped; and the
+    composition's where the names are canonical."""
+    cd, word = case
+    h = heap_from_word(cd, word)
+    canonical = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
+    others = []
+    if h.covers:
+        k = data.draw(st.integers(0, len(h.covers) - 1))
+        a, b = h.covers[k]
+        others.append(with_covers(h, h.covers[:k] + h.covers[k + 1 :] + ((b, a),)))
+    if len(h) >= 2:
+        x, y = data.draw(st.lists(st.integers(0, len(h) - 1), min_size=2, max_size=2, unique=True))
+        others.append(with_labels_swapped(h, x, y))
+    for heap in canonical + others:
+        same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, heap, seed, trials)
+    for heap in canonical:
+        same_count_and_draws(
+            word_rebuild_failures, rebuild_failures_by_composition, heap, seed, trials
+        )
+
+
+def test_word_walks_match_the_replay_on_the_catalog(catalog, bundle):
+    for spec in catalog:
+        h = bundle(spec.family, spec.rank, spec.node).heap
+        for seed in (1, 2):
+            failures = same_count_and_draws(
+                word_rebuild_failures, replayed_rebuild_failures, h, seed, 100
+            )
+            assert failures == 0, spec
+
+
+def test_word_walks_read_labels_not_names():
+    """With two labels swapped and the names kept, the names no longer
+    follow the labels: the composition matches h by name and fails every
+    word, while the walk, reading labels, passes them all."""
+    cd = build_cartan("A", 2)
+    h = with_labels_swapped(heap_from_word(cd, (2, 2, 1, 1, 2, 2, 1, 1, 2)), 4, 6)
+    assert word_rebuild_failures(h, random.Random(0), 40) == 0
+    assert rebuild_failures_by_composition(h, random.Random(0), 40) == 40
