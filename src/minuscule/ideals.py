@@ -114,7 +114,7 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     uppers = tuple(tuple((1 << q, below[q]) for q in qs) for qs in h.upper_covers)
     labels = h.labels
     cd = h.cartan
-    ready = [sum(1 << p for p, b in enumerate(below) if not b)]
+    ready = [h.minimal_mask]
     ideals = [0]
     weights = [h.base]
     covers = []

@@ -10,9 +10,10 @@ enumerator) and stays deliberately ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
-The quadratic heap builder returns a library ``Heap`` so its fields
-compare directly, ``rowmotion_by_toggles`` sweeps the library's
-``toggle``, ``commutation_violations_by_toggle_label`` its
+The quadratic heap builder returns a library ``Heap`` beside the
+tables it computes, so each table a ``Heap`` derives compares directly,
+``rowmotion_by_toggles`` sweeps the library's ``toggle``,
+``commutation_violations_by_toggle_label`` its
 ``toggle_label``, ``rebuild_failures_by_composition`` chains the
 library's public heap functions, and ``replayed_rebuild_failures``
 replays the heap builder's ``_rest_on_last`` once per whole word.  The
@@ -456,7 +457,9 @@ def quadratic_heap_from_word(cd, word, base=None):
     """The heap of ``word`` from a scan of every earlier position: j lies
     above k and all of below[k] whenever their labels fail to commute;
     covers and ranks are then read off the full masks.  The reference for
-    the last-occurrence builder ``heap_from_word``."""
+    the last-occurrence builder ``heap_from_word``: returns the ``Heap``
+    of the word's labels and covers, and the tables a ``Heap`` derives,
+    computed here: ``below``, ``above``, ``ranks`` and ``names``."""
     n = len(word)
     matrix = cd.matrix
     below = [0] * n
@@ -480,16 +483,14 @@ def quadratic_heap_from_word(cd, word, base=None):
     for i in word:
         seen[i] = seen.get(i, 0) + 1
         names.append((i, seen[i]))
-    return Heap(
-        cd,
-        tuple(word),
-        tuple(below),
-        tuple(above),
-        tuple(sorted(covers)),
-        tuple(ranks),
-        tuple(names),
-        tuple(base) if base is not None else None,
-    )
+    heap = Heap(cd, tuple(word), tuple(sorted(covers)), tuple(base) if base is not None else None)
+    tables = {
+        "below": tuple(below),
+        "above": tuple(above),
+        "ranks": tuple(ranks),
+        "names": tuple(names),
+    }
+    return heap, tables
 
 
 def rescanning_linear_extension(h, rng):
@@ -544,7 +545,7 @@ def replayed_rebuild_failures(h, rng, trials):
         except IndexError:  # label i occurs more often than in h
             failures += 1
             continue
-        if len(word) != n or _rest_on_last(neighbours, rank, word, names)[1] != lower_masks:
+        if len(word) != n or _rest_on_last(neighbours, rank, word, names) != lower_masks:
             failures += 1
     return failures
 

@@ -254,3 +254,32 @@ def test_criterion_10_determinism():
 
 def test_catalog_is_large_enough():
     assert len(CATALOG) >= 20
+
+
+PROBE = '''
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    """Under this project's warning filters, a failing ``@given`` test
+    fails alone: the patch writer hypothesis imports for it must not turn
+    into an INTERNALERROR that stops the session."""
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config)]
+    cmd += ["--rootdir", str(tmp_path), "test_probe.py"]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout

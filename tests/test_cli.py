@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minuscule import DomainError, Heap, IdealLattice, InternalCheckError, cli
+from minuscule import DomainError, Heap, IdealLattice, InternalCheckError, cli, fundamental_weight
 from minuscule.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -527,7 +527,7 @@ def _swap_weights_of_ideals_1_and_2(bundle):
 def _shift_heap_base_by_omega_1(bundle):
     h, L = bundle.heap, bundle.lattice
     base = (h.base[0] + 1,) + h.base[1:]
-    heap = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, base)
+    heap = Heap(h.cartan, h.labels, h.covers, base)
     return bundle._replace(heap=heap, lattice=IdealLattice(heap, L.ideals, L.covers, L.weights))
 
 
@@ -571,6 +571,96 @@ def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, 
         assert failures[row.check] == row.failures
     assert failures["structure"] == pairwise_structure_failures(bundle)[1]
     assert failures["commutation"] == len(commutation_violations_by_toggle_label(bundle.lattice))
+
+
+def _report_with_a_mismatch(bundle):
+    return bundle._replace(report=bundle.report._replace(mismatch="planted mismatch"))
+
+
+def _orbit_of_a3_1(bundle):
+    return bundle._replace(orbit=build_case("A", 3, 1).orbit)
+
+
+def _weight_of_node_1(bundle):
+    return bundle._replace(weight=fundamental_weight(bundle.cartan, 1))
+
+
+def _top_lattice_cover_listed_twice(bundle):
+    L = bundle.lattice
+    covers = L.covers + L.covers[-1:]
+    return bundle._replace(lattice=IdealLattice(L.heap, L.ideals, covers, L.weights))
+
+
+def _heap_with_an_extra_cover(bundle):
+    h = bundle.heap
+    extra = next((a, b) for b in range(len(h)) for a in range(b) if (a, b) not in h.covers)
+    heap = Heap(h.cartan, h.labels, tuple(sorted(h.covers + (extra,))), h.base)
+    return bundle._replace(heap=heap)
+
+
+VERIFY_ROWS = (
+    "minuscule",
+    "structure",
+    "commutation",
+    "label_count",
+    "signed_toggle_sum",
+    "weighted_toggle_sum",
+    "fiber_statistic",
+    "ddeg_decomposition",
+    "toggle_symmetry",
+    "cde_strict",
+    "cde_multi",
+    "lp_certificate",
+    "homomesy_rowmotion",
+    "homomesy_gyration",
+    "heap_words",
+)
+
+# Each fault planted in the A3.2 case data, with exactly the rows it trips.
+# The report carries a mismatch only the minuscule row reads, and the
+# orbit (A3.1's) only the structure row.  Swapping two ideal weights
+# breaks the weight map; shifting the heap's base by omega_1 moves every
+# weight the identity suite and homomesy read from it, but not the lattice
+# weights structure and commutation compare.  The weight of node 1 moves
+# only the constant the cde and LP rows compare against (homomesy takes
+# its constant from the heap's base).  The top lattice cover listed twice
+# counts twice in the toggle sums of its element and changes nothing
+# else, and an extra heap cover fails every rebuilt word.
+PLANTED_FAULTS = (
+    (_report_with_a_mismatch, {"minuscule"}),
+    (_orbit_of_a3_1, {"structure"}),
+    (
+        _swap_weights_of_ideals_1_and_2,
+        {"structure", "commutation", "label_count", "signed_toggle_sum", "weighted_toggle_sum"},
+    ),
+    (
+        _shift_heap_base_by_omega_1,
+        {
+            "label_count",
+            "fiber_statistic",
+            "ddeg_decomposition",
+            "homomesy_rowmotion",
+            "homomesy_gyration",
+        },
+    ),
+    (_top_lattice_cover_listed_twice, {"toggle_symmetry"}),
+    (_weight_of_node_1, {"cde_strict", "cde_multi", "lp_certificate"}),
+    (_heap_with_an_extra_cover, {"heap_words"}),
+)
+
+
+@pytest.mark.parametrize("row", VERIFY_ROWS)
+def test_every_verify_row_fails_on_a_planted_fault(capsys, monkeypatch, row):
+    """For each row ``verify`` prints, a fault planted in the case data
+    that trips it: ``verify`` exits 1 and exactly the fault's rows fail."""
+    tamper, tripped = next(fault for fault in PLANTED_FAULTS if row in fault[1])
+    bundle = tamper(build_case("A", 3, 2))
+    monkeypatch.setattr(cli, "_build_case", lambda spec: bundle)
+    code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
+    assert code == EXIT_CHECK_FAILED
+    checks = json.loads(out)["cases"][0]["checks"]
+    assert tuple(c["check"] for c in checks) == VERIFY_ROWS
+    assert {c["check"] for c in checks if c["failures"]} == tripped
 
 
 @pytest.mark.parametrize("mode,other", [("strict", "multi"), ("multi", "strict")])

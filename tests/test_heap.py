@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -209,9 +210,11 @@ def test_heap_functions_agree_with_quadratic_oracles(case, seed):
     rebuild from an extension is always isomorphic, a shuffle often not."""
     cd, word, base = case
     h = heap_from_word(cd, word, base=base)
-    ref = quadratic_heap_from_word(cd, word, base=base)
-    for field in ("labels", "below", "above", "covers", "ranks", "names", "base"):
+    ref, tables = quadratic_heap_from_word(cd, word, base=base)
+    for field in ("labels", "covers", "base"):
         assert getattr(h, field) == getattr(ref, field)
+    for field, table in tables.items():
+        assert getattr(h, field) == table
     ext = random_linear_extension(h, random.Random(seed))
     assert ext == rescanning_linear_extension(h, random.Random(seed))
     rebuilt = heap_from_word(cd, word_of_extension(h, ext))
@@ -225,7 +228,7 @@ def test_heap_functions_agree_with_quadratic_oracles(case, seed):
 
 def with_covers(h, covers):
     """h with its cover list replaced and everything else kept."""
-    return Heap(h.cartan, h.labels, h.below, h.above, tuple(sorted(covers)), h.ranks, h.names, h.base)
+    return Heap(h.cartan, h.labels, tuple(sorted(covers)), h.base)
 
 
 def tampered_covers(h):
@@ -276,11 +279,10 @@ def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, 
 
 
 def with_labels_swapped(h, x, y):
-    """h with the labels of elements x and y swapped and everything else,
-    its names too, kept."""
+    """h with the labels of elements x and y swapped and its covers kept."""
     labels = list(h.labels)
     labels[x], labels[y] = labels[y], labels[x]
-    return Heap(h.cartan, tuple(labels), h.below, h.above, h.covers, h.ranks, h.names, h.base)
+    return Heap(h.cartan, tuple(labels), h.covers, h.base)
 
 
 def same_count_and_draws(check, reference, heap, seed, trials):
@@ -297,23 +299,22 @@ def same_count_and_draws(check, reference, heap, seed, trials):
 def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, data):
     """With 20 to 50 trials per call, walks pass through states an
     earlier trial filled: the failure count and the draws consumed equal
-    the whole-word replay's on the heap, on copies with a cover dropped,
-    added or reversed, and on a copy with two labels swapped; and the
-    composition's where the names are canonical."""
+    the whole-word replay's and the composition's on the heap, on copies
+    with a cover dropped or added, and on a copy with two labels swapped.
+    A copy with one cover reversed is no heap."""
     cd, word = case
     h = heap_from_word(cd, word)
-    canonical = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
-    others = []
+    heaps = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
     if h.covers:
         k = data.draw(st.integers(0, len(h.covers) - 1))
         a, b = h.covers[k]
-        others.append(with_covers(h, h.covers[:k] + h.covers[k + 1 :] + ((b, a),)))
+        with pytest.raises(DomainError, match=re.escape(str((b, a)))):
+            with_covers(h, h.covers[:k] + h.covers[k + 1 :] + ((b, a),))
     if len(h) >= 2:
         x, y = data.draw(st.lists(st.integers(0, len(h) - 1), min_size=2, max_size=2, unique=True))
-        others.append(with_labels_swapped(h, x, y))
-    for heap in canonical + others:
+        heaps.append(with_labels_swapped(h, x, y))
+    for heap in heaps:
         same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, heap, seed, trials)
-    for heap in canonical:
         same_count_and_draws(
             word_rebuild_failures, rebuild_failures_by_composition, heap, seed, trials
         )
@@ -329,11 +330,42 @@ def test_word_walks_match_the_replay_on_the_catalog(catalog, bundle):
             assert failures == 0, spec
 
 
-def test_word_walks_read_labels_not_names():
-    """With two labels swapped and the names kept, the names no longer
-    follow the labels: the composition matches h by name and fails every
-    word, while the walk, reading labels, passes them all."""
+def test_word_walks_agree_with_the_composition_on_swapped_labels():
+    """Swapping two labels of a chain gives the chain of another word,
+    and its names follow the new labels: the walk and the composition
+    pass every trial and consume the same draws."""
     cd = build_cartan("A", 2)
     h = with_labels_swapped(heap_from_word(cd, (2, 2, 1, 1, 2, 2, 1, 1, 2)), 4, 6)
-    assert word_rebuild_failures(h, random.Random(0), 40) == 0
-    assert rebuild_failures_by_composition(h, random.Random(0), 40) == 40
+    assert h.names == heap_from_word(cd, h.labels).names
+    failures = same_count_and_draws(
+        word_rebuild_failures, rebuild_failures_by_composition, h, 0, 40
+    )
+    assert failures == 0
+
+
+@pytest.mark.parametrize(
+    "covers,named",
+    [
+        (((1, 0),), (1, 0)),  # descending
+        (((0, 1), (1, 1)), (1, 1)),  # a loop
+        (((0, 1), (0, 1)), (0, 1)),  # repeated
+        (((1, 2), (0, 1)), (0, 1)),  # unsorted
+        (((0, 1), (1, 3)), (1, 3)),  # out of range
+        (((-1, 1),), (-1, 1)),  # out of range below
+    ],
+)
+def test_heap_rejects_covers_that_do_not_ascend_in_increasing_order(covers, named):
+    cd = build_cartan("A", 2)
+    with pytest.raises(DomainError, match=re.escape(str(named))):
+        Heap(cd, (1, 2, 1), covers)
+
+
+def test_heap_rejects_the_reversed_cover_of_the_word_1_1():
+    """The smallest heap on which reading a letter by its canonical name
+    and by the element drawn gave different counts, before descending
+    covers were rejected."""
+    cd = build_cartan("A", 2)
+    h = heap_from_word(cd, (1, 1))
+    assert h.covers == ((0, 1),)
+    with pytest.raises(DomainError, match=re.escape("(1, 0)")):
+        with_covers(h, ((1, 0),))

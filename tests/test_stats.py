@@ -230,7 +230,7 @@ def test_identity_suite_counts_tampered_weights_like_oracle(family, rank, node):
         for k, w in enumerate(L.weights)
     )
     shifted_base = tuple(c + (j == 0) for j, c in enumerate(h.base))
-    shifted = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, shifted_base)
+    shifted = Heap(h.cartan, h.labels, h.covers, shifted_base)
     for tampered in (
         IdealLattice(h, L.ideals, L.covers, bumped),
         IdealLattice(shifted, L.ideals, L.covers, L.weights),
@@ -247,7 +247,7 @@ def test_identity_suite_needs_weights_and_base():
     with pytest.raises(DomainError):
         identity_suite(IdealLattice(h, L.ideals, L.covers, None))
     with pytest.raises(DomainError):
-        baseless = Heap(h.cartan, h.labels, h.below, h.above, h.covers, h.ranks, h.names, None)
+        baseless = Heap(h.cartan, h.labels, h.covers, None)
         identity_suite(IdealLattice(baseless, L.ideals, L.covers, L.weights))
     with pytest.raises(DomainError):
         identity_suite(enumerate_ideals(heap_from_word(cd, (2, 1, 3, 2))))
