@@ -45,7 +45,6 @@ from .heap import (
     word_of_extension,
 )
 from .ideals import (
-    CommutationReport,
     IdealLattice,
     action_orbits,
     enumerate_ideals,
@@ -53,7 +52,6 @@ from .ideals import (
     rowmotion,
     toggle,
     toggle_label,
-    verify_commutation,
 )
 from .orbit import (
     MinusculeReport,
@@ -63,6 +61,12 @@ from .orbit import (
     saturated_chain,
     verify_minuscule,
 )
-from .stats import identity_suite, tcde_constant
+from .stats import (
+    CommutationReport,
+    identity_suite,
+    tcde_constant,
+    toggle_suite,
+    verify_commutation,
+)
 
 __version__ = "0.1.0"

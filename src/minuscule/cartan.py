@@ -9,9 +9,10 @@ alpha_i has coordinate vector equal to row i of the Cartan matrix, and
 both reflections and coroot pairings are integer row operations.
 
 The inverse Cartan matrix is kept as an integer adjugate and determinant
-from ``_bareiss_solve``, the fraction-free solver ``cde`` shares for its
-dual witness (when no witness exists, ``cde`` runs the simplex, which
-pivots by Bland's rule only).  ``det_pairings`` gives det C (mu,
+from ``_bareiss_solve``, the fraction-free solver ``cde`` shares for the
+Gram system of its dual witness on a heap without a base weight or
+whose closed-form witness fails (when no witness exists, ``cde`` runs
+the simplex, which pivots by Bland's rule only).  ``det_pairings`` gives det C (mu,
 omega_i) for every node, so an inner product of integral weights is an
 integer sum over det C.
 

@@ -6,9 +6,12 @@ distributions on action orbits, and an exact linear-programming
 certificate that the down-degree expectation is the same for every
 toggle-symmetric distribution.  That certificate is a dual witness y
 with A^T y = ddeg for the equality matrix A of the toggle polytope,
-found by the fraction-free integer elimination ``_bareiss_solve`` that
-``cartan`` also uses for the Cartan adjugate, and checked on every ideal;
-the simplex runs only when no witness exists, i.e. when the expectation
+checked on every ideal in one pass over the covers.  On a heap with a
+base weight y has a closed form, read off the base and the fiber
+positions; only a heap without one, or one whose closed form fails the
+check, solves the Gram system by the fraction-free integer elimination
+``_bareiss_solve`` that ``cartan`` also uses for the Cartan adjugate.
+The simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
 Toggle symmetry, the polytope rows and the witness read the covers
@@ -41,7 +44,7 @@ from operator import mul
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .cartan import _bareiss_solve
+from .cartan import _bareiss_solve, det_pairings
 from .errors import DomainError, InternalCheckError
 from .ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
 from .simplex import OPTIMAL, solve_lp
@@ -69,7 +72,7 @@ def expectation(weights, values) -> Fraction:
 
 def uniform_distribution(lattice: IdealLattice) -> Distribution:
     n = len(lattice)
-    return tuple(Fraction(1, n) for _ in range(n))
+    return (Fraction(1, n),) * n if n else ()
 
 
 def _cover_lists(lattice: IdealLattice):
@@ -383,12 +386,47 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     """y with A^T y = ddeg on every ideal, for A the equality matrix of
     ``toggle_polytope``, or None.
 
-    Solves the normal equations (A A^T) y = A ddeg, whose Gram entries
-    are popcounts of per-element masks of the covers' lower and upper
-    ideals, and then checks A^T y = ddeg exactly; only that check
-    certifies.  When A has full row rank the solution is unique and
-    passes the check exactly when ddeg lies in the row span of A.  A
-    singular Gram matrix also gives None.
+    On a heap with a base weight lam, the Rush-Shi isomorphism gives y in
+    closed form: y_0 = (lam, lam), and y_p = (j - 1) - (lam, omega_i)
+    for p the j-th element of the label-i fiber; this is the
+    ``ddeg_decomposition`` identity of ``stats``.  That y is tried first,
+    in integers scaled by det C, and the Gram solve of
+    ``_gram_witness`` runs only for a heap without a base weight or when
+    the closed form fails the exact check.  Only that check certifies.
+    """
+    h = lattice.heap
+    if h.base is not None:
+        cd = h.cartan
+        base_sums = det_pairings(cd, h.base)
+        y = [sum(b * s for b, s in zip(h.base, base_sums))] + [0] * len(h)
+        for i in cd.nodes:
+            for j, p in enumerate(h.fibers[i]):
+                y[p + 1] = cd.det * j - base_sums[i - 1]
+        if _certifies(lattice, y, cd.det):
+            return tuple(Fraction(v, cd.det) for v in y)
+    return _gram_witness(lattice)
+
+
+def _certifies(lattice: IdealLattice, y: list[int], d: int) -> bool:
+    """Whether A^T y = d ddeg on every ideal, for A the equality matrix
+    of ``toggle_polytope``: one pass over the covers."""
+    values = [y[0]] * len(lattice)
+    for lo, hi, p in lattice.covers:
+        values[lo] += y[p + 1]
+        values[hi] -= y[p + 1]
+    return all(v == d * ddeg for v, ddeg in zip(values, lattice.down_degrees))
+
+
+def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
+    """The dual witness y from the normal equations (A A^T) y = A ddeg,
+    or None.
+
+    The Gram entries are popcounts of per-element masks of the covers'
+    lower and upper ideals; ``_bareiss_solve`` solves the system in
+    integers, and the exact check ``_certifies`` decides.  When A has
+    full row rank the solution is unique and passes the check exactly
+    when ddeg lies in the row span of A.  A singular Gram matrix also
+    gives None.
 
     The masks are ``label_sums`` of the values 1 << x, and A ddeg is
     ``label_sums`` of ddeg.  In a lattice from ``enumerate_ideals`` no
@@ -417,11 +455,7 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     if solved is None:
         return None
     (x,), d = solved
-    values = [x[0]] * len(lattice)
-    for lo, hi, p in lattice.covers:
-        values[lo] += x[p + 1]
-        values[hi] -= x[p + 1]
-    if any(v != d * ddeg for v, ddeg in zip(values, degrees)):
+    if not _certifies(lattice, x, d):
         return None
     return tuple(Fraction(v, d) for v in x)
 

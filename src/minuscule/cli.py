@@ -39,9 +39,9 @@ from .cde import (
 )
 from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
 from .heap import Heap, word_rebuild_failures
-from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, verify_commutation
+from .ideals import DEFAULT_IDEAL_CAP, IdealLattice
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
-from .stats import CheckRow, identity_suite, tcde_constant
+from .stats import CheckRow, tcde_constant, toggle_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,10 +201,7 @@ def verify_case(
     checks.append(CheckRow("minuscule", len(bundle.orbit), 0 if rep.ok else 1))
     checks.append(CheckRow("structure", *_structure_failures(bundle)))
 
-    com = verify_commutation(lattice)
-    checks.append(CheckRow("commutation", com.instances, len(com.violations)))
-
-    checks += identity_suite(lattice)
+    checks += toggle_suite(lattice).rows
 
     # Integer weightings of the ideals, each read as one ChainRow: chain
     # counts (the uniform distribution is the strict 0-chains and maxchain
@@ -262,30 +259,33 @@ def render_verify_csv(results: list[CaseResult], skipped: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
-    payload = {
-        "cases": [
+def _case_payload(res: CaseResult) -> dict:
+    """One case of the JSON report; its constant is formatted once."""
+    constant = serialize.frac_str(res.constant)
+    return {
+        "case": res.case_id,
+        "constant": constant,
+        "checks": [
+            {"check": c.check, "instances": c.instances, "failures": c.failures}
+            for c in res.checks
+        ],
+        "distributions": [
             {
                 "case": res.case_id,
-                "constant": serialize.frac_str(res.constant),
-                "checks": [
-                    {"check": c.check, "instances": c.instances, "failures": c.failures}
-                    for c in res.checks
-                ],
-                "distributions": [
-                    {
-                        "case": res.case_id,
-                        "distribution": d.name,
-                        "expectation": serialize.frac_str(d.expectation),
-                        "constant": serialize.frac_str(res.constant),
-                        "equal": d.expectation == res.constant,
-                    }
-                    for d in res.distributions
-                ],
-                "lp": res.lp,
+                "distribution": d.name,
+                "expectation": serialize.frac_str(d.expectation),
+                "constant": constant,
+                "equal": d.expectation == res.constant,
             }
-            for res in results
+            for d in res.distributions
         ],
+        "lp": res.lp,
+    }
+
+
+def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
+    payload = {
+        "cases": [_case_payload(res) for res in results],
         "skipped": skipped,
         "total_failures": sum(res.failures for res in results),
     }

@@ -10,16 +10,16 @@ reflections of any linear extension of the ideal to the base.
 The covers ``(lo, hi, p)`` are the one toggle incidence: p can be
 inserted at lo and deleted at hi.  The toggle masks here, and toggle
 symmetry, the polytope rows and the dual witness in ``cde``, all read
-the covers labelled p.  The rowmotion and gyration permutations and the
-commutation check read the toggle masks; ``rowmotion``, ``gyration``
-and ``toggle_label`` act on one ideal at a time.
+the covers labelled p.  The rowmotion and gyration permutations, and
+the commutation check and identity suite in ``stats``, read the toggle
+masks; ``rowmotion``, ``gyration`` and ``toggle_label`` act on one ideal
+at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from functools import cached_property
-from typing import NamedTuple
 
 from .bits import iter_bits
 from .cartan import Weight, _check_node, _reflect
@@ -151,47 +151,6 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
             ready.append(nr)
             weights.append(w)
     return IdealLattice(h, tuple(ideals), tuple(covers), None if h.base is None else tuple(weights))
-
-
-class CommutationReport(NamedTuple):
-    """Exhaustive check that label toggles match simple reflections
-    through the ideal-to-weight map."""
-
-    instances: int
-    violations: tuple[tuple[int, int], ...]  # (ideal index, node)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_commutation(lattice: IdealLattice) -> CommutationReport:
-    """Toggle every label fiber of every ideal and compare the weight of
-    the result with the reflected weight.
-
-    No two elements of a fiber form a cover in a heap of a reduced word,
-    so the fiber toggles at once: mask ^ ((adds | removes) & fiber), from
-    the ideal's toggle masks.  A word with a repeated letter can put a
-    cover inside a fiber; those labels toggle element by element through
-    ``toggle_label``.
-    """
-    h = lattice.heap
-    if lattice.weights is None:
-        raise DomainError("lattice carries no weights; build the heap with a base weight")
-    cd = h.cartan
-    labels = h.labels
-    chained = {labels[a] for a, b in h.covers if labels[a] == labels[b]}
-    fibers = [(i, h.fiber_masks[i]) for i in cd.nodes]
-    index, weights = lattice.index, lattice.weights
-    violations = []
-    for k, (mask, (adds, removes)) in enumerate(zip(lattice.ideals, lattice.toggle_masks)):
-        w = weights[k]
-        flips = adds | removes
-        for i, fiber in fibers:
-            toggled = toggle_label(h, mask, i) if i in chained else mask ^ (flips & fiber)
-            if weights[index[toggled]] != _reflect(cd, i, w):
-                violations.append((k, i))
-    return CommutationReport(len(lattice) * cd.rank, tuple(violations))
 
 
 def rowmotion(h: Heap, mask: int) -> int:

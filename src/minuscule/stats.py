@@ -1,11 +1,14 @@
-"""Toggle indicator identities on ideals, checked exactly in integers.
+"""Label toggles and toggle indicator identities on ideals, checked
+exactly in integers in one pass.
 
 For an ideal I and element p, the indicators record whether toggling at
 p would insert p (plus), delete p (minus), or fix I; the lattice keeps
 them per ideal as the bit masks ``IdealLattice.toggle_masks``.
-Down-degree is the number of deletable elements.  ``identity_suite``
-certifies, on every ideal, the identities tying those indicators to
-inner products of the ideal's weight w:
+Down-degree is the number of deletable elements.  ``toggle_suite``
+reads those masks once per (ideal, node) pair and certifies two things
+on every pair.  Commutation: toggling the label fiber of I lands on the
+ideal whose weight is the reflected weight of I.  And the identities
+tying the indicators to inner products of the ideal's weight w:
 
 * the count of label-i elements of I equals (base, omega_i) - (w, omega_i);
 * the signed indicator sum over the label-i fiber equals (w, alpha_i^vee);
@@ -24,8 +27,17 @@ These are the forms with (alpha_i, alpha_i) = 2, the one root length
 ``cartan`` supports.  Every identity is compared as integers multiplied by
 d = det C: d (mu, omega_i) is the entry (adj C mu)_i that
 ``cartan.det_pairings`` returns, and d (base, base) is base^T adj C
-base.  No Fraction is built for integral weights.  The per-(ideal,
-node) reference checks these replace live in the test oracles.
+base.  No Fraction is built for integral weights.  Those pairings are
+carried along the covers: a cover labelled i reflects the weight by
+s_i, which subtracts mu_i alpha_i, and adj C alpha_i = d e_i, so one
+entry changes by mu_i d.  Each ideal takes them from one cover entering
+it when its stored weight is the reflected weight of the cover's lower
+end, and computes them directly otherwise, so they stay exact for any
+stored weights.  Commutation compares those pairings too: adj C is
+invertible, so two weights are equal exactly when their pairings are,
+and the pairings of s_i w are those of w with entry i lowered by w_i d.
+The per-(ideal, node) reference checks this pass replaces live in the
+test oracles.
 """
 
 from __future__ import annotations
@@ -34,9 +46,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bits import iter_bits
-from .cartan import CartanDatum, Weight, det_pairings, inner_product
+from .cartan import CartanDatum, Weight, _reflect, det_pairings, inner_product
 from .errors import DomainError
-from .ideals import IdealLattice
+from .ideals import IdealLattice, toggle_label
 
 
 def tcde_constant(cd: CartanDatum, lam: Weight) -> Fraction:
@@ -53,8 +65,25 @@ class CheckRow(NamedTuple):
     failures: int
 
 
-def identity_suite(lattice: IdealLattice) -> tuple[CheckRow, ...]:
-    """Check every identity on every (ideal, node) pair of a lattice."""
+class ToggleSuite(NamedTuple):
+    """The rows of ``toggle_suite``: ``commutation``, then the five
+    identity rows, and the (ideal index, node) pairs where commutation
+    fails."""
+
+    rows: tuple[CheckRow, ...]
+    violations: tuple[tuple[int, int], ...]
+
+
+def toggle_suite(lattice: IdealLattice) -> ToggleSuite:
+    """Check commutation and every identity on every (ideal, node) pair
+    of a lattice, in one pass.
+
+    No two elements of a fiber form a cover in a heap of a reduced word,
+    so the fiber toggles at once: mask ^ ((adds | removes) & fiber), from
+    the ideal's toggle masks.  A word with a repeated letter can put a
+    cover inside a fiber; those labels toggle element by element through
+    ``toggle_label``.  A toggled mask that names no ideal is a violation.
+    """
     h = lattice.heap
     cd = h.cartan
     if lattice.weights is None:
@@ -62,42 +91,102 @@ def identity_suite(lattice: IdealLattice) -> tuple[CheckRow, ...]:
     if h.base is None:
         raise DomainError("heap carries no base weight")
     d = cd.det
+    labels = h.labels
     base_sums = det_pairings(cd, h.base)
-    position = [0] * len(h)  # fiber position j, counted from 1 in heap order
+    # at[b] is the fiber position j, counted from 1 in heap order, of
+    # element b - 1, and at[0] = 0: a mask of at most one bit has its
+    # position at[mask.bit_length()].
+    at = [0] * (len(h) + 1)
     for i in cd.nodes:
         for j, p in enumerate(h.fibers[i], start=1):
-            position[p] = j
-    nodes = [(i - 1, h.fiber_masks[i], base_sums[i - 1]) for i in cd.nodes]
+            at[p + 1] = j
+    chained = {labels[a] for a, b in h.covers if labels[a] == labels[b]}
+    nodes = [(i, h.fiber_masks[i], base_sums[i - 1], i in chained) for i in cd.nodes]
     target = sum(b * s for b, s in zip(h.base, base_sums))  # d (base, base)
+    weights, index = lattice.weights, lattice.index
+    entering: list = [None] * len(lattice)  # per ideal, (lo, label) of a cover into it
+    for lo, hi, p in lattice.covers:
+        if lo < hi:
+            entering[hi] = lo, labels[p]
 
+    pairings = []  # per ideal, det_pairings of its weight
+    for k in range(len(lattice)):
+        came = entering[k]
+        if came is not None and weights[k] == _reflect(cd, came[1], weights[came[0]]):
+            lo, i = came
+            w_sums = pairings[lo].copy()
+            w_sums[i - 1] -= weights[lo][i - 1] * d
+        else:
+            w_sums = det_pairings(cd, weights[k])
+        pairings.append(w_sums)
+
+    violations = []
     label = signed = weighted = statistic = decomposition = 0
-    for mask, w, (adds, removes), ddeg in zip(
-        lattice.ideals, lattice.weights, lattice.toggle_masks, lattice.down_degrees
+    for k, (mask, w, w_sums, (adds, removes), ddeg) in enumerate(
+        zip(lattice.ideals, weights, pairings, lattice.toggle_masks, lattice.down_degrees)
     ):
-        w_sums = det_pairings(cd, w)
         reconstructed = 0
-        for col, fiber, base_sum in nodes:
-            count = (mask & fiber).bit_count()
-            pairing = w[col]
+        for i, fiber, base_sum, chain in nodes:
+            pairing = w[i - 1]
             plus, minus = adds & fiber, removes & fiber
+            toggled = toggle_label(h, mask, i) if chain else mask ^ plus ^ minus
+            image = index.get(toggled)
+            reflected = w_sums  # det_pairings of s_i w
+            if pairing:
+                reflected = w_sums.copy()
+                reflected[i - 1] -= pairing * d
+            if image is None or pairings[image] != reflected:
+                violations.append((k, i))
+            count = (mask & fiber).bit_count()
             n_plus, n_minus = plus.bit_count(), minus.bit_count()
-            plus_pos = sum(position[p] for p in iter_bits(plus))
-            minus_pos = sum(position[p] for p in iter_bits(minus))
+            if n_plus < 2:
+                plus_pos = at[plus.bit_length()]
+            else:
+                plus_pos = sum(at[p + 1] for p in iter_bits(plus))
+            if n_minus < 2:
+                minus_pos = at[minus.bit_length()]
+            else:
+                minus_pos = sum(at[p + 1] for p in iter_bits(minus))
             signed_sum = n_plus - n_minus
             weighted_sum = (plus_pos - n_plus) - minus_pos
             shifted = weighted_sum + n_minus  # sum_j (j-1) signed_j
             fiber_stat = d * (n_minus - shifted) + base_sum * signed_sum  # times d
-            label += d * count != base_sum - w_sums[col]
+            label += d * count != base_sum - w_sums[i - 1]
             signed += signed_sum != pairing
             weighted += weighted_sum != count * pairing
-            statistic += fiber_stat != w_sums[col] * pairing
+            statistic += fiber_stat != w_sums[i - 1] * pairing
             reconstructed += d * shifted - base_sum * signed_sum
         decomposition += d * ddeg != target + reconstructed
     pairs = len(lattice) * cd.rank
-    return (
+    rows = (
+        CheckRow("commutation", pairs, len(violations)),
         CheckRow("label_count", pairs, label),
         CheckRow("signed_toggle_sum", pairs, signed),
         CheckRow("weighted_toggle_sum", pairs, weighted),
         CheckRow("fiber_statistic", pairs, statistic),
         CheckRow("ddeg_decomposition", len(lattice), decomposition),
     )
+    return ToggleSuite(rows, tuple(violations))
+
+
+def identity_suite(lattice: IdealLattice) -> tuple[CheckRow, ...]:
+    """The five identity rows of ``toggle_suite``."""
+    return toggle_suite(lattice).rows[1:]
+
+
+class CommutationReport(NamedTuple):
+    """Exhaustive check that label toggles match simple reflections
+    through the ideal-to-weight map."""
+
+    instances: int
+    violations: tuple[tuple[int, int], ...]  # (ideal index, node)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def verify_commutation(lattice: IdealLattice) -> CommutationReport:
+    """The ``commutation`` row of ``toggle_suite``, with its violations."""
+    suite = toggle_suite(lattice)
+    return CommutationReport(suite.rows[0].instances, suite.violations)

@@ -681,7 +681,7 @@ def pairwise_structure_failures(bundle):
 
 
 # Per-(ideal, node) reference for the toggle indicator identities that
-# ``minuscule.stats.identity_suite`` checks in one batched integer pass.
+# ``minuscule.stats.toggle_suite`` checks in one batched integer pass.
 # Each check rebuilds its own indicators and takes Fraction inner
 # products through ``minuscule.cartan``.
 

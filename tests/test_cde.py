@@ -39,6 +39,7 @@ from minuscule.cde import (
     strict_chain_rows,
     toggle_polytope,
 )
+from minuscule.cli import build_case, default_catalog
 from minuscule.errors import InternalCheckError
 from minuscule.ideals import IdealLattice
 from minuscule.simplex import OPTIMAL, solve_lp
@@ -632,6 +633,45 @@ def test_lp_witness_agrees_with_simplex_and_closed_form(family, rank, node, monk
             assert y[p + 1] == (j - 1) - scale
 
 
+def never(*args, **kwargs):
+    raise AssertionError("the Gram solve ran")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(s.family, s.rank, s.node) for s in default_catalog()] + [("A", 9, 5), ("D", 9, 9)],
+    ids=lambda case: "%s%d.%d" % case,
+)
+def test_closed_form_witness_equals_the_gram_solve(case, monkeypatch):
+    """On every catalog case and the two ladder cases the closed-form
+    witness passes the exact check, so the Gram solve never runs, and it
+    is the witness the Gram solve finds."""
+    L = build_case(*case).lattice
+    gram = cde._gram_witness(L)
+    assert gram is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(cde, "_gram_witness", never)
+        assert cde._dual_witness(L) == gram
+
+
+@settings(max_examples=60)
+@given(random_heap_word(with_base=True))
+def test_dual_witness_agrees_with_the_gram_solve_on_random_heaps_with_a_base(case):
+    """A random base rarely gives a closed form that passes, and then the
+    Gram solve decides.  A Gram solution is unique, since a nonsingular
+    Gram matrix means A has full row rank, so any certified witness
+    equals it; without one, a witness must still pass the exact check."""
+    cd, word, base = case
+    L = enumerate_ideals(heap_from_word(cd, word, base=base))
+    witness, gram = cde._dual_witness(L), cde._gram_witness(L)
+    if gram is not None:
+        assert witness == gram
+    elif witness is not None:
+        rows, _ = toggle_polytope(L)
+        for k, ddeg in enumerate(L.down_degrees):
+            assert sum(row[k] * v for row, v in zip(rows, witness)) == ddeg
+
+
 def test_bareiss_solve_is_exact_and_rejects_singular_systems():
     (x,), d = cde._bareiss_solve([[2, 1], [1, 3]], [[3, 5]])
     assert [F(v, d) for v in x] == [F(4, 5), F(7, 5)]
@@ -646,10 +686,17 @@ def test_bareiss_solve_eliminates_once_for_several_columns():
     assert [[F(v, d) for v in col] for col in (y, z)] == [[F(3, 5), F(-1, 5)], [F(-1, 5), F(2, 5)]]
 
 
-def test_lp_control_poset_has_no_witness():
+def test_lp_control_poset_has_no_witness(monkeypatch):
+    """The control heap has no base weight, so the Gram solve decides."""
     cd = build_cartan("A", 4)
     L = enumerate_ideals(heap_from_word(cd, (2, 4, 3, 1)))
+    calls = []
+    gram = cde._gram_witness
+    monkeypatch.setattr(
+        cde, "_gram_witness", lambda lattice: calls.append(lattice) or gram(lattice)
+    )
     cert = lp_certificate(L)
+    assert calls == [L]
     assert cert.witness is None
     assert (cert.minimum, cert.maximum) == (F(6, 5), F(4, 3))
 
@@ -669,6 +716,7 @@ def test_lp_certificate_agrees_with_oracles_on_random_heaps(case):
     cd, word = case
     L = enumerate_ideals(heap_from_word(cd, word))
     cert = lp_certificate(L)
+    assert cert.witness == cde._gram_witness(L)  # no base weight: the Gram solve decides
     if len(L) <= 12:
         rows, rhs = toggle_polytope(L)
         values = [expectation(v, L.down_degrees) for v in polytope_vertices(rows, rhs)]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import minuscule.cde as cde
 from minuscule import DomainError, Heap, IdealLattice, InternalCheckError, cli, fundamental_weight
 from minuscule.cli import (
     EXIT_CHECK_FAILED,
@@ -529,6 +530,24 @@ def _shift_heap_base_by_omega_1(bundle):
     base = (h.base[0] + 1,) + h.base[1:]
     heap = Heap(h.cartan, h.labels, h.covers, base)
     return bundle._replace(heap=heap, lattice=IdealLattice(heap, L.ideals, L.covers, L.weights))
+
+
+def test_the_gram_solve_decides_the_lp_row_for_a_shifted_base(monkeypatch):
+    """The closed-form witness read off a base shifted by omega_1 fails
+    the exact check, so the Gram solve finds the witness of the
+    untouched lattice, and the ``lp_certificate`` row still passes."""
+    bundle = build_case("A", 3, 2)
+    want = cde._dual_witness(bundle.lattice)
+    shifted = _shift_heap_base_by_omega_1(bundle)
+    calls = []
+    gram = cde._gram_witness
+    monkeypatch.setattr(
+        cde, "_gram_witness", lambda lattice: calls.append(lattice) or gram(lattice)
+    )
+    cert = cde.lp_certificate(shifted.lattice)
+    assert calls == [shifted.lattice]
+    assert cert.witness == want
+    assert cert.minimum == cert.maximum == shifted.constant
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,13 @@ from minuscule import (
     heap_from_word,
     identity_suite,
     tcde_constant,
+    toggle_suite,
     toggle_symmetry_report,
 )
+import minuscule.stats as stats
 from minuscule.cde import ToggleSymmetryReport, toggle_polytope
+from minuscule.cli import build_case, default_catalog
+from minuscule.stats import CheckRow
 from conftest import random_heap_word, small_catalog
 from oracles import (
     check_ddeg_decomposition,
@@ -25,6 +29,7 @@ from oracles import (
     check_label_count_formula,
     check_signed_toggle_sum,
     check_weighted_toggle_sum,
+    commutation_violations_by_toggle_label,
     coroot_pairing,
     down_degree,
     fiber_statistic,
@@ -194,6 +199,17 @@ def test_decomposition_rank_one_by_hand():
     assert full.ddeg == 1 == Fraction(1, 2) + Fraction(-1, 2) * (-1)
 
 
+def assert_toggle_suite_matches_the_oracles(L):
+    """The one pass against the element-by-element label toggles and the
+    per-triple identity checks: the violation pairs and every count."""
+    suite = toggle_suite(L)
+    violations = commutation_violations_by_toggle_label(L)
+    assert suite.violations == violations
+    commutation = CheckRow("commutation", len(L) * L.heap.cartan.rank, len(violations))
+    assert suite.rows == (commutation,) + per_triple_identity_suite(L)
+    return suite
+
+
 @pytest.mark.parametrize("family,rank,node", small_catalog())
 def test_identity_suite_zero_failures(family, rank, node):
     cd = build_cartan(family, rank)
@@ -214,10 +230,11 @@ def test_identity_suite_matches_per_triple_oracle(family, rank, node):
 @given(random_heap_word(with_base=True))
 def test_identity_suite_matches_oracle_on_random_heaps(case):
     """Arbitrary heaps with arbitrary bases mostly break the identities,
-    so this also compares the failure counts of the two paths."""
+    and random words repeat letters, so this also compares the failure
+    counts and the commutation violations of the pass and the oracles."""
     cd, word, base = case
     L = enumerate_ideals(heap_from_word(cd, word, base=base))
-    assert identity_suite(L) == per_triple_identity_suite(L)
+    assert identity_suite(L) == assert_toggle_suite_matches_the_oracles(L).rows[1:]
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
@@ -236,7 +253,7 @@ def test_identity_suite_counts_tampered_weights_like_oracle(family, rank, node):
         IdealLattice(shifted, L.ideals, L.covers, L.weights),
     ):
         rows = identity_suite(tampered)
-        assert rows == per_triple_identity_suite(tampered)
+        assert rows == assert_toggle_suite_matches_the_oracles(tampered).rows[1:]
         assert sum(row.failures for row in rows) > 0
 
 
@@ -251,6 +268,94 @@ def test_identity_suite_needs_weights_and_base():
         identity_suite(IdealLattice(baseless, L.ideals, L.covers, L.weights))
     with pytest.raises(DomainError):
         identity_suite(enumerate_ideals(heap_from_word(cd, (2, 1, 3, 2))))
+
+
+@pytest.mark.parametrize("spec", default_catalog(), ids=lambda spec: spec.case_id)
+def test_toggle_suite_matches_the_oracles_on_the_catalog(spec):
+    L = build_case(spec.family, spec.rank, spec.node).lattice
+    suite = assert_toggle_suite_matches_the_oracles(L)
+    assert not suite.violations and not any(row.failures for row in suite.rows)
+
+
+@pytest.mark.parametrize(
+    "word,chained",
+    [((1, 1), {1}), ((2, 1, 2, 2, 3), {2}), ((1, 3, 1, 2, 1), {1}), ((1, 2, 1), set())],
+)
+def test_toggle_suite_toggles_a_repeated_letter_element_by_element(word, chained, monkeypatch):
+    """A repeated letter with no neighbour between its copies puts a cover
+    inside a fiber, and that label toggles through ``toggle_label``, one
+    element at a time."""
+    cd = build_cartan("A", 3)
+    L = enumerate_ideals(heap_from_word(cd, word, base=fundamental_weight(cd, 1)))
+    calls = []
+    toggle_label = stats.toggle_label
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            stats, "toggle_label", lambda h, m, i: calls.append(i) or toggle_label(h, m, i)
+        )
+        assert_toggle_suite_matches_the_oracles(L)
+    assert set(calls) == chained
+
+
+@pytest.mark.parametrize(
+    "labels,covers",
+    [
+        ((1, 1), ()),
+        ((1, 2, 1), ((0, 1),)),
+        ((2, 1, 1, 2), ((0, 1), (0, 2), (1, 3))),
+        ((1, 1, 1), ((0, 2),)),
+    ],
+)
+def test_toggle_suite_sums_positions_over_fibers_that_are_no_chain(labels, covers):
+    """A hand-built heap can hold incomparable elements of one label, so
+    an ideal can have two addable or two removable elements in a fiber;
+    their positions are summed bit by bit."""
+    cd = build_cartan("A", 2)
+    h = Heap(cd, labels, covers, fundamental_weight(cd, 1))
+    L = enumerate_ideals(h)
+    fibers = h.fiber_masks.values()
+    for end in (0, 1):  # adds, then removes
+        assert any((masks[end] & f).bit_count() > 1 for masks in L.toggle_masks for f in fibers)
+    assert_toggle_suite_matches_the_oracles(L)
+
+
+def a3_2_lattice_with_covers(covers_of):
+    L = build_case("A", 3, 2).lattice
+    return L, IdealLattice(L.heap, L.ideals, covers_of(L.covers), L.weights)
+
+
+def test_toggle_suite_counts_a_relabelled_cover_as_violations():
+    """A cover relabelled to another element adds the wrong element to its
+    lower ideal's toggle masks and removes it from its upper one.  The
+    toggles of both labels at both ends then go wrong, one of them to a
+    mask that names no ideal: violations, not an error."""
+    L, relabelled = a3_2_lattice_with_covers(lambda covers: ((0, 1, 1),) + covers[1:])
+    assert L.covers[0] == (0, 1, 0)
+    suite = toggle_suite(relabelled)
+    assert 0b10 not in L.index  # label 1 toggled at the empty ideal
+    labels = {L.heap.labels[0], L.heap.labels[1]}
+    assert set(suite.violations) == {(k, i) for k in (0, 1) for i in labels}
+    assert suite.rows[0].failures == 4
+
+
+def test_toggle_suite_computes_the_pairings_of_an_ideal_no_cover_enters():
+    """With the one cover into ideal 1 dropped, ideal 1 takes its pairings
+    directly: ``label_count``, which reads no cover, still passes, and
+    only the two ends of the dropped cover fail commutation at its label."""
+    L, dropped = a3_2_lattice_with_covers(lambda covers: covers[1:])
+    assert [hi for _, hi, _ in L.covers].count(1) == 1
+    suite = toggle_suite(dropped)
+    rows = {row.check: row.failures for row in suite.rows}
+    assert rows["label_count"] == 0
+    assert suite.violations == ((0, L.heap.labels[0]), (1, L.heap.labels[0]))
+
+
+def test_toggle_suite_carries_no_pairings_down_a_descending_cover():
+    """The cover into ideal 1 reversed enters ideal 0 from ideal 1, whose
+    pairings are not known yet; both take theirs directly."""
+    L, reversed_cover = a3_2_lattice_with_covers(lambda covers: ((1, 0, 0),) + covers[1:])
+    suite = toggle_suite(reversed_cover)
+    assert {row.check: row.failures for row in suite.rows}["label_count"] == 0
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
