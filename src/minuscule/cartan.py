@@ -177,11 +177,17 @@ def inner_product(cd: CartanDatum, mu: Weight, nu: Weight) -> Fraction:
 def _reflect(cd: CartanDatum, i: int, mu: Weight) -> Weight:
     """mu - mu_i * (row i of the Cartan matrix), unchecked: the arithmetic
     of ``simple_reflection`` for callers whose node and weight are valid
-    by construction."""
+    by construction.  Row i is 2 at i and -1 at each Dynkin neighbour,
+    so only those coordinates change: -mu_i at i, mu_j + mu_i at each
+    neighbour j."""
     mi = mu[i - 1]
     if mi == 0:
         return tuple(mu)
-    return tuple([m - mi * a for m, a in zip(mu, cd.matrix[i - 1])])
+    out = list(mu)
+    for j in cd.neighbours[i - 1]:
+        out[j - 1] += mi
+    out[i - 1] = -mi
+    return tuple(out)
 
 
 def simple_reflection(cd: CartanDatum, i: int, mu: Weight) -> Weight:

@@ -6,16 +6,20 @@ distributions on action orbits, and an exact linear-programming
 certificate that the down-degree expectation is the same for every
 toggle-symmetric distribution.  That certificate is a dual witness y
 with A^T y = ddeg for the equality matrix A of the toggle polytope,
-checked on every ideal in one pass over the covers.  On a heap with a
-base weight y has a closed form, read off the base and the fiber
-positions; only a heap without one, or one whose closed form fails the
-check, solves the Gram system by the fraction-free integer elimination
+checked on every ideal by ``stats.witness_residues``, one pass over the
+covers.  On a heap with a base weight y has a closed form,
+``stats.closed_form_witness``, read off the base and the fiber
+positions, and its residues are also the ``ddeg_decomposition`` row;
+only a heap without a base, or one whose closed form has residues,
+solves the Gram system by the fraction-free integer elimination
 ``_bareiss_solve`` that ``cartan`` also uses for the Cartan adjugate.
 The simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
-Toggle symmetry, the polytope rows and the witness read the covers
-labelled p: each is one site where p is inserted (lo) and deleted (hi).
+Every lattice here is J(P), checked by the ``IdealLattice``
+constructor, so nothing below guards against a malformed one.  Toggle
+symmetry, the polytope rows and the witness read the covers labelled
+p: each is one site where p is inserted (lo) and deleted (hi).
 ``label_sums`` is the one sum of an ideal weighting over either end of
 those covers, and every toggle-balance check reads it.
 
@@ -44,11 +48,11 @@ from operator import mul
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
-from .cartan import _bareiss_solve, det_pairings
+from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
 from .ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
 from .simplex import OPTIMAL, solve_lp
-from .stats import tcde_constant
+from .stats import closed_form_witness, tcde_constant, witness_residues
 
 Distribution = tuple[Fraction, ...]
 
@@ -76,23 +80,19 @@ def uniform_distribution(lattice: IdealLattice) -> Distribution:
 
 
 def _cover_lists(lattice: IdealLattice):
-    """Per ideal in index order, its upper covers (p, hi) in ascending p,
-    for the lattice and for its dual (ideal N-1-x, element |P|-1-p).
-    A cover whose lo does not precede hi in index, or that names an
-    ideal or element out of range, raises: the walk would read it late."""
+    """Per ideal in index order, its upper covers (p, hi), for the lattice
+    and for its dual (ideal N-1-x, element |P|-1-p), each in ascending p.
+
+    The covers increase, so those up from one ideal come in ascending hi,
+    and ideals of one cardinality ascend in mask, so in p; those into one
+    ideal come in ascending lo, so in descending p, which the dual
+    reverses."""
     n, rank = len(lattice), len(lattice.heap)
     upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     dual: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for lo, hi, p in lattice.covers:
-        if not (0 <= lo < hi < n and 0 <= p < rank):
-            raise InternalCheckError(
-                f"cover ({lo}, {hi}, {p}) does not ascend in ideal index"
-                f" within {n} ideals and {rank} elements"
-            )
         upper[lo].append((p, hi))
         dual[n - 1 - hi].append((rank - 1 - p, n - 1 - lo))
-    for covers in upper + dual:
-        covers.sort()
     return upper, dual
 
 
@@ -261,13 +261,13 @@ def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
 def orbit_rows(lattice: IdealLattice, orbits) -> tuple[ChainRow, ...]:
     """The ``ChainRow`` of each orbit's 0/1 indicator, orbit j in slot j.
 
-    An ideal of a lattice from ``enumerate_ideals`` is the lower end of
-    at most one cover labelled p and the upper end of at most one, and
-    its down-degree is at most |P|; so for 0/1 indicators no slot of any
-    sum the rows read exceeds |J(P)| * |P|, and W = bit_length(|J(P)| *
-    (|P| + 1)) keeps every slot from carrying.  An empty orbit (no
-    expectation), an index out of range or one repeated within an orbit
-    (not a 0/1 indicator) raises ``DomainError``.
+    An ideal of J(P) is the lower end of at most one cover labelled p
+    and the upper end of at most one, and its down-degree is at most
+    |P|; so for 0/1 indicators no slot of any sum the rows read exceeds
+    |J(P)| * |P|, and W = bit_length(|J(P)| * (|P| + 1)) keeps every
+    slot from carrying.  An empty orbit (no expectation), an index out
+    of range or one repeated within an orbit (not a 0/1 indicator)
+    raises ``DomainError``.
     """
     width = (len(lattice) * (len(lattice.heap) + 1)).bit_length()
     packed = [0] * len(lattice)
@@ -386,35 +386,19 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     """y with A^T y = ddeg on every ideal, for A the equality matrix of
     ``toggle_polytope``, or None.
 
-    On a heap with a base weight lam, the Rush-Shi isomorphism gives y in
-    closed form: y_0 = (lam, lam), and y_p = (j - 1) - (lam, omega_i)
-    for p the j-th element of the label-i fiber; this is the
-    ``ddeg_decomposition`` identity of ``stats``.  That y is tried first,
-    in integers scaled by det C, and the Gram solve of
-    ``_gram_witness`` runs only for a heap without a base weight or when
-    the closed form fails the exact check.  Only that check certifies.
+    On a heap with a base weight, the Rush-Shi isomorphism gives y in
+    closed form, ``stats.closed_form_witness``, whose residues are the
+    ``ddeg_decomposition`` row.  That y is returned when it has none;
+    the Gram solve of ``_gram_witness`` runs only for a heap without a
+    base weight or when the closed form has residues.  Only the exact
+    check certifies.
     """
     h = lattice.heap
     if h.base is not None:
-        cd = h.cartan
-        base_sums = det_pairings(cd, h.base)
-        y = [sum(b * s for b, s in zip(h.base, base_sums))] + [0] * len(h)
-        for i in cd.nodes:
-            for j, p in enumerate(h.fibers[i]):
-                y[p + 1] = cd.det * j - base_sums[i - 1]
-        if _certifies(lattice, y, cd.det):
-            return tuple(Fraction(v, cd.det) for v in y)
+        y, d = closed_form_witness(h), h.cartan.det
+        if not witness_residues(lattice, y, d):
+            return tuple(Fraction(v, d) for v in y)
     return _gram_witness(lattice)
-
-
-def _certifies(lattice: IdealLattice, y: list[int], d: int) -> bool:
-    """Whether A^T y = d ddeg on every ideal, for A the equality matrix
-    of ``toggle_polytope``: one pass over the covers."""
-    values = [y[0]] * len(lattice)
-    for lo, hi, p in lattice.covers:
-        values[lo] += y[p + 1]
-        values[hi] -= y[p + 1]
-    return all(v == d * ddeg for v, ddeg in zip(values, lattice.down_degrees))
 
 
 def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
@@ -423,16 +407,13 @@ def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
 
     The Gram entries are popcounts of per-element masks of the covers'
     lower and upper ideals; ``_bareiss_solve`` solves the system in
-    integers, and the exact check ``_certifies`` decides.  When A has
-    full row rank the solution is unique and passes the check exactly
-    when ddeg lies in the row span of A.  A singular Gram matrix also
-    gives None.
+    integers, and ``witness_residues`` decides.  When A has full row
+    rank the solution is unique and has no residues exactly when ddeg
+    lies in the row span of A.  A singular Gram matrix also gives None.
 
     The masks are ``label_sums`` of the values 1 << x, and A ddeg is
-    ``label_sums`` of ddeg.  In a lattice from ``enumerate_ideals`` no
-    ideal is an end of two covers with one label, so each sum of masks
-    is their OR; on a malformed lattice the Gram matrix may be wrong,
-    and the exact check still decides.
+    ``label_sums`` of ddeg.  No ideal of J(P) is an end of two covers
+    with one label, so each sum of masks is their OR.
     """
     degrees = lattice.down_degrees
     m = len(lattice.heap) + 1
@@ -455,7 +436,7 @@ def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     if solved is None:
         return None
     (x,), d = solved
-    if not _certifies(lattice, x, d):
+    if witness_residues(lattice, x, d):
         return None
     return tuple(Fraction(v, d) for v in x)
 

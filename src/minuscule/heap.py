@@ -208,21 +208,27 @@ def _draw(getrandbits, count: int) -> int:
     return r
 
 
-def _take(below, upper, chosen: int, ready: int, r: int) -> tuple[int, int, int]:
+def ready_after(h: Heap, ready: int, p: int, chosen: int) -> int:
+    """The ready mask (the unchosen elements whose down-set is chosen)
+    once p, an element of ``ready``, is chosen; ``chosen`` includes p.
+    Choosing p can make only its upper covers ready: O(deg)."""
+    below = h.below
+    ready ^= 1 << p
+    for q in h.upper_covers[p]:
+        if below[q] & chosen == below[q]:
+            ready |= 1 << q
+    return ready
+
+
+def _take(h: Heap, chosen: int, ready: int, r: int) -> tuple[int, int, int]:
     """Choose the r-th ready element p, in ascending order; return p and
-    the chosen and ready masks after it.  Choosing p can make only its
-    upper covers ready."""
+    the chosen and ready masks after it."""
     m = ready
     for _ in range(r):
         m &= m - 1
-    low = m & -m
-    p = low.bit_length() - 1
-    chosen |= low
-    ready ^= low
-    for q in upper[p]:
-        if below[q] & chosen == below[q]:
-            ready |= 1 << q
-    return p, chosen, ready
+    p = (m & -m).bit_length() - 1
+    chosen |= 1 << p
+    return p, chosen, ready_after(h, ready, p, chosen)
 
 
 def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
@@ -232,13 +238,12 @@ def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
     bit mask, and each step takes the r-th of them with r drawn as
     ``rng.randrange(#ready)`` draws it.
     """
-    below, upper = h.below, h.upper_covers
     getrandbits = rng.getrandbits
     chosen, ready = 0, h.minimal_mask
     out = []
     while ready:
         r = _draw(getrandbits, ready.bit_count())
-        p, chosen, ready = _take(below, upper, chosen, ready, r)
+        p, chosen, ready = _take(h, chosen, ready, r)
         out.append(p)
     return tuple(out)
 
@@ -269,7 +274,7 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     above x in position, where no cover of x reaches; and the heap of its
     word, whose equal labels form chains, is not h.
     """
-    below, lower, upper, labels = h.below, h.lower, h.upper_covers, h.labels
+    below, lower, labels = h.below, h.lower, h.labels
     neighbours, fiber_masks = h.cartan.neighbours, h.fiber_masks
     around = [sum(fiber_masks[k] for k in neighbours[i - 1]) for i in labels]
 
@@ -297,7 +302,7 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
             r = _draw(getrandbits, len(slots))
             slot = slots[r]
             if slot is None:
-                p, next_chosen, next_ready = _take(below, upper, chosen, ready, r)
+                p, next_chosen, next_ready = _take(h, chosen, ready, r)
                 following = states.get(next_chosen)
                 if following is None:
                     following = states[next_chosen] = [None] * next_ready.bit_count()

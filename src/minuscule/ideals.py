@@ -7,13 +7,17 @@ and ideal indices are stable across runs.  When the heap carries a
 base weight, every ideal also gets the weight obtained by applying the
 reflections of any linear extension of the ideal to the base.
 
-The covers ``(lo, hi, p)`` are the one toggle incidence: p can be
-inserted at lo and deleted at hi.  The toggle masks here, and toggle
-symmetry, the polytope rows and the dual witness in ``cde``, all read
-the covers labelled p.  The rowmotion and gyration permutations, and
-the commutation check and identity suite in ``stats``, read the toggle
+An ``IdealLattice`` is checked once, at construction, to be exactly
+J(P) with each cover listed once, so its consumers need no guard of
+their own: a toggle of J(P) always lands in J(P).  The covers
+``(lo, hi, p)`` are the one toggle incidence: p can be inserted at lo
+and deleted at hi.  The toggle masks here, and toggle symmetry, the
+polytope rows and the dual witness in ``cde``, all read the covers
+labelled p.  The rowmotion and gyration permutations, and the
+commutation check and identity suite in ``stats``, read the toggle
 masks; ``rowmotion``, ``gyration`` and ``toggle_label`` act on one ideal
-at a time.
+at a time.  ``image_orbits`` still checks the images it is given, which
+may be any masks.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .bits import iter_bits
 from .cartan import Weight, _check_node, _reflect
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .frozen import Frozen
-from .heap import Heap
+from .heap import Heap, ready_after
 
 DEFAULT_IDEAL_CAP = 10**6
 
@@ -61,7 +65,32 @@ def toggle_label(h: Heap, mask: int, i: int) -> int:
 
 
 class IdealLattice(Frozen):
-    """All order ideals of a heap, with cover edges ``(lo, hi, element)``."""
+    """J(P) of a heap: its ideals as masks in (cardinality, mask) order,
+    its covers ``(lo, hi, element)`` in increasing order, and the weight
+    of each ideal, or None.
+
+    The constructor accepts exactly J(P) and raises ``DomainError``
+    naming the first ideal or cover that breaks one of these rules:
+
+    * the ideals start at the empty ideal 0 and strictly increase by
+      (cardinality, mask), so each appears once;
+    * the covers strictly increase, and each (lo, hi, p) has
+      0 <= lo < hi < |J|, 0 <= p < |P|, and ideal hi equal to ideal lo
+      with p added;
+    * the elements the covers add to each ideal are exactly its ready
+      mask: the minimal elements for ideal 0, and ``ready_after`` along
+      one cover into any other.
+
+    By induction in index order every listed mask is then an ideal whose
+    covers up add exactly its addable elements, so p lies outside ideal
+    lo with its down-set inside, every ideal of P is listed, and the
+    covers are the Hasse diagram of J(P), each once.  ``weights`` must
+    be None or hold one weight per ideal; they are not checked against
+    the heap.  The same pass fills ``toggle_masks``, per ideal the masks
+    ``(adds, removes)`` of the elements that toggle into it and out of
+    it, and ``entering``, per ideal (lo, p) of its first cover in, None
+    for the empty ideal.
+    """
 
     def __init__(
         self,
@@ -70,7 +99,54 @@ class IdealLattice(Frozen):
         covers: tuple[tuple[int, int, int], ...],
         weights: tuple[Weight, ...] | None,
     ) -> None:
+        n = len(ideals)
+        if not n or ideals[0]:
+            raise DomainError("the ideals do not start at the empty ideal 0")
+        for k in range(1, n):
+            a, b = ideals[k - 1], ideals[k]
+            if (a.bit_count(), a) >= (b.bit_count(), b):
+                raise DomainError(
+                    f"ideal {k} ({b:#b}) does not follow ideal {k - 1} ({a:#b})"
+                    " in strictly increasing (cardinality, mask) order"
+                )
+        if weights is not None and len(weights) != n:
+            raise DomainError(f"lattice has {len(weights)} weights for {n} ideals")
+        size = len(heap)
+        adds, removes = [0] * n, [0] * n
+        entering: list = [None] * n  # per ideal, (lo, p) of the first cover into it
+        previous = (-1, -1, -1)
+        for cover in covers:
+            lo, hi, p = cover
+            if not (cover > previous and 0 <= lo < hi < n and 0 <= p < size):
+                raise DomainError(
+                    f"lattice cover {cover} breaks the rule that covers strictly increase"
+                    f" and each (lo, hi, p) has 0 <= lo < hi < {n} and 0 <= p < {size}"
+                )
+            bit = 1 << p
+            if ideals[hi] != ideals[lo] | bit:
+                raise DomainError(
+                    f"lattice cover {cover}: ideal {hi} is not ideal {lo} with element {p} added"
+                )
+            previous = cover
+            adds[lo] |= bit
+            removes[hi] |= bit
+            if entering[hi] is None:
+                entering[hi] = lo, p
+        ready = heap.minimal_mask
+        for k, came in enumerate(entering):
+            if k:
+                if came is None:
+                    raise DomainError(f"ideal {k} ({ideals[k]:#b}) is the upper end of no cover")
+                ready = ready_after(heap, adds[came[0]], came[1], ideals[k])
+            missing, extra = ready & ~adds[k], adds[k] & ~ready
+            if missing:
+                p = (missing & -missing).bit_length() - 1
+                raise DomainError(f"no lattice cover adds the addable element {p} to ideal {k}")
+            if extra:
+                p = (extra & -extra).bit_length() - 1
+                raise DomainError(f"a lattice cover adds the unaddable element {p} to ideal {k}")
         self._set(heap=heap, ideals=ideals, covers=covers, weights=weights)
+        self._set(toggle_masks=tuple(zip(adds, removes)), entering=tuple(entering))
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -78,18 +154,6 @@ class IdealLattice(Frozen):
 
     def __len__(self) -> int:
         return len(self.ideals)
-
-    @cached_property
-    def toggle_masks(self) -> tuple[tuple[int, int], ...]:
-        """Per ideal, the bit masks ``(adds, removes)`` of the elements
-        that toggle into it and out of it, from one pass over the covers:
-        (lo, hi, p) puts p in lo's adds and in hi's removes."""
-        n = len(self.ideals)
-        adds, removes = [0] * n, [0] * n
-        for lo, hi, p in self.covers:
-            adds[lo] |= 1 << p
-            removes[hi] |= 1 << p
-        return tuple(zip(adds, removes))
 
     @cached_property
     def down_degrees(self) -> tuple[int, ...]:
@@ -103,15 +167,11 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
     one cardinality at a time.
 
     Each ideal m keeps its ready mask, the elements that can be inserted
-    into it.  Inserting p can make only an upper cover q of p ready, and
-    q is ready in m | p when its down-set lies in m | p, so the ready
-    mask of m | p is that of m without p plus those q: O(deg) per cover.
+    into it, and ``ready_after`` gives that of m | p from it in O(deg).
     A level sorted by mask value, and walked in that order with each
     ready mask in ascending elements, lists the ideals and the covers in
     their final order directly.
     """
-    below = h.below
-    uppers = tuple(tuple((1 << q, below[q]) for q in qs) for qs in h.upper_covers)
     labels = h.labels
     cd = h.cartan
     ready = [h.minimal_mask]
@@ -135,12 +195,8 @@ def enumerate_ideals(h: Heap, cap: int = DEFAULT_IDEAL_CAP) -> IdealLattice:
                 if nm not in fresh:
                     if len(ideals) + len(fresh) >= cap:
                         raise ResourceLimitError(f"ideal count exceeds cap of {cap}")
-                    nr = r ^ bit
-                    for qbit, qbelow in uppers[p]:
-                        if qbelow & nm == qbelow:
-                            nr |= qbit
                     w = None if h.base is None else _reflect(cd, labels[p], weights[lo])
-                    fresh[nm] = nr, w
+                    fresh[nm] = ready_after(h, r, p, nm), w
         done = len(ideals)
         level = sorted(fresh)
         position = {nm: done + j for j, nm in enumerate(level)}
@@ -206,10 +262,7 @@ def gyration_images(lattice: IdealLattice) -> list[int]:
     images = []
     for m, f in zip(lattice.ideals, flips):
         half = m ^ (f & even)
-        k = index.get(half)
-        if k is None:
-            raise InternalCheckError("action left the ideal lattice")
-        images.append(half ^ (flips[k] & odd))
+        images.append(half ^ (flips[index[half]] & odd))
     return images
 
 

@@ -7,8 +7,10 @@ them per ideal as the bit masks ``IdealLattice.toggle_masks``.
 Down-degree is the number of deletable elements.  ``toggle_suite``
 reads those masks once per (ideal, node) pair and certifies two things
 on every pair.  Commutation: toggling the label fiber of I lands on the
-ideal whose weight is the reflected weight of I.  And the identities
-tying the indicators to inner products of the ideal's weight w:
+ideal whose weight is the reflected weight of I; the lattice is J(P),
+checked at construction, so that toggle always names an ideal.  And
+the identities tying the indicators to inner products of the ideal's
+weight w:
 
 * the count of label-i elements of I equals (base, omega_i) - (w, omega_i);
 * the signed indicator sum over the label-i fiber equals (w, alpha_i^vee);
@@ -23,6 +25,13 @@ tying the indicators to inner products of the ideal's weight w:
   all fibers count the deletable elements; that pins the expected
   down-degree of every toggle-symmetric distribution.
 
+The last identity is A^T y = ddeg for the equality matrix A of the
+toggle polytope and the dual witness y in closed form: y_0 = (base,
+base), y_p = (j-1) - (base, omega_i).  So ``closed_form_witness`` builds
+that y once and ``witness_residues``, one pass over the covers, counts
+the ideals where it fails; that count is the ``ddeg_decomposition`` row,
+and ``cde`` returns y as the LP witness when it is 0.
+
 These are the forms with (alpha_i, alpha_i) = 2, the one root length
 ``cartan`` supports.  Every identity is compared as integers multiplied by
 d = det C: d (mu, omega_i) is the entry (adj C mu)_i that
@@ -30,12 +39,14 @@ d = det C: d (mu, omega_i) is the entry (adj C mu)_i that
 base.  No Fraction is built for integral weights.  Those pairings are
 carried along the covers: a cover labelled i reflects the weight by
 s_i, which subtracts mu_i alpha_i, and adj C alpha_i = d e_i, so one
-entry changes by mu_i d.  Each ideal takes them from one cover entering
-it when its stored weight is the reflected weight of the cover's lower
-end, and computes them directly otherwise, so they stay exact for any
-stored weights.  Commutation compares those pairings too: adj C is
-invertible, so two weights are equal exactly when their pairings are,
-and the pairings of s_i w are those of w with entry i lowered by w_i d.
+entry changes by mu_i d.  Each ideal but the empty one takes them along
+``IdealLattice.entering``, its first cover in, when its stored weight is
+the reflected weight of the cover's lower end, and computes them
+directly otherwise, so they stay exact for any stored weights (the
+constructor checks only how many there are).  Commutation compares
+those pairings too: adj C is invertible, so two weights are equal
+exactly when their pairings are, and the pairings of s_i w are those
+of w with entry i lowered by w_i d.
 The per-(ideal, node) reference checks this pass replaces live in the
 test oracles.
 """
@@ -48,6 +59,7 @@ from typing import NamedTuple
 from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _reflect, det_pairings, inner_product
 from .errors import DomainError
+from .heap import Heap
 from .ideals import IdealLattice, toggle_label
 
 
@@ -74,15 +86,42 @@ class ToggleSuite(NamedTuple):
     violations: tuple[tuple[int, int], ...]
 
 
+def closed_form_witness(h: Heap) -> list[int]:
+    """det C times the dual witness y of the toggle polytope in closed
+    form, from the heap's base weight lam: y_0 = (lam, lam), and y_p =
+    (j - 1) - (lam, omega_i) for p the j-th element of the label-i fiber.
+    On a minuscule heap A^T y = ddeg on every ideal, which is the
+    ``ddeg_decomposition`` identity."""
+    cd = h.cartan
+    base_sums = det_pairings(cd, h.base)
+    y = [sum(b * s for b, s in zip(h.base, base_sums))] + [0] * len(h)
+    for i in cd.nodes:
+        for j, p in enumerate(h.fibers[i]):
+            y[p + 1] = cd.det * j - base_sums[i - 1]
+    return y
+
+
+def witness_residues(lattice: IdealLattice, y: list[int], d: int) -> int:
+    """How many ideals have A^T y != d ddeg, for A the equality matrix of
+    the toggle polytope: y_0, plus y_p over the covers up from the ideal,
+    minus y_p over those down from it.  One pass over the covers."""
+    values = [y[0]] * len(lattice)
+    for lo, hi, p in lattice.covers:
+        values[lo] += y[p + 1]
+        values[hi] -= y[p + 1]
+    return sum(v != d * ddeg for v, ddeg in zip(values, lattice.down_degrees))
+
+
 def toggle_suite(lattice: IdealLattice) -> ToggleSuite:
     """Check commutation and every identity on every (ideal, node) pair
-    of a lattice, in one pass.
+    of a lattice, in one pass, and ``ddeg_decomposition`` on every ideal
+    as the residues of ``closed_form_witness``.
 
     No two elements of a fiber form a cover in a heap of a reduced word,
     so the fiber toggles at once: mask ^ ((adds | removes) & fiber), from
     the ideal's toggle masks.  A word with a repeated letter can put a
     cover inside a fiber; those labels toggle element by element through
-    ``toggle_label``.  A toggled mask that names no ideal is a violation.
+    ``toggle_label``.
     """
     h = lattice.heap
     cd = h.cartan
@@ -102,40 +141,32 @@ def toggle_suite(lattice: IdealLattice) -> ToggleSuite:
             at[p + 1] = j
     chained = {labels[a] for a, b in h.covers if labels[a] == labels[b]}
     nodes = [(i, h.fiber_masks[i], base_sums[i - 1], i in chained) for i in cd.nodes]
-    target = sum(b * s for b, s in zip(h.base, base_sums))  # d (base, base)
     weights, index = lattice.weights, lattice.index
-    entering: list = [None] * len(lattice)  # per ideal, (lo, label) of a cover into it
-    for lo, hi, p in lattice.covers:
-        if lo < hi:
-            entering[hi] = lo, labels[p]
 
-    pairings = []  # per ideal, det_pairings of its weight
-    for k in range(len(lattice)):
-        came = entering[k]
-        if came is not None and weights[k] == _reflect(cd, came[1], weights[came[0]]):
-            lo, i = came
+    pairings = [det_pairings(cd, weights[0])]  # per ideal, det_pairings of its weight
+    for w, (lo, p) in zip(weights[1:], lattice.entering[1:]):
+        i = labels[p]
+        if w == _reflect(cd, i, weights[lo]):
             w_sums = pairings[lo].copy()
             w_sums[i - 1] -= weights[lo][i - 1] * d
         else:
-            w_sums = det_pairings(cd, weights[k])
+            w_sums = det_pairings(cd, w)
         pairings.append(w_sums)
 
     violations = []
-    label = signed = weighted = statistic = decomposition = 0
-    for k, (mask, w, w_sums, (adds, removes), ddeg) in enumerate(
-        zip(lattice.ideals, weights, pairings, lattice.toggle_masks, lattice.down_degrees)
+    label = signed = weighted = statistic = 0
+    for k, (mask, w, w_sums, (adds, removes)) in enumerate(
+        zip(lattice.ideals, weights, pairings, lattice.toggle_masks)
     ):
-        reconstructed = 0
         for i, fiber, base_sum, chain in nodes:
             pairing = w[i - 1]
             plus, minus = adds & fiber, removes & fiber
             toggled = toggle_label(h, mask, i) if chain else mask ^ plus ^ minus
-            image = index.get(toggled)
             reflected = w_sums  # det_pairings of s_i w
             if pairing:
                 reflected = w_sums.copy()
                 reflected[i - 1] -= pairing * d
-            if image is None or pairings[image] != reflected:
+            if pairings[index[toggled]] != reflected:
                 violations.append((k, i))
             count = (mask & fiber).bit_count()
             n_plus, n_minus = plus.bit_count(), minus.bit_count()
@@ -155,9 +186,8 @@ def toggle_suite(lattice: IdealLattice) -> ToggleSuite:
             signed += signed_sum != pairing
             weighted += weighted_sum != count * pairing
             statistic += fiber_stat != w_sums[i - 1] * pairing
-            reconstructed += d * shifted - base_sum * signed_sum
-        decomposition += d * ddeg != target + reconstructed
     pairs = len(lattice) * cd.rank
+    decomposition = witness_residues(lattice, closed_form_witness(h), d)
     rows = (
         CheckRow("commutation", pairs, len(violations)),
         CheckRow("label_count", pairs, label),

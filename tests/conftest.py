@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from minuscule import build_cartan, generate_orbit
+from minuscule import Heap, IdealLattice, build_cartan, generate_orbit
 from minuscule.cli import build_case, default_catalog
 
 # Every property test is derandomized and untimed; each sets only its
@@ -74,3 +74,16 @@ def random_heap_word(draw, with_base=False):
         return cd, tuple(word)
     base = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
     return cd, tuple(word), tuple(base)
+
+
+def base_shifted_lattices(spec):
+    """The lattice of a catalog case, then its ideals, covers and weights
+    over its heap with the base weight shifted by omega_i, for each node
+    i in turn."""
+    L = build_case(spec.family, spec.rank, spec.node).lattice
+    h = L.heap
+    yield L
+    for i in h.cartan.nodes:
+        base = tuple(b + (j == i - 1) for j, b in enumerate(h.base))
+        shifted = Heap(h.cartan, h.labels, h.covers, base)
+        yield IdealLattice(shifted, L.ideals, L.covers, L.weights)

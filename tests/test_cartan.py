@@ -16,12 +16,14 @@ from minuscule import (
     simple_reflection,
     toggle_label,
 )
+from minuscule.cartan import _reflect
 from oracles import (
     cartan_inverse,
     coroot_pairing,
     gauss_jordan_inverse,
     identity_product,
     minuscule_catalog,
+    reflect,
     simple_root,
 )
 
@@ -251,3 +253,16 @@ def test_inner_product_matches_the_fraction_formula(case):
         Fraction(0),
     )
     assert inner_product(cd, mu, nu) == expected * cd.omega_sq / 2
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SUPPORTED_UP_TO_RANK_8), st.data())
+def test_reflect_matches_the_full_row_formula(family_rank, data):
+    """``_reflect`` changes only node i and its Dynkin neighbours; at
+    every node it equals mu - mu_i * (row i of the Cartan matrix), on
+    integral and fractional weights with zero coordinates among them."""
+    cd = build_cartan(*family_rank)
+    coordinate = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    mu = tuple(data.draw(st.lists(coordinate, min_size=cd.rank, max_size=cd.rank)))
+    for i in cd.nodes:
+        assert _reflect(cd, i, mu) == reflect(cd.matrix, i, mu)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -40,10 +41,10 @@ from minuscule.cde import (
     toggle_polytope,
 )
 from minuscule.cli import build_case, default_catalog
-from minuscule.errors import InternalCheckError
 from minuscule.ideals import IdealLattice
 from minuscule.simplex import OPTIMAL, solve_lp
-from conftest import random_heap_word, small_catalog
+from minuscule.stats import CheckRow, closed_form_witness, toggle_suite, witness_residues
+from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
     chain_row,
     make_distribution,
@@ -301,15 +302,14 @@ def test_a_bumped_slot_is_reported_at_its_chain_length_and_element(family, rank,
 
 def test_a_cover_that_does_not_ascend_in_index_raises():
     """The packed pass walks the ideals in index order, so a cover whose
-    lo does not precede hi would be read too late: it raises instead."""
+    lo does not precede hi would be read too late.  Such a cover, or one
+    naming an ideal or element out of range, is a ``DomainError`` of the
+    lattice constructor naming it, so no chain count ever reads it."""
     _, L = grid_lattice()
     lo, hi, p = L.covers[0]
     for bad in ((hi, lo, p), (lo, lo, p), (lo, len(L), p), (lo, hi, len(L.heap))):
-        tampered = IdealLattice(L.heap, L.ideals, (bad,) + L.covers[1:], L.weights)
-        with pytest.raises(InternalCheckError, match="does not ascend"):
-            strict_chain_rows(tampered)
-        with pytest.raises(InternalCheckError, match="does not ascend"):
-            chain_counts(tampered, 1)
+        with pytest.raises(DomainError, match=re.escape(f"lattice cover {bad} breaks the rule")):
+            IdealLattice(L.heap, L.ideals, (bad,) + L.covers[1:], L.weights)
 
 
 def indicator(L, orbit):
@@ -652,6 +652,32 @@ def test_closed_form_witness_equals_the_gram_solve(case, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(cde, "_gram_witness", never)
         assert cde._dual_witness(L) == gram
+
+
+@pytest.mark.parametrize("spec", default_catalog(), ids=lambda spec: spec.case_id)
+def test_closed_form_residues_are_the_ddeg_row_and_decide_the_gram_solve(spec, monkeypatch):
+    """With the case's base and with it shifted by each omega_i, the
+    residues of the closed-form witness are the ``ddeg_decomposition``
+    failures, and ``_dual_witness`` skips the Gram solve exactly when
+    there are none, returning the closed form.  A shifted base leaves a
+    residue at the empty ideal, so only the case's own base skips it."""
+    gram = cde._gram_witness
+    skipped = []
+    for L in base_shifted_lattices(spec):
+        y, d = closed_form_witness(L.heap), L.heap.cartan.det
+        residues = witness_residues(L, y, d)
+        assert toggle_suite(L).rows[-1] == CheckRow("ddeg_decomposition", len(L), residues)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cde, "_gram_witness", lambda lattice: calls.append(lattice) or gram(lattice)
+            )
+            witness = cde._dual_witness(L)
+        assert (residues == 0) == (calls == [])
+        if not residues:
+            assert witness == tuple(F(v, d) for v in y)
+        skipped.append(not calls)
+    assert skipped == [True] + [False] * spec.rank
 
 
 @settings(max_examples=60)

@@ -519,13 +519,13 @@ def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):
     assert {d["constant"] for d in case["distributions"]} == {"1/1"}
 
 
-def _swap_weights_of_ideals_1_and_2(bundle):
+def _swap_weights_of_ideals_1_and_2(bundle, monkeypatch):
     L = bundle.lattice
     weights = L.weights[:1] + L.weights[2:3] + L.weights[1:2] + L.weights[3:]
     return bundle._replace(lattice=IdealLattice(L.heap, L.ideals, L.covers, weights))
 
 
-def _shift_heap_base_by_omega_1(bundle):
+def _shift_heap_base_by_omega_1(bundle, monkeypatch):
     h, L = bundle.heap, bundle.lattice
     base = (h.base[0] + 1,) + h.base[1:]
     heap = Heap(h.cartan, h.labels, h.covers, base)
@@ -538,7 +538,7 @@ def test_the_gram_solve_decides_the_lp_row_for_a_shifted_base(monkeypatch):
     untouched lattice, and the ``lp_certificate`` row still passes."""
     bundle = build_case("A", 3, 2)
     want = cde._dual_witness(bundle.lattice)
-    shifted = _shift_heap_base_by_omega_1(bundle)
+    shifted = _shift_heap_base_by_omega_1(bundle, monkeypatch)
     calls = []
     gram = cde._gram_witness
     monkeypatch.setattr(
@@ -580,7 +580,7 @@ def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, 
     1, the identity rows equal the per-triple oracle, ``structure`` the
     pairwise oracle and ``commutation`` the element-by-element toggles,
     and exactly the rows the fault must trip fail."""
-    bundle = tamper(build_case("A", 3, 2))
+    bundle = tamper(build_case("A", 3, 2), monkeypatch)
     monkeypatch.setattr(cli, "_build_case", lambda spec: bundle)
     code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
     assert code == EXIT_CHECK_FAILED
@@ -592,25 +592,32 @@ def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, 
     assert failures["commutation"] == len(commutation_violations_by_toggle_label(bundle.lattice))
 
 
-def _report_with_a_mismatch(bundle):
+def _report_with_a_mismatch(bundle, monkeypatch):
     return bundle._replace(report=bundle.report._replace(mismatch="planted mismatch"))
 
 
-def _orbit_of_a3_1(bundle):
+def _orbit_of_a3_1(bundle, monkeypatch):
     return bundle._replace(orbit=build_case("A", 3, 1).orbit)
 
 
-def _weight_of_node_1(bundle):
+def _weight_of_node_1(bundle, monkeypatch):
     return bundle._replace(weight=fundamental_weight(bundle.cartan, 1))
 
 
-def _top_lattice_cover_listed_twice(bundle):
-    L = bundle.lattice
-    covers = L.covers + L.covers[-1:]
-    return bundle._replace(lattice=IdealLattice(L.heap, L.ideals, covers, L.weights))
+def _top_ideal_read_twice_by_label_sums(bundle, monkeypatch):
+    label_sums = cde.label_sums
+
+    def twice(lattice, values):
+        lows, highs = label_sums(lattice, values)
+        _, hi, p = lattice.covers[-1]
+        highs[p] += values[hi]
+        return lows, highs
+
+    monkeypatch.setattr(cde, "label_sums", twice)
+    return bundle
 
 
-def _heap_with_an_extra_cover(bundle):
+def _heap_with_an_extra_cover(bundle, monkeypatch):
     h = bundle.heap
     extra = next((a, b) for b in range(len(h)) for a in range(b) if (a, b) not in h.covers)
     heap = Heap(h.cartan, h.labels, tuple(sorted(h.covers + (extra,))), h.base)
@@ -635,16 +642,20 @@ VERIFY_ROWS = (
     "heap_words",
 )
 
-# Each fault planted in the A3.2 case data, with exactly the rows it trips.
+# Each fault planted in the A3.2 case data, or in a reader of it, with
+# exactly the rows it trips.
 # The report carries a mismatch only the minuscule row reads, and the
 # orbit (A3.1's) only the structure row.  Swapping two ideal weights
 # breaks the weight map; shifting the heap's base by omega_1 moves every
 # weight the identity suite and homomesy read from it, but not the lattice
 # weights structure and commutation compare.  The weight of node 1 moves
 # only the constant the cde and LP rows compare against (homomesy takes
-# its constant from the heap's base).  The top lattice cover listed twice
-# counts twice in the toggle sums of its element and changes nothing
-# else, and an extra heap cover fails every rebuilt word.
+# its constant from the heap's base).  No lattice can list a cover twice,
+# and on J(P) every chain count and orbit indicator is toggle-symmetric,
+# so that row's fault is planted in its one reader: ``label_sums``
+# adding the value of the top ideal twice to the upper-end sum of the top
+# cover's element unbalances every weighting that is nonzero there, and
+# changes nothing else.  An extra heap cover fails every rebuilt word.
 PLANTED_FAULTS = (
     (_report_with_a_mismatch, {"minuscule"}),
     (_orbit_of_a3_1, {"structure"}),
@@ -662,7 +673,7 @@ PLANTED_FAULTS = (
             "homomesy_gyration",
         },
     ),
-    (_top_lattice_cover_listed_twice, {"toggle_symmetry"}),
+    (_top_ideal_read_twice_by_label_sums, {"toggle_symmetry"}),
     (_weight_of_node_1, {"cde_strict", "cde_multi", "lp_certificate"}),
     (_heap_with_an_extra_cover, {"heap_words"}),
 )
@@ -673,7 +684,7 @@ def test_every_verify_row_fails_on_a_planted_fault(capsys, monkeypatch, row):
     """For each row ``verify`` prints, a fault planted in the case data
     that trips it: ``verify`` exits 1 and exactly the fault's rows fail."""
     tamper, tripped = next(fault for fault in PLANTED_FAULTS if row in fault[1])
-    bundle = tamper(build_case("A", 3, 2))
+    bundle = tamper(build_case("A", 3, 2), monkeypatch)
     monkeypatch.setattr(cli, "_build_case", lambda spec: bundle)
     code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
     assert code == EXIT_CHECK_FAILED
@@ -821,17 +832,20 @@ def test_structure_check_matches_the_pairwise_oracle():
         bundle = build_case(spec.family, spec.rank, spec.node)
         assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
         L = bundle.lattice
-        ideals = L.ideals[:1] + L.ideals[2:3] + L.ideals[1:2] + L.ideals[3:]
+        if len(L) > 2:
+            # ideal 1 is the one minimal element; ideal 2 holds two
+            ideals = L.ideals[:1] + L.ideals[2:3] + L.ideals[1:2] + L.ideals[3:]
+            with pytest.raises(DomainError, match=r"^ideal 2 \(0b1\) does not follow ideal 1"):
+                IdealLattice(L.heap, ideals, L.covers, L.weights)
         # a coroot pairing of 2 never occurs on a minuscule orbit
         moved = (2,) + L.weights[1][1:]
         assert moved not in bundle.orbit.index
-        for weights, masks in (
-            (L.weights[1:] + L.weights[:1], L.ideals),  # rotated
-            (L.weights[:-1] + L.weights[:1], L.ideals),  # not injective
-            (L.weights, ideals),  # two ideals swapped
-            (L.weights[:1] + (moved,) + L.weights[2:], L.ideals),  # off the orbit
+        for weights in (
+            L.weights[1:] + L.weights[:1],  # rotated
+            L.weights[:-1] + L.weights[:1],  # not injective
+            L.weights[:1] + (moved,) + L.weights[2:],  # off the orbit
         ):
-            lattice = IdealLattice(L.heap, masks, L.covers, weights)
+            lattice = IdealLattice(L.heap, L.ideals, L.covers, weights)
             tampered = bundle._replace(lattice=lattice)
             instances, failures = cli._structure_failures(tampered)
             assert (instances, failures) == pairwise_structure_failures(tampered)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
+    Heap,
     InternalCheckError,
     ResourceLimitError,
     action_orbits,
@@ -392,18 +393,197 @@ def test_non_graded_heap_has_no_gyration():
 
 
 def test_action_images_keep_the_bijection_checks():
+    """``image_orbits`` takes any masks as images, so it keeps its own
+    checks.  A lattice without covers, or with a false one, cannot reach
+    them through ``rowmotion_images`` or ``gyration_images``: the
+    constructor raises ``DomainError`` naming the ideal or cover."""
     h = grid_heap()
     L = enumerate_ideals(h)
     with pytest.raises(InternalCheckError, match="left the ideal lattice"):
         image_orbits(L, [0] * (len(L) - 1) + [0b1000])
-    no_covers = IdealLattice(h, L.ideals, (), L.weights)
     with pytest.raises(InternalCheckError, match="not a bijection"):
-        image_orbits(no_covers, rowmotion_images(no_covers))
-    # A false cover makes the top element (rank 2, even) toggle into the
-    # empty ideal, which is no ideal of the grid.
-    false_cover = IdealLattice(h, L.ideals, L.covers + ((0, 1, 3),), L.weights)
-    with pytest.raises(InternalCheckError, match="left the ideal lattice"):
-        gyration_images(false_cover)
+        image_orbits(L, [0] * len(L))
+    with pytest.raises(DomainError, match="^no lattice cover adds the addable element 0 to"):
+        IdealLattice(h, L.ideals, (), L.weights)
+    with pytest.raises(DomainError, match=r"^lattice cover \(0, 1, 3\) breaks the rule"):
+        IdealLattice(h, L.ideals, L.covers + ((0, 1, 3),), L.weights)
+
+
+def a3_2_lattice_with_covers(covers_of):
+    """The A3.2 lattice and the constructor's error on its covers
+    changed by ``covers_of``: no such lattice can be built, so none
+    reaches ``verify_case``."""
+    L = build_case("A", 3, 2).lattice
+    with pytest.raises(DomainError) as info:
+        IdealLattice(L.heap, L.ideals, covers_of(L.covers), L.weights)
+    return L, str(info.value)
+
+
+def test_a_relabelled_cover_is_a_domain_error_at_construction():
+    """The cover into ideal 1 relabelled to element 1: ideal 1 is not the
+    empty ideal with element 1 added."""
+    L, error = a3_2_lattice_with_covers(lambda covers: ((0, 1, 1),) + covers[1:])
+    assert L.covers[0] == (0, 1, 0)
+    assert error == "lattice cover (0, 1, 1): ideal 1 is not ideal 0 with element 1 added"
+
+
+def test_a_dropped_cover_is_a_domain_error_at_construction():
+    """With the one cover into ideal 1 dropped, the empty ideal has an
+    addable element no cover adds: the error names the missing cover by
+    its lower ideal and element."""
+    L, error = a3_2_lattice_with_covers(lambda covers: covers[1:])
+    assert [hi for _, hi, _ in L.covers].count(1) == 1
+    assert error == "no lattice cover adds the addable element 0 to ideal 0"
+
+
+def test_a_reversed_cover_is_a_domain_error_at_construction():
+    L, error = a3_2_lattice_with_covers(lambda covers: ((1, 0, 0),) + covers[1:])
+    assert error.startswith(
+        "lattice cover (1, 0, 0) breaks the rule that covers strictly increase"
+    )
+
+
+def chain_of_two():
+    """The heap of the A2 word (1, 2), a chain 0 < 1, with the non-ideal
+    mask 0b10 among its ideals."""
+    h = heap_from_word(build_cartan("A", 2), (1, 2))
+    return h, (0, 0b1, 0b10, 0b11)
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda h, L: (h, (), (), None), "the ideals do not start at the empty ideal 0"),
+        (
+            lambda h, L: (h, (0b1,) + L.ideals[1:], L.covers, None),
+            "the ideals do not start at the empty ideal 0",
+        ),
+        (
+            lambda h, L: (
+                h, L.ideals[:2] + L.ideals[3:4] + L.ideals[2:3] + L.ideals[4:], L.covers, None
+            ),
+            "ideal 3 (0b11) does not follow ideal 2 (0b101) in strictly increasing"
+            " (cardinality, mask) order",
+        ),
+        (
+            lambda h, L: (h, L.ideals[:3] + L.ideals[2:3] + L.ideals[4:], L.covers, None),
+            "ideal 3 (0b11) does not follow ideal 2 (0b11)",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers + L.covers[-1:], None),
+            "lattice cover (4, 5, 3) breaks the rule that covers strictly increase",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:-1] + ((4, 5, 4),), None),
+            "lattice cover (4, 5, 4) breaks the rule that covers strictly increase and each"
+            " (lo, hi, p) has 0 <= lo < hi < 6 and 0 <= p < 4",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:-1] + ((4, 6, 3),), None),
+            "lattice cover (4, 6, 3) breaks the rule",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:1] + ((1, 2, 0),) + L.covers[2:], None),
+            "lattice cover (1, 2, 0): ideal 2 is not ideal 1 with element 0 added",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:1] + ((1, 3, 1),) + L.covers[2:], None),
+            "lattice cover (1, 3, 1): ideal 3 is not ideal 1 with element 1 added",
+        ),
+        (
+            lambda h, L: (*chain_of_two(), ((0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)), None),
+            "a lattice cover adds the unaddable element 1 to ideal 0",
+        ),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:4] + L.covers[5:], None),
+            "no lattice cover adds the addable element 1 to ideal 3",
+        ),
+        (
+            lambda h, L: (*chain_of_two(), ((0, 1, 0), (1, 3, 1)), None),
+            "ideal 2 (0b10) is the upper end of no cover",
+        ),
+        (lambda h, L: (h, L.ideals, L.covers, L.weights[1:]), "lattice has 5 weights for 6 ideals"),
+    ],
+    ids=[
+        "no_ideals",
+        "first_ideal_not_empty",
+        "ideals_out_of_order",
+        "ideal_repeated",
+        "cover_repeated",
+        "element_out_of_range",
+        "ideal_out_of_range",
+        "element_already_in",
+        "retargeted",
+        "down_set_outside",
+        "cover_missing",
+        "ideal_entered_by_no_cover",
+        "weights_short",
+    ],
+)
+def test_the_lattice_constructor_names_the_first_broken_rule(tamper, message):
+    """One input per rule, on the A3.2 lattice (ideals 0, 0b1, 0b11,
+    0b101, 0b111, 0b1111) or on a chain of two with a non-ideal mask."""
+    h = grid_heap()
+    L = enumerate_ideals(h)
+    with pytest.raises(DomainError) as info:
+        IdealLattice(*tamper(h, L))
+    assert str(info.value).startswith(message)
+
+
+@st.composite
+def hand_built_heaps(draw):
+    """A heap of up to six elements with random labels over A3 and any
+    ascending covers, so its fibers need not be chains."""
+    cd = build_cartan("A", 3)
+    n = draw(st.integers(0, 6))
+    labels = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    covers = tuple(sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    return Heap(cd, labels, covers)
+
+
+def heap_of_word(case):
+    cd, word, base = case
+    return heap_from_word(cd, word, base=base)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(random_heap_word(with_base=True).map(heap_of_word), hand_built_heaps()),
+    st.sampled_from(("drop", "duplicate", "relabel", "retarget", "reorder")),
+    st.data(),
+)
+def test_the_lattice_constructor_accepts_j_p_and_rejects_every_single_cover_mutation(
+    h, mutation, data
+):
+    """Every lattice ``enumerate_ideals`` builds passes the constructor,
+    on heaps of words and on hand-built heaps whose fibers need not be
+    chains.  One cover dropped, listed twice, given another element or
+    upper ideal (in range or not), or swapped with a neighbour (reversed
+    when it is the only one) is rejected."""
+    L = enumerate_ideals(h)
+    again = IdealLattice(h, L.ideals, L.covers, L.weights)
+    assert again.toggle_masks == L.toggle_masks and again.entering == L.entering
+    if not L.covers:
+        return
+    covers = list(L.covers)
+    c = data.draw(st.integers(0, len(covers) - 1))
+    lo, hi, p = covers[c]
+    if mutation == "drop":
+        del covers[c]
+    elif mutation == "duplicate":
+        covers.insert(c, covers[c])
+    elif mutation == "relabel":
+        covers[c] = lo, hi, data.draw(st.integers(0, len(h)).filter(lambda q: q != p))
+    elif mutation == "retarget":
+        covers[c] = lo, data.draw(st.integers(0, len(L)).filter(lambda k: k != hi)), p
+    elif len(covers) == 1:
+        covers[c] = hi, lo, p
+    else:
+        d = c + 1 if c + 1 < len(covers) else c - 1
+        covers[c], covers[d] = covers[d], covers[c]
+    with pytest.raises(DomainError):
+        IdealLattice(h, L.ideals, tuple(covers), L.weights)
 
 
 def test_commutation_on_toggle_masks_names_the_same_violations_as_label_toggles():

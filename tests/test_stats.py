@@ -22,7 +22,7 @@ import minuscule.stats as stats
 from minuscule.cde import ToggleSymmetryReport, toggle_polytope
 from minuscule.cli import build_case, default_catalog
 from minuscule.stats import CheckRow
-from conftest import random_heap_word, small_catalog
+from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
     check_ddeg_decomposition,
     check_fiber_statistic,
@@ -319,43 +319,14 @@ def test_toggle_suite_sums_positions_over_fibers_that_are_no_chain(labels, cover
     assert_toggle_suite_matches_the_oracles(L)
 
 
-def a3_2_lattice_with_covers(covers_of):
-    L = build_case("A", 3, 2).lattice
-    return L, IdealLattice(L.heap, L.ideals, covers_of(L.covers), L.weights)
-
-
-def test_toggle_suite_counts_a_relabelled_cover_as_violations():
-    """A cover relabelled to another element adds the wrong element to its
-    lower ideal's toggle masks and removes it from its upper one.  The
-    toggles of both labels at both ends then go wrong, one of them to a
-    mask that names no ideal: violations, not an error."""
-    L, relabelled = a3_2_lattice_with_covers(lambda covers: ((0, 1, 1),) + covers[1:])
-    assert L.covers[0] == (0, 1, 0)
-    suite = toggle_suite(relabelled)
-    assert 0b10 not in L.index  # label 1 toggled at the empty ideal
-    labels = {L.heap.labels[0], L.heap.labels[1]}
-    assert set(suite.violations) == {(k, i) for k in (0, 1) for i in labels}
-    assert suite.rows[0].failures == 4
-
-
-def test_toggle_suite_computes_the_pairings_of_an_ideal_no_cover_enters():
-    """With the one cover into ideal 1 dropped, ideal 1 takes its pairings
-    directly: ``label_count``, which reads no cover, still passes, and
-    only the two ends of the dropped cover fail commutation at its label."""
-    L, dropped = a3_2_lattice_with_covers(lambda covers: covers[1:])
-    assert [hi for _, hi, _ in L.covers].count(1) == 1
-    suite = toggle_suite(dropped)
-    rows = {row.check: row.failures for row in suite.rows}
-    assert rows["label_count"] == 0
-    assert suite.violations == ((0, L.heap.labels[0]), (1, L.heap.labels[0]))
-
-
-def test_toggle_suite_carries_no_pairings_down_a_descending_cover():
-    """The cover into ideal 1 reversed enters ideal 0 from ideal 1, whose
-    pairings are not known yet; both take theirs directly."""
-    L, reversed_cover = a3_2_lattice_with_covers(lambda covers: ((1, 0, 0),) + covers[1:])
-    suite = toggle_suite(reversed_cover)
-    assert {row.check: row.failures for row in suite.rows}["label_count"] == 0
+@pytest.mark.parametrize("spec", default_catalog(), ids=lambda spec: spec.case_id)
+def test_ddeg_decomposition_matches_the_oracle_with_the_base_shifted_by_each_omega_i(spec):
+    """The row is read off the closed-form witness; on every shifted base
+    it still counts the ideals that the per-triple oracle's
+    ``check_ddeg_decomposition`` fails."""
+    for L in base_shifted_lattices(spec):
+        failures = sum(not check_ddeg_decomposition(L.heap, m).ok for m in L.ideals)
+        assert toggle_suite(L).rows[-1] == CheckRow("ddeg_decomposition", len(L), failures)
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
