@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import serialize
-from .bits import iter_bits
 from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
     MULTI,
@@ -142,40 +141,30 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
     and containment matching the orbit order in both directions.
 
     One instance per (ideal a, ideal b) pair, counted with bit masks over
-    ideal indices: for each b, the ideals contained in it (those outside
-    the members of every element not in b) against the ideals whose
-    weight lies at or below b's weight in the orbit.  A weight with no
-    orbit position lies in no orbit down-set and has none below it."""
+    ideal indices.  The lattice is J(P), so containment is the closure of
+    its covers; the orbit order is the closure of the orbit covers, seeded
+    at each ideal's weight position.  For each b the two closures, the
+    ideals inside b and those whose weight lies at or below b's, must
+    agree.  A weight with no orbit position lies in no orbit down-set and
+    has none below it."""
     lattice, orb = bundle.lattice, bundle.orbit
     n = len(lattice)
-    instances = 2 + n * n
-    failures = 0
-    if n != len(orb):
-        failures += 1
-    if sorted(lattice.weights) != sorted(orb.weights):
-        failures += 1
-    ideals = lattice.ideals
-    everything = (1 << n) - 1
-    members = [0] * len(lattice.heap)  # per element, the ideals holding it
+    failures = int(n != len(orb)) + int(sorted(lattice.weights) != sorted(orb.weights))
+    contained = [1 << a for a in range(n)]  # per ideal, the ideals inside it
+    for lo, hi, _ in lattice.covers:  # sorted by lo, and lo < hi
+        contained[hi] |= contained[lo]
     # per orbit weight, the ideals whose weight lies at or below it
     dominated = [0] * len(orb)
     weight_pos = [orb.index.get(w) for w in lattice.weights]
-    for a, (mask, w) in enumerate(zip(ideals, weight_pos)):
-        for p in iter_bits(mask):
-            members[p] |= 1 << a
+    for a, w in enumerate(weight_pos):
         if w is not None:
             dominated[w] |= 1 << a
     for u, up in enumerate(orb.up_adjacency):  # covers ascend in index
         for _, v in up:
             dominated[v] |= dominated[u]
-    full = lattice.heap.full_mask
-    for mask, w in zip(ideals, weight_pos):
-        outside = 0
-        for p in iter_bits(full & ~mask):
-            outside |= members[p]
-        below = 0 if w is None else dominated[w]
-        failures += ((everything & ~outside) ^ below).bit_count()
-    return instances, failures
+    for inside, w in zip(contained, weight_pos):
+        failures += (inside ^ (0 if w is None else dominated[w])).bit_count()
+    return 2 + n * n, failures
 
 
 def _word_robustness_failures(bundle: CaseBundle, trials: int, seed: int) -> tuple[int, int]:

@@ -13,11 +13,14 @@ their own: a toggle of J(P) always lands in J(P).  The covers
 ``(lo, hi, p)`` are the one toggle incidence: p can be inserted at lo
 and deleted at hi.  The toggle masks here, and toggle symmetry, the
 polytope rows and the dual witness in ``cde``, all read the covers
-labelled p.  The rowmotion and gyration permutations, and the
+labelled p.  The ``removes`` mask of an ideal is its maximal elements,
+which fix it, and the ``adds`` mask is the minimal elements of its
+complement; so the rowmotion permutation is this antichain bijection
+read at each ``adds`` mask.  The gyration permutation, and the
 commutation check and identity suite in ``stats``, read the toggle
-masks; ``rowmotion``, ``gyration`` and ``toggle_label`` act on one ideal
-at a time.  ``image_orbits`` still checks the images it is given, which
-may be any masks.
+masks too; ``rowmotion``, ``gyration`` and ``toggle_label`` act on one
+ideal at a time.  ``image_orbits`` still checks the images it is given,
+which may be any masks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cached_property
 
-from .bits import iter_bits
 from .cartan import Weight, _check_node, _reflect
 from .errors import DomainError, InternalCheckError, ResourceLimitError
 from .frozen import Frozen
@@ -235,16 +237,13 @@ def gyration(h: Heap, mask: int, even_first: bool = True) -> int:
 
 
 def rowmotion_images(lattice: IdealLattice) -> list[int]:
-    """``rowmotion`` of every ideal, in index order: the union of the
-    closed down-sets of the addable elements, read off the toggle masks."""
-    closed = [b | 1 << p for p, b in enumerate(lattice.heap.below)]
-    images = []
-    for adds, _ in lattice.toggle_masks:
-        image = 0
-        for p in iter_bits(adds):
-            image |= closed[p]
-        images.append(image)
-    return images
+    """``rowmotion`` of every ideal, in index order.  An ideal is fixed
+    by its maximal elements, its ``removes`` mask, and every antichain
+    is the maximal elements of one ideal; rowmotion sends an ideal to
+    the ideal whose maximal elements are its ``adds`` mask, the minimal
+    elements of its complement."""
+    by_maxima = {removes: m for m, (_, removes) in zip(lattice.ideals, lattice.toggle_masks)}
+    return [by_maxima[adds] for adds, _ in lattice.toggle_masks]
 
 
 def gyration_images(lattice: IdealLattice) -> list[int]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -827,6 +828,11 @@ def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):
 
 
 def test_structure_check_matches_the_pairwise_oracle():
+    for family, rank, node in (("A", 9, 5), ("D", 9, 9)):  # the ladder cases
+        bundle = build_case(family, rank, node)
+        assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
+    rng = random.Random(23)
+    shuffles = shuffled_failures = 0
     tampered_failures = 0
     for spec in default_catalog():
         bundle = build_case(spec.family, spec.rank, spec.node)
@@ -850,7 +856,21 @@ def test_structure_check_matches_the_pairwise_oracle():
             instances, failures = cli._structure_failures(tampered)
             assert (instances, failures) == pairwise_structure_failures(tampered)
             tampered_failures += failures > 0
+        # seeded permutations of the weights, every fourth with one weight
+        # moved off the orbit
+        for k in range(20):
+            weights = list(L.weights)
+            rng.shuffle(weights)
+            if k % 4 == 0:
+                weights[rng.randrange(len(weights))] = moved
+            lattice = IdealLattice(L.heap, L.ideals, L.covers, tuple(weights))
+            tampered = bundle._replace(lattice=lattice)
+            instances, failures = cli._structure_failures(tampered)
+            assert (instances, failures) == pairwise_structure_failures(tampered)
+            shuffles += 1
+            shuffled_failures += failures > 0
     assert tampered_failures > 2 * len(default_catalog())
+    assert shuffled_failures > 0.95 * shuffles
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
