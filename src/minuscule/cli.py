@@ -17,7 +17,6 @@ All output is deterministic for a fixed command line, including --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -37,7 +36,7 @@ from .cde import (
     strict_chain_rows,
 )
 from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
-from .heap import Heap, word_rebuild_failures
+from .heap import Heap, failing_cover_letters, word_rebuild_failures
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
 from .stats import CheckRow, tcde_constant, toggle_suite
@@ -169,7 +168,15 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
 
 def _word_robustness_failures(bundle: CaseBundle, trials: int, seed: int) -> tuple[int, int]:
     """Rebuild the heap from random linear extensions; each rebuild must
-    be label-preserving isomorphic to it."""
+    be label-preserving isomorphic to it.
+
+    When the lattice is J(P) of this very heap and no cover of it takes
+    a failing letter, every linear extension rebuilds the heap, so every
+    trial passes and none is drawn.  Otherwise the seeded trials give
+    the count."""
+    lattice = bundle.lattice
+    if lattice.heap is bundle.heap and not failing_cover_letters(lattice):
+        return trials, 0
     rng = random.Random(f"{seed}:{bundle.spec.case_id}")
     return trials, word_rebuild_failures(bundle.heap, rng, trials)
 
@@ -238,20 +245,18 @@ def verify_case(
     return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), lp)
 
 
-def render_verify_csv(results: list[CaseResult], skipped: list[str]) -> str:
-    lines = ["case,check,instances,failures"]
-    for res in results:
-        for row in res.checks:
-            lines.append(f"{res.case_id},{row.check},{row.instances},{row.failures}")
-    for case_id in skipped:
-        lines.append(f"{case_id},skipped,0,0")
-    return "\n".join(lines) + "\n"
+def _case_csv(res: CaseResult) -> str:
+    """The CSV lines of one case."""
+    return "".join(
+        f"{res.case_id},{row.check},{row.instances},{row.failures}\n" for row in res.checks
+    )
 
 
-def _case_payload(res: CaseResult) -> dict:
-    """One case of the JSON report; its constant is formatted once."""
+def _case_json(res: CaseResult) -> str:
+    """One case of the JSON report, rendered as it sits in the report's
+    ``cases`` list; its constant is formatted once."""
     constant = serialize.frac_str(res.constant)
-    return {
+    payload = {
         "case": res.case_id,
         "constant": constant,
         "checks": [
@@ -270,15 +275,37 @@ def _case_payload(res: CaseResult) -> dict:
         ],
         "lp": res.lp,
     }
+    return serialize.dumps(payload, level=2)
+
+
+def _join_csv(cases: list[str], skipped: list[str]) -> str:
+    """The CSV report from the ``_case_csv`` text of each case."""
+    return (
+        "case,check,instances,failures\n"
+        + "".join(cases)
+        + "".join(f"{case_id},skipped,0,0\n" for case_id in skipped)
+    )
+
+
+def _join_json(cases: list[str], skipped: list[str], failures: int) -> str:
+    """The JSON report from the ``_case_json`` text of each case, as
+    ``serialize.dumps`` would render the whole payload."""
+    listed = "[\n    " + ",\n    ".join(cases) + "\n  ]" if cases else "[]"
+    return (
+        f'{{\n  "cases": {listed},\n  "skipped": {serialize.dumps(skipped, level=1)},\n'
+        f'  "total_failures": {failures}\n}}\n'
+    )
+
+
+def render_verify_csv(results: list[CaseResult], skipped: list[str]) -> str:
+    """The CSV report of ``results`` at once; ``verify`` renders each case
+    where it was verified and joins the texts."""
+    return _join_csv(list(map(_case_csv, results)), skipped)
 
 
 def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
-    payload = {
-        "cases": [_case_payload(res) for res in results],
-        "skipped": skipped,
-        "total_failures": sum(res.failures for res in results),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON report of ``results`` at once, as ``render_verify_csv``."""
+    return _join_json(list(map(_case_json, results)), skipped, sum(r.failures for r in results))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +362,7 @@ def cmd_build(args) -> int:
         "heap": serialize.heap_to_dict(bundle.heap),
         "ideals": serialize.lattice_to_dict(bundle.lattice),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = serialize.dumps(payload) + "\n"
     sys.stdout.write(text)
     _write(args.out, f"{spec.case_id}.json", text)
     return EXIT_OK
@@ -456,8 +483,11 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--words must be at least 0, got {args.words}")
     modes = (STRICT, MULTI) if args.chain_mode == "both" else (args.chain_mode,)
 
+    render_case = _case_json if args.format == "json" else _case_csv
+
     def run(spec):
-        """The case's result; None when a sweep skips it for exceeding
+        """The case's failure count and its text in the report, rendered
+        where it was verified; None when a sweep skips it for exceeding
         the ideal cap."""
         try:
             bundle = _build_case(spec)
@@ -465,29 +495,30 @@ def cmd_verify(args) -> int:
             if not args.all:
                 raise
             return None
-        return verify_case(bundle, modes, seed=args.seed, word_trials=args.words)
+        res = verify_case(bundle, modes, seed=args.seed, word_trials=args.words)
+        return res.failures, render_case(res)
 
     outcomes = _map_forked(run, specs, _worker_count(len(specs)))
-    results = []
+    cases = []
     skipped = []
+    failures = 0
     for spec, outcome in zip(specs, outcomes):
         if isinstance(outcome, Exception):
             raise outcome
         if outcome is None:
             skipped.append(spec.case_id)
         else:
-            results.append(outcome)
+            failures += outcome[0]
+            cases.append(outcome[1])
 
     if args.format == "json":
-        text = render_verify_json(results, skipped)
-        filename = "report.json"
+        text = _join_json(cases, skipped, failures)
     else:
-        text = render_verify_csv(results, skipped)
-        filename = "report.csv"
+        text = _join_csv(cases, skipped)
     sys.stdout.write(text)
-    _write(args.out, filename, text)
+    _write(args.out, f"report.{args.format}", text)
 
-    if any(res.failures for res in results):
+    if failures:
         return EXIT_CHECK_FAILED
     if skipped:
         return EXIT_RESOURCE
@@ -513,7 +544,7 @@ def cmd_orbits(args) -> int:
                 for row in report.rows
             ],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = serialize.dumps(payload) + "\n"
         filename = f"{spec.case_id}.{args.action}.json"
     else:
         lines = ["size,ddeg_mean,matches_constant"]

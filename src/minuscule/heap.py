@@ -17,18 +17,27 @@ extension of a heap is a maximal chain of its lattice of order ideals,
 so ``word_rebuild_failures`` checks that random linear extensions give
 the heap back as random walks up that lattice: one memo per call holds
 the states the walks pass through, and the same rule's verdict on each
-letter, so no ``Heap`` is built and each step is checked once.
+letter, so no ``Heap`` is built and each step is checked once.  The
+verdict on a step depends only on the cover of J(P) it takes, so
+``failing_cover_letters`` applies it once per cover of a given J(P):
+when no cover fails, every linear extension rebuilds the heap, which
+no number of random trials shows.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
 from .frozen import Frozen
+
+if TYPE_CHECKING:
+    from .ideals import IdealLattice
 
 
 class Heap(Frozen):
@@ -248,6 +257,36 @@ def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _letter_rule(h: Heap) -> tuple[list[int], Callable[[int, int], bool]]:
+    """The verdict on one letter of a word read off a walk up J(h), as
+    ``around`` and ``passes``: the letter of element p, label i, taken
+    when ``chosen`` are the elements chosen before it, passes exactly
+    when ``passes(p, chosen & around[p])``.
+
+    The letter rests as in ``_rest_on_last`` on the latest occurrence of
+    each label in ``neighbours[i - 1]``, read as the highest chosen
+    element of that label, and passes when the elements it covers are
+    h's lower covers of p.  So the verdict is a function of p and the
+    chosen elements whose labels are in ``around[p]``, cached per pair.
+    """
+    below, lower, labels = h.below, h.lower, h.labels
+    neighbours, fiber_masks = h.cartan.neighbours, h.fiber_masks
+    around = [sum(fiber_masks[k] for k in neighbours[i - 1]) for i in labels]
+
+    @cache
+    def passes(p: int, seen: int) -> bool:
+        candidates = dominated = 0
+        for k in neighbours[labels[p] - 1]:
+            last = seen & fiber_masks[k]
+            if last:
+                y = last.bit_length() - 1
+                candidates |= 1 << y
+                dominated |= below[y]
+        return candidates & ~dominated == lower[p]
+
+    return around, passes
+
+
 def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     """How many of ``trials`` random linear extensions of h read off a
     word whose heap is not h.
@@ -255,15 +294,10 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     Each trial is a walk up J(h) that draws as ``random_linear_extension``
     does.  Covers ascend, so ``h.below`` is the order they generate: a
     walk chooses every element once, and its ready mask is a function of
-    its chosen mask, which keys the states.  The letter of the drawn
-    element p, label i, rests as in ``_rest_on_last`` on the latest
-    occurrence of each label in ``neighbours[i - 1]``, read as the
-    highest chosen element of that label, and passes when the elements
-    it covers are h's lower covers of p.  So the verdict on a letter is
-    a function of p and the chosen elements with those labels, computed
-    once per call.  Each state keeps one slot per ready element, filled
-    with that verdict and the next state the first time a trial draws
-    it, so a walk through known states costs a draw per step.
+    its chosen mask, which keys the states.  Each letter is judged by
+    ``_letter_rule``.  Each state keeps one slot per ready element,
+    filled with that verdict and the next state the first time a trial
+    draws it, so a walk through known states costs a draw per step.
 
     A trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
     word))`` is None.  While a walk takes the elements of each label in
@@ -274,24 +308,7 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     above x in position, where no cover of x reaches; and the heap of its
     word, whose equal labels form chains, is not h.
     """
-    below, lower, labels = h.below, h.lower, h.labels
-    neighbours, fiber_masks = h.cartan.neighbours, h.fiber_masks
-    around = [sum(fiber_masks[k] for k in neighbours[i - 1]) for i in labels]
-
-    @cache
-    def passes(p: int, seen: int) -> bool:
-        """Does the letter of p rest on h's lower covers of p, when
-        ``seen`` are the chosen elements with labels in its
-        neighbours?"""
-        candidates = dominated = 0
-        for k in neighbours[labels[p] - 1]:
-            last = seen & fiber_masks[k]
-            if last:
-                y = last.bit_length() - 1
-                candidates |= 1 << y
-                dominated |= below[y]
-        return candidates & ~dominated == lower[p]
-
+    around, passes = _letter_rule(h)
     start = h.minimal_mask
     states: dict[int, list] = {0: [None] * start.bit_count()}
     getrandbits = rng.getrandbits
@@ -311,6 +328,23 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
             passed = passed and ok
         failures += not passed
     return failures
+
+
+def failing_cover_letters(lattice: IdealLattice) -> int:
+    """How many covers (lo, hi, p) of ``lattice``, which is J(h) for
+    h = ``lattice.heap``, take a letter that fails ``_letter_rule``: the
+    letter of p with ideal lo chosen before it.
+
+    Every linear extension of h is a maximal chain of J(h), and each of
+    its steps is a cover, so the count is 0 exactly when every linear
+    extension of h reads off a word whose heap is h; a failing cover
+    lies on some maximal chain, whose word then fails.  So a count of 0
+    certifies what ``word_rebuild_failures`` samples, in one cached
+    verdict per cover.
+    """
+    around, passes = _letter_rule(lattice.heap)
+    ideals = lattice.ideals
+    return sum(not passes(p, ideals[lo] & around[p]) for lo, _, p in lattice.covers)
 
 
 def word_of_extension(h: Heap, extension: tuple[int, ...]) -> tuple[int, ...]:

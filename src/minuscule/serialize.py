@@ -1,19 +1,72 @@
-"""JSON-friendly dictionaries and DOT renderings of the core structures.
+"""JSON-friendly dictionaries, their JSON text, and DOT renderings of
+the core structures.
 
 Rationals are serialized as "num/den" strings (JSON numbers cannot
 carry exactness); ideals are serialized as 0/1 strings indexed by heap
-element.  All emitted orderings are deterministic.
+element.  All emitted orderings are deterministic.  ``dumps`` writes
+the text of ``json.dumps(value, indent=2, sort_keys=True)``, which with
+an indent runs the json module's pure-Python encoder; here a flat list
+of ints or of strings is joined in one C call, and a value nested at
+some depth, such as one case of a report, renders on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .bits import bit_string
 from .cartan import CartanDatum
 from .heap import Heap
 from .ideals import IdealLattice
 from .orbit import OrbitPoset
+
+
+def dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value built
+    of dicts with str keys, lists, tuples, strs, ints, bools and None,
+    as it appears nested ``level`` deep in a larger such value: the
+    lines after the first are indented by 2 * ``level`` more spaces.
+    Any other type, a float or ``Fraction`` included, or a non-str key,
+    raises ``TypeError``."""
+    return _render(value, "\n" + "  " * level)
+
+
+def _render(value, newline: str) -> str:
+    """``value`` as JSON, its lines after the first starting with
+    ``newline``'s indent."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_string, value)
+        else:
+            items = [_render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_string(key) + ": " + _render(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def frac_str(value) -> str:

@@ -76,6 +76,18 @@ def random_heap_word(draw, with_base=False):
     return cd, tuple(word), tuple(base)
 
 
+@st.composite
+def hand_built_heaps(draw):
+    """A heap of up to six elements with random labels over A3 and any
+    ascending covers, so its fibers need not be chains."""
+    cd = build_cartan("A", 3)
+    n = draw(st.integers(0, 6))
+    labels = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    covers = tuple(sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+    return Heap(cd, labels, covers)
+
+
 def base_shifted_lattices(spec):
     """The lattice of a catalog case, then its ideals, covers and weights
     over its heap with the base weight shifted by omega_i, for each node

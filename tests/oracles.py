@@ -16,7 +16,10 @@ tables it computes, so each table a ``Heap`` derives compares directly,
 ``commutation_violations_by_toggle_label`` its
 ``toggle_label``, ``rebuild_failures_by_composition`` chains the
 library's public heap functions, and ``replayed_rebuild_failures``
-replays the heap builder's ``_rest_on_last`` once per whole word.  The
+replays the heap builder's ``_rest_on_last`` once per whole word;
+``every_extension_rebuilds`` composes them over every linear extension.
+``positive_roots`` and ``weyl_dimension`` read the Cartan matrix alone.
+The
 lookups that only tests read (the Cartan inverse as Fractions, the
 minuscule node table, simple roots, coroot pairings and the weight of
 an ideal folded from its reflections) live here too, the last through
@@ -26,6 +29,7 @@ the library's public ``simple_reflection``.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from minuscule import (
@@ -550,6 +554,32 @@ def replayed_rebuild_failures(h, rng, trials):
     return failures
 
 
+def linear_extensions(h):
+    """Every linear extension of h, by choosing at each step any element
+    whose lower covers are all chosen."""
+    lower = [[a for a, b in h.covers if b == p] for p in range(len(h))]
+    out = []
+
+    def extend(prefix, chosen):
+        if len(prefix) == len(h):
+            out.append(tuple(prefix))
+        for p in range(len(h)):
+            if p not in chosen and all(a in chosen for a in lower[p]):
+                extend(prefix + [p], chosen | {p})
+
+    extend([], frozenset())
+    return out
+
+
+def every_extension_rebuilds(h):
+    """Does the word of every linear extension of h build a heap
+    label-preserving isomorphic to h?"""
+    return all(
+        heaps_isomorphic(h, heap_from_word(h.cartan, word_of_extension(h, ext))) is not None
+        for ext in linear_extensions(h)
+    )
+
+
 def below_mask_isomorphic(h1, h2):
     """``heaps_isomorphic`` by comparing every mapped down-set mask."""
     if len(h1) != len(h2) or sorted(h1.labels) != sorted(h2.labels):
@@ -883,3 +913,37 @@ def per_triple_identity_suite(lattice):
     rows = [CheckRow(name, pairs, failures[name]) for name, _ in per_node_checks]
     rows.append(CheckRow("ddeg_decomposition", len(lattice), decomposition_failures))
     return tuple(rows)
+
+
+@cache
+def positive_roots(matrix):
+    """The positive roots of a simply-laced Cartan matrix, a tuple of
+    rows, in simple-root coordinates: the simple roots closed under every simple reflection
+    s_j(beta) = beta - <beta, alpha_j> alpha_j, the nonnegative ones
+    kept."""
+    rank = len(matrix)
+    simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for j in range(rank):
+            pairing = sum(c * a for c, a in zip(beta, matrix[j]))
+            image = tuple(c - pairing * (i == j) for i, c in enumerate(beta))
+            if image not in roots:
+                roots.add(image)
+                frontier.append(image)
+    return sorted(beta for beta in roots if min(beta) >= 0)
+
+
+def weyl_dimension(matrix, mu):
+    """dim V(mu) for a dominant weight mu in fundamental coordinates, by
+    the Weyl dimension formula: the product over positive roots beta =
+    sum c_i alpha_i of sum c_i (mu_i + 1) / sum c_i."""
+    numerator = denominator = 1
+    for beta in positive_roots(matrix):
+        numerator *= sum(c * (m + 1) for c, m in zip(beta, mu))
+        denominator *= sum(beta)
+    dim, rest = divmod(numerator, denominator)
+    assert rest == 0, (mu, numerator, denominator)
+    return dim

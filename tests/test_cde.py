@@ -54,6 +54,7 @@ from oracles import (
     simple_root,
     strict_chain_member_counts,
     subset_table_chain_counts,
+    weyl_dimension,
     zeta_multichain_counts,
     zeta_strict_chain_rows,
 )
@@ -799,3 +800,30 @@ def test_homomesy_e6_rowmotion():
     assert report.constant == F(4, 3)
     assert report.ok
     assert sum(len(r.orbit) for r in report.rows) == 27
+
+
+LADDER = [("A", 9, 5), ("D", 9, 9), ("D", 10, 10), ("A", 11, 6), ("D", 12, 12)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,node", [(s.family, s.rank, s.node) for s in default_catalog()] + LADDER
+)
+def test_every_chain_total_is_a_weyl_dimension(family, rank, node):
+    """For minuscule lambda the multichains of m ideals of J(P) index a
+    basis of V(m lambda) (standard monomial theory), so multichain row k
+    totals (k+1) dim V((k+1) lambda), from the Weyl dimension formula on
+    the Cartan matrix alone.  Inverting the binomial transform
+    c^multi_k = sum_s C(k+1, s+1) c^strict_s gives every strict total,
+    and no strict chain has more than |P| + 1 ideals."""
+    bundle = build_case(family, rank, node)
+    matrix, lam = bundle.cartan.matrix, bundle.weight
+    strict = strict_chain_rows(bundle.lattice)
+    size = len(bundle.heap)
+    multi_totals = [
+        (k + 1) * weyl_dimension(matrix, tuple((k + 1) * m for m in lam)) for k in range(size + 2)
+    ]
+    assert [row.total for row in multichain_rows(strict)] == multi_totals[: size + 1]
+    strict_totals = []
+    for k, total in enumerate(multi_totals):
+        strict_totals.append(total - sum(comb(k + 1, s + 1) * c for s, c in enumerate(strict_totals)))
+    assert strict_totals == [row.total for row in strict] + [0]

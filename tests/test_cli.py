@@ -12,7 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import minuscule.cde as cde
-from minuscule import DomainError, Heap, IdealLattice, InternalCheckError, cli, fundamental_weight
+from minuscule import (
+    DomainError,
+    Heap,
+    IdealLattice,
+    InternalCheckError,
+    cli,
+    enumerate_ideals,
+    fundamental_weight,
+)
+from minuscule.heap import word_rebuild_failures
 from minuscule.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -262,6 +271,40 @@ def test_explore_output_matches_its_golden_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_DIGESTS[argv]
 
 
+def assert_canonical_json(out):
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"build {c[0]} {c[1:].replace('.', ' ')}" for c in ("A9.5", "D9.9", "D10.10", "E6.6", "E7.7")]
+    + [
+        f"orbits {c[0]} {c[1:].replace('.', ' ')} --action={action} --format=json"
+        for c in ("A9.5", "D9.9", "D10.10", "E6.6", "E7.7")
+        for action in ("rowmotion", "gyration")
+    ],
+)
+def test_build_and_orbits_json_is_what_the_json_module_writes(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert_canonical_json(out)
+
+
+@pytest.mark.parametrize("cap,cases", [("20", 28), ("0", 0)])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_json_is_what_the_json_module_writes(capsys, monkeypatch, cpus, cap, cases):
+    """Capped sweeps, with some cases skipped or all of them, render the
+    report the json module writes on any number of processes."""
+    use_cpus(monkeypatch, cpus)
+    code, out, _ = run(capsys, "verify", "--all", "--cap-ideals", cap, "--words", "5", "--format=json")
+    assert_no_worker_left()
+    assert code == EXIT_RESOURCE
+    assert_canonical_json(out)
+    payload = json.loads(out)
+    assert len(payload["cases"]) == cases
+    assert len(payload["skipped"]) == len(default_catalog()) - cases
+
+
 def use_cpus(monkeypatch, cpus):
     """Make ``verify --all`` see ``cpus`` CPUs, so it runs on that many
     processes."""
@@ -494,6 +537,57 @@ def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):
     result = verify_case(build_case("A", 3, 2), seed=4, word_trials=7)
     assert calls == [("A3.2", 7, 4)]
     assert CheckRow("heap_words", 7, 0) in result.checks
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments and result of each call to ``cli.<name>``."""
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", ["verify --all", "verify A 9 5", "verify D 9 9"])
+def test_the_cover_certificate_draws_no_trial_on_the_catalog_or_the_ladder(
+    capsys, monkeypatch, argv
+):
+    """Every case's lattice is J(P) of its heap with no failing cover, so
+    its ``heap_words`` row reads all 100 trials passed and none is drawn."""
+    use_cpus(monkeypatch, 1)
+    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK and trials == []
+    rows = [line for line in out.splitlines() if ",heap_words," in line]
+    cases = len(default_catalog()) if "--all" in argv else 1
+    assert len(rows) == cases and all(row.endswith(",heap_words,100,0") for row in rows)
+
+
+def test_a_consistently_tampered_bundle_reports_the_trials_count(monkeypatch):
+    """With a cover added to the heap, and the lattice its J(P), the
+    certificate finds failing covers on every catalog case that has a
+    pair to add, and the row then reads the seeded trials' count."""
+    certificates = spy_on(monkeypatch, "failing_cover_letters")
+    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    tampered = 0
+    for spec in default_catalog():
+        bundle = build_case(spec.family, spec.rank, spec.node)
+        h = bundle.heap
+        pairs = [(a, b) for b in range(len(h)) for a in range(b) if (a, b) not in h.covers]
+        if not pairs:
+            continue
+        heap = Heap(h.cartan, h.labels, tuple(sorted(h.covers + (pairs[0],))), h.base)
+        bundle = bundle._replace(heap=heap, lattice=enumerate_ideals(heap))
+        want = word_rebuild_failures(heap, random.Random(f"3:{spec.case_id}"), 20)
+        assert cli._word_robustness_failures(bundle, 20, 3) == (20, want) == (20, 20)
+        assert certificates[-1][0] == (bundle.lattice,) and certificates[-1][1] > 0
+        assert trials[-1][0][0] is heap
+        tampered += 1
+    assert tampered == len(certificates) == len(trials) == len(default_catalog()) - 3
 
 
 def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):

@@ -17,10 +17,12 @@ from minuscule import (
     random_linear_extension,
     word_of_extension,
 )
-from minuscule.heap import Heap, word_rebuild_failures
-from conftest import random_heap_word, small_catalog
+from minuscule.heap import Heap, failing_cover_letters, word_rebuild_failures
+from minuscule.ideals import enumerate_ideals
+from conftest import hand_built_heaps, random_heap_word, small_catalog
 from oracles import (
     below_mask_isomorphic,
+    every_extension_rebuilds,
     grid_covers,
     grid_word,
     join_irreducible_indices,
@@ -264,14 +266,19 @@ def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
 
 
 def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, bundle):
+    """The trials and the cover certificate on J(P) agree: every catalog
+    heap passes, and a cover dropped or added fails every trial and the
+    letter of some cover."""
     trials = 20
     tampered_cases = 0
     for spec in catalog:
         h = bundle(spec.family, spec.rank, spec.node).heap
         assert word_rebuild_failures(h, random.Random(spec.case_id), 100) == 0, spec
+        assert failing_cover_letters(enumerate_ideals(h)) == 0, spec
         for covers in tampered_covers(h):
             tampered = with_covers(h, covers)
             assert word_rebuild_failures(tampered, random.Random(spec.case_id), trials) == trials
+            assert failing_cover_letters(enumerate_ideals(tampered)) > 0, spec
             tampered_cases += 1
     # A1.1 has no cover to drop, and no pair to add to the one-element or
     # two-element chains A1.1, A2.1 and A2.2.
@@ -341,6 +348,22 @@ def test_word_walks_agree_with_the_composition_on_swapped_labels():
         word_rebuild_failures, rebuild_failures_by_composition, h, 0, 40
     )
     assert failures == 0
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(random_heap_word().map(lambda case: heap_from_word(*case)), hand_built_heaps()),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_cover_certificate_agrees_with_every_linear_extension(h, seed):
+    """On heaps of words and on hand-built heaps, whose fibers need not
+    be chains: no cover of J(h) takes a failing letter exactly when the
+    word of every linear extension rebuilds h, and sampled trials fail
+    only where some cover does."""
+    failing = failing_cover_letters(enumerate_ideals(h))
+    assert (failing == 0) == every_extension_rebuilds(h)
+    if word_rebuild_failures(h, random.Random(seed), 20):
+        assert failing
 
 
 @pytest.mark.parametrize(

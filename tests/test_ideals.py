@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from minuscule import (
     DomainError,
-    Heap,
     InternalCheckError,
     ResourceLimitError,
     action_orbits,
@@ -24,7 +23,7 @@ from minuscule import (
     toggle_label,
     verify_commutation,
 )
-from conftest import random_heap_word, small_catalog
+from conftest import hand_built_heaps, random_heap_word, small_catalog
 from minuscule.bits import bit_string
 from minuscule.cli import build_case, default_catalog
 from minuscule.ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
@@ -376,18 +375,6 @@ def test_action_images_match_the_per_ideal_actions_on_the_catalog():
         assert_action_images_match_the_per_ideal_actions(
             build_case(spec.family, spec.rank, spec.node).lattice
         )
-
-
-@st.composite
-def hand_built_heaps(draw):
-    """A heap of up to six elements with random labels over A3 and any
-    ascending covers, so its fibers need not be chains."""
-    cd = build_cartan("A", 3)
-    n = draw(st.integers(0, 6))
-    labels = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    pairs = [(a, b) for b in range(n) for a in range(b)]
-    covers = tuple(sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
-    return Heap(cd, labels, covers)
 
 
 @settings(max_examples=100)
