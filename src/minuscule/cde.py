@@ -11,8 +11,9 @@ covers.  On a heap with a base weight y has a closed form,
 ``stats.closed_form_witness``, read off the base and the fiber
 positions, and its residues are also the ``ddeg_decomposition`` row;
 only a heap without a base, or one whose closed form has residues,
-solves the Gram system by the fraction-free integer elimination
-``_bareiss_solve`` that ``cartan`` also uses for the Cartan adjugate.
+solves the Gram system of the integer rows of ``toggle_polytope`` by the
+fraction-free elimination ``_bareiss_solve`` that ``cartan`` also uses
+for the Cartan adjugate.
 The simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
@@ -29,8 +30,8 @@ of the ideals in index order that hands a running zeta-transform prefix
 up each cover, and its up polynomial is the same walk on the dual
 lattice.  One product per ideal then holds its strict k-chain count in
 W-bit slot k, with W from a bound on every sum the rows take, so no
-slot carries.  The products are computed once per lattice and kept;
-``chain_counts`` and the rows read the same ones.  Multichain counts
+slot carries.  Each call forms the products afresh and keeps none;
+``chain_counts`` and the rows read them alike.  Multichain counts
 are their binomial transform.  Counts stay integers, and the checks
 read them through ``ChainRow``: per-element toggle differences and the
 sums behind the expectation, all linear in the counts, so each row is
@@ -46,7 +47,6 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
@@ -58,8 +58,6 @@ Distribution = tuple[Fraction, ...]
 
 STRICT = "strict"
 MULTI = "multi"
-
-_chain_count_cache: "WeakKeyDictionary[IdealLattice, tuple]" = WeakKeyDictionary()
 
 
 def expectation(weights, values) -> Fraction:
@@ -126,7 +124,6 @@ def _down_polynomials(upper, shift: int):
 def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
     """(W, products): per ideal x, P_x = F_x * G_x at t = 2**W, whose
     W-bit slot k holds the strict k-chains through x, k = 0..|P|.
-    Computed once per lattice and kept.
 
     G_x, the up polynomial, is F on the dual lattice.  At t = 1 the
     product is every strict chain through x, which bounds each of its
@@ -135,9 +132,6 @@ def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
     them, or of them all), so no slot of a product or of such a sum
     carries into the next (Kronecker substitution).
     """
-    cached = _chain_count_cache.get(lattice)
-    if cached is not None:
-        return cached
     upper, dual = _cover_lists(lattice)
 
     def polynomials(shift):
@@ -146,8 +140,7 @@ def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
 
     lows, highs, ddeg_sum, total = _chain_sums(lattice, polynomials(0))
     width = max(max(lows + highs, default=0), ddeg_sum, total).bit_length()
-    cached = _chain_count_cache[lattice] = (width, tuple(polynomials(width)))
-    return cached
+    return width, tuple(polynomials(width))
 
 
 def label_sums(lattice: IdealLattice, values) -> tuple[list, list]:
@@ -370,16 +363,17 @@ class LpCertificate(NamedTuple):
     witness: tuple[Fraction, ...] | None
 
 
-def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Equality system of the toggle-symmetric polytope: probabilities
-    sum to one and every element is as likely to be insertable as
-    deletable."""
+def toggle_polytope(lattice: IdealLattice) -> tuple[list[list[int]], list[int]]:
+    """Equality system of the toggle-symmetric polytope, in integers:
+    probabilities sum to one (row 0) and every element p is as likely to
+    be insertable as deletable (row p + 1, +1 at the lower end of each
+    cover labelled p and -1 at its upper end)."""
     n = len(lattice)
-    rows = [[Fraction(1)] * n] + [[Fraction(0)] * n for _ in range(len(lattice.heap))]
+    rows = [[1] * n] + [[0] * n for _ in range(len(lattice.heap))]
     for lo, hi, p in lattice.covers:
         rows[p + 1][lo] += 1
         rows[p + 1][hi] -= 1
-    return rows, [Fraction(1)] + [Fraction(0)] * len(lattice.heap)
+    return rows, [1] + [0] * len(lattice.heap)
 
 
 def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
@@ -403,36 +397,17 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
 
 def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
     """The dual witness y from the normal equations (A A^T) y = A ddeg,
-    or None.
+    for A the rows of ``toggle_polytope``, or None.
 
-    The Gram entries are popcounts of per-element masks of the covers'
-    lower and upper ideals; ``_bareiss_solve`` solves the system in
-    integers, and ``witness_residues`` decides.  When A has full row
-    rank the solution is unique and has no residues exactly when ddeg
-    lies in the row span of A.  A singular Gram matrix also gives None.
-
-    The masks are ``label_sums`` of the values 1 << x, and A ddeg is
-    ``label_sums`` of ddeg.  No ideal of J(P) is an end of two covers
-    with one label, so each sum of masks is their OR.
+    ``_bareiss_solve`` solves the system in integers, and
+    ``witness_residues`` decides.  When A has full row rank the solution
+    is unique and has no residues exactly when ddeg lies in the row span
+    of A.  A singular Gram matrix also gives None.
     """
+    rows, _ = toggle_polytope(lattice)
     degrees = lattice.down_degrees
-    m = len(lattice.heap) + 1
-    plus, minus = label_sums(lattice, [1 << x for x in range(len(lattice))])
-    lows, highs = label_sums(lattice, degrees)
-    rhs = [sum(degrees)] + [a - b for a, b in zip(lows, highs)]
-    gram = [[0] * m for _ in range(m)]
-    gram[0][0] = len(lattice)
-    # gram[0][p + 1] is 0: each cover labelled p is one insert and one delete site.
-    for p in range(m - 1):
-        for q in range(p, m - 1):
-            dot = (
-                (plus[p] & plus[q]).bit_count()
-                + (minus[p] & minus[q]).bit_count()
-                - (plus[p] & minus[q]).bit_count()
-                - (minus[p] & plus[q]).bit_count()
-            )
-            gram[p + 1][q + 1] = gram[q + 1][p + 1] = dot
-    solved = _bareiss_solve(gram, [rhs])
+    gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]
+    solved = _bareiss_solve(gram, [[sum(map(mul, a, degrees)) for a in rows]])
     if solved is None:
         return None
     (x,), d = solved

@@ -297,17 +297,6 @@ def _join_json(cases: list[str], skipped: list[str], failures: int) -> str:
     )
 
 
-def render_verify_csv(results: list[CaseResult], skipped: list[str]) -> str:
-    """The CSV report of ``results`` at once; ``verify`` renders each case
-    where it was verified and joins the texts."""
-    return _join_csv(list(map(_case_csv, results)), skipped)
-
-
-def render_verify_json(results: list[CaseResult], skipped: list[str]) -> str:
-    """The JSON report of ``results`` at once, as ``render_verify_csv``."""
-    return _join_json(list(map(_case_json, results)), skipped, sum(r.failures for r in results))
-
-
 # ---------------------------------------------------------------------------
 # commands
 

@@ -14,14 +14,13 @@ A ``Heap`` is its labels and its covers, and every cover ascends in
 position, so position order is a linear extension of every ``Heap``;
 the order masks, ranks and names are derived from these.  A linear
 extension of a heap is a maximal chain of its lattice of order ideals,
-so ``word_rebuild_failures`` checks that random linear extensions give
-the heap back as random walks up that lattice: one memo per call holds
-the states the walks pass through, and the same rule's verdict on each
-letter, so no ``Heap`` is built and each step is checked once.  The
-verdict on a step depends only on the cover of J(P) it takes, so
-``failing_cover_letters`` applies it once per cover of a given J(P):
-when no cover fails, every linear extension rebuilds the heap, which
-no number of random trials shows.
+and whether the word read off it gives the heap back is decided letter
+by letter by one rule, ``_letter_rule``, whose verdict on a letter
+depends only on the cover of J(P) it takes.  ``failing_cover_letters``
+applies it once per cover of a given J(P): when no cover fails, every
+linear extension rebuilds the heap, which no number of random trials
+shows.  ``word_rebuild_failures`` applies it to the letters of seeded
+``random_linear_extension`` draws.
 """
 
 from __future__ import annotations
@@ -206,17 +205,6 @@ def heaps_isomorphic(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
     return tuple(sigma)
 
 
-def _draw(getrandbits, count: int) -> int:
-    """r in range(count) as ``rng.randrange(count)`` draws it:
-    ``getrandbits`` of the count's bit length, drawn again while r is out
-    of range."""
-    bits = count.bit_length()
-    r = getrandbits(bits)
-    while r >= count:
-        r = getrandbits(bits)
-    return r
-
-
 def ready_after(h: Heap, ready: int, p: int, chosen: int) -> int:
     """The ready mask (the unchosen elements whose down-set is chosen)
     once p, an element of ``ready``, is chosen; ``chosen`` includes p.
@@ -229,30 +217,22 @@ def ready_after(h: Heap, ready: int, p: int, chosen: int) -> int:
     return ready
 
 
-def _take(h: Heap, chosen: int, ready: int, r: int) -> tuple[int, int, int]:
-    """Choose the r-th ready element p, in ascending order; return p and
-    the chosen and ready masks after it."""
-    m = ready
-    for _ in range(r):
-        m &= m - 1
-    p = (m & -m).bit_length() - 1
-    chosen |= 1 << p
-    return p, chosen, ready_after(h, ready, p, chosen)
-
-
 def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
     """A uniform-ish random linear extension, deterministic given ``rng``.
 
     The ready elements (unchosen, with every lower element chosen) form a
-    bit mask, and each step takes the r-th of them with r drawn as
-    ``rng.randrange(#ready)`` draws it.
+    bit mask, and each step takes the r-th of them in ascending order, r
+    drawn by ``rng.randrange(#ready)``; ``ready_after`` updates the mask.
     """
-    getrandbits = rng.getrandbits
     chosen, ready = 0, h.minimal_mask
     out = []
     while ready:
-        r = _draw(getrandbits, ready.bit_count())
-        p, chosen, ready = _take(h, chosen, ready, r)
+        m = ready
+        for _ in range(rng.randrange(ready.bit_count())):
+            m &= m - 1
+        p = (m & -m).bit_length() - 1
+        chosen |= 1 << p
+        ready = ready_after(h, ready, p, chosen)
         out.append(p)
     return tuple(out)
 
@@ -291,42 +271,29 @@ def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
     """How many of ``trials`` random linear extensions of h read off a
     word whose heap is not h.
 
-    Each trial is a walk up J(h) that draws as ``random_linear_extension``
-    does.  Covers ascend, so ``h.below`` is the order they generate: a
-    walk chooses every element once, and its ready mask is a function of
-    its chosen mask, which keys the states.  Each letter is judged by
-    ``_letter_rule``.  Each state keeps one slot per ready element,
-    filled with that verdict and the next state the first time a trial
-    draws it, so a walk through known states costs a draw per step.
+    Each trial draws a ``random_linear_extension`` and judges its letters
+    in order by ``_letter_rule``, each with the elements before it
+    chosen; it fails at its first failing letter.
 
     A trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
-    word))`` is None.  While a walk takes the elements of each label in
-    position order, p is the element its letter is named for and the
-    highest chosen element of a label is that label's latest occurrence,
-    so each verdict is the word's own.  A walk that takes some x after a
-    higher y of its label fails at x, since the highest candidate lies
-    above x in position, where no cover of x reaches; and the heap of its
-    word, whose equal labels form chains, is not h.
+    word))`` is None.  While an extension takes the elements of each
+    label in position order, p is the element its letter is named for and
+    the highest chosen element of a label is that label's latest
+    occurrence, so each verdict is the word's own.  An extension that
+    takes some x after a higher y of its label fails at x, since the
+    highest candidate lies above x in position, where no cover of x
+    reaches; and the heap of its word, whose equal labels form chains, is
+    not h.
     """
     around, passes = _letter_rule(h)
-    start = h.minimal_mask
-    states: dict[int, list] = {0: [None] * start.bit_count()}
-    getrandbits = rng.getrandbits
     failures = 0
     for _ in range(trials):
-        chosen, ready, slots, passed = 0, start, states[0], True
-        while slots:
-            r = _draw(getrandbits, len(slots))
-            slot = slots[r]
-            if slot is None:
-                p, next_chosen, next_ready = _take(h, chosen, ready, r)
-                following = states.get(next_chosen)
-                if following is None:
-                    following = states[next_chosen] = [None] * next_ready.bit_count()
-                slot = slots[r] = passes(p, chosen & around[p]), next_chosen, next_ready, following
-            ok, chosen, ready, slots = slot
-            passed = passed and ok
-        failures += not passed
+        chosen = 0
+        for p in random_linear_extension(h, rng):
+            if not passes(p, chosen & around[p]):
+                failures += 1
+                break
+            chosen |= 1 << p
     return failures
 
 

@@ -18,9 +18,11 @@ tables it computes, so each table a ``Heap`` derives compares directly,
 library's public heap functions, and ``replayed_rebuild_failures``
 replays the heap builder's ``_rest_on_last`` once per whole word;
 ``every_extension_rebuilds`` composes them over every linear extension.
-``positive_roots`` and ``weyl_dimension`` read the Cartan matrix alone.
-The
-lookups that only tests read (the Cartan inverse as Fractions, the
+``positive_roots``, ``weyl_dimension`` and ``coxeter_number`` read the
+Cartan matrix alone, and ``value_at_root_of_unity`` reads the
+``ideal_size_polynomial`` of a lattice at a root of unity as its
+remainder modulo a ``cyclotomic`` polynomial, by integer long division.
+The lookups that only tests read (the Cartan inverse as Fractions, the
 minuscule node table, simple roots, coroot pairings and the weight of
 an ideal folded from its reflections) live here too, the last through
 the library's public ``simple_reflection``.
@@ -947,3 +949,55 @@ def weyl_dimension(matrix, mu):
     dim, rest = divmod(numerator, denominator)
     assert rest == 0, (mu, numerator, denominator)
     return dim
+
+
+def coxeter_number(matrix):
+    """h = 2 |positive roots| / rank, from the Cartan matrix alone."""
+    h, rest = divmod(2 * len(positive_roots(matrix)), len(matrix))
+    assert rest == 0, matrix
+    return h
+
+
+def ideal_size_polynomial(ideals):
+    """F(q) = sum over the ideals I of q^|I|, as its integer
+    coefficients, lowest degree first."""
+    sizes = [mask.bit_count() for mask in ideals]
+    coefficients = [0] * (max(sizes) + 1)
+    for size in sizes:
+        coefficients[size] += 1
+    return coefficients
+
+
+def _divmod_monic(numerator, divisor):
+    """Quotient and remainder of integer polynomials, coefficients lowest
+    degree first, by long division; ``divisor`` is monic."""
+    top = len(divisor) - 1
+    rest = list(numerator) + [0] * max(top - len(numerator), 0)
+    quotient = [0] * max(len(rest) - top, 0)
+    for k in reversed(range(len(quotient))):
+        c = quotient[k] = rest[k + top]
+        for j, d in enumerate(divisor):
+            rest[k + j] -= c * d
+    return quotient, rest[:top]
+
+
+@cache
+def cyclotomic(m):
+    """The cyclotomic polynomial Phi_m, coefficients lowest degree first:
+    x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    phi = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            phi, rest = _divmod_monic(phi, cyclotomic(d))
+            assert not any(rest), (m, d)
+    return tuple(phi)
+
+
+def value_at_root_of_unity(coefficients, m):
+    """F(zeta) for zeta a primitive m-th root of unity, when it is an
+    integer, else None.  Phi_m is the minimal polynomial of zeta, so
+    F(zeta) is the remainder of F modulo Phi_m at zeta; 1, zeta, ...,
+    zeta^(deg Phi_m - 1) are linearly independent over Q, so that value
+    is an integer c exactly when the remainder is the constant c."""
+    _, rest = _divmod_monic(coefficients, cyclotomic(m))
+    return None if any(rest[1:]) else rest[0]

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +41,14 @@ from minuscule.cde import (
     toggle_polytope,
 )
 from minuscule.cli import build_case, default_catalog
-from minuscule.ideals import IdealLattice
+from minuscule.ideals import IdealLattice, image_orbits
 from minuscule.simplex import OPTIMAL, solve_lp
 from minuscule.stats import CheckRow, closed_form_witness, toggle_suite, witness_residues
 from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
     chain_row,
+    coxeter_number,
+    ideal_size_polynomial,
     make_distribution,
     maxchain_distribution,
     multi_chain_member_counts,
@@ -54,6 +56,7 @@ from oracles import (
     simple_root,
     strict_chain_member_counts,
     subset_table_chain_counts,
+    value_at_root_of_unity,
     weyl_dimension,
     zeta_multichain_counts,
     zeta_strict_chain_rows,
@@ -827,3 +830,71 @@ def test_every_chain_total_is_a_weyl_dimension(family, rank, node):
     for k, total in enumerate(multi_totals):
         strict_totals.append(total - sum(comb(k + 1, s + 1) * c for s, c in enumerate(strict_totals)))
     assert strict_totals == [row.total for row in strict] + [0]
+
+
+def fixed_counts(orbits, h):
+    """Per d < h, the ideals that the d-th power of an action fixes: the
+    members of its orbits whose size divides d."""
+    return [sum(len(orbit) for orbit in orbits if d % len(orbit) == 0) for d in range(h)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,node", [(s.family, s.rank, s.node) for s in default_catalog()] + LADDER
+)
+def test_rowmotion_and_gyration_orbits_exhibit_cyclic_sieving(family, rank, node):
+    """Rush and Shi: (J(P), rowmotion, F(q) = sum_I q^|I|) exhibits
+    cyclic sieving with a cyclic group of order h, the Coxeter number, so
+    rowmotion^d fixes F(zeta_h^d) ideals, zeta_h^d being a primitive
+    h/gcd(h, d)-th root of unity.  Gyration toggles every rank once, so
+    it is conjugate to rowmotion in the toggle group (Striker-Williams)
+    and has the same orbit sizes.  F and h come from the ideal sizes and
+    the Cartan matrix; splitting the largest orbit in two breaks the
+    count."""
+    bundle = build_case(family, rank, node)
+    lattice = bundle.lattice
+    h = coxeter_number(bundle.cartan.matrix)
+    f = ideal_size_polynomial(lattice.ideals)
+    sieved = [value_at_root_of_unity(f, h // gcd(h, d)) for d in range(h)]
+    assert sieved[0] == len(lattice)
+    for action, images in cde.ACTIONS.items():
+        orbits = image_orbits(lattice, images(lattice))
+        assert fixed_counts(orbits, h) == sieved, action
+        largest = max(orbits, key=len)
+        split = [orbit for orbit in orbits if orbit is not largest] + [largest[:1], largest[1:]]
+        assert fixed_counts(split, h) != sieved, action
+
+
+def test_integer_polytope_rows_give_exact_fraction_optima():
+    """``toggle_polytope`` is in integers and the simplex converts its
+    input, so the N-poset control's optima, minimizer and maximizer are
+    ``Fraction``s, and so is the fork's Gram witness: no float creeps
+    into either path."""
+    cd = build_cartan("A", 4)
+    L = enumerate_ideals(heap_from_word(cd, (2, 4, 3, 1)))
+    rows, rhs = toggle_polytope(L)
+    assert {type(v) for row in rows for v in row} == {type(v) for v in rhs} == {int}
+    cert = lp_certificate(L)
+    assert cert.witness is None
+    assert (cert.minimum, cert.maximum) == (F(6, 5), F(4, 3))
+    exact = (cert.minimum, cert.maximum, *cert.minimizer, *cert.maximizer)
+    assert {type(v) for v in exact} == {Fraction}
+    fork = enumerate_ideals(heap_from_word(build_cartan("A", 3), (1, 3, 2)))
+    witness = cde._gram_witness(fork)
+    assert witness[0] == 1
+    assert {type(v) for v in witness} == {Fraction}
+
+
+@settings(max_examples=60)
+@given(random_heap_word())
+def test_the_gram_witness_is_exact_on_random_heaps(case):
+    """A heap with no base weight has no closed form; the Gram solve's
+    witness, when there is one, is ``Fraction``s that pass A^T y = ddeg
+    exactly."""
+    cd, word = case
+    L = enumerate_ideals(heap_from_word(cd, word))
+    witness = cde._gram_witness(L)
+    if witness is not None:
+        assert {type(v) for v in witness} == {Fraction}
+        rows, _ = toggle_polytope(L)
+        for k, ddeg in enumerate(L.down_degrees):
+            assert sum(row[k] * v for row, v in zip(rows, witness)) == ddeg

@@ -29,10 +29,10 @@ from minuscule.cli import (
     EXIT_RESOURCE,
     CaseSpec,
     CheckRow,
+    _case_csv,
     build_case,
     default_catalog,
     main,
-    render_verify_csv,
     verify_case,
 )
 from oracles import (
@@ -201,7 +201,7 @@ def test_render_csv_is_stable():
     bundle = build_case("A", 2, 1)
     res1 = verify_case(bundle, seed=1, word_trials=5)
     res2 = verify_case(bundle, seed=1, word_trials=5)
-    assert render_verify_csv([res1], []) == render_verify_csv([res2], [])
+    assert _case_csv(res1) == _case_csv(res2)
 
 
 def test_verify_rerun_output_identical(capsys):
