@@ -36,7 +36,7 @@ from .cde import (
     strict_chain_rows,
 )
 from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
-from .heap import Heap, failing_cover_letters, word_rebuild_failures
+from .heap import Heap, is_heap_of_its_word, word_rebuild_failures
 from .ideals import DEFAULT_IDEAL_CAP, IdealLattice
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
 from .stats import CheckRow, tcde_constant, toggle_suite
@@ -170,12 +170,10 @@ def _word_robustness_failures(bundle: CaseBundle, trials: int, seed: int) -> tup
     """Rebuild the heap from random linear extensions; each rebuild must
     be label-preserving isomorphic to it.
 
-    When the lattice is J(P) of this very heap and no cover of it takes
-    a failing letter, every linear extension rebuilds the heap, so every
-    trial passes and none is drawn.  Otherwise the seeded trials give
-    the count."""
-    lattice = bundle.lattice
-    if lattice.heap is bundle.heap and not failing_cover_letters(lattice):
+    When the heap is the heap of its own word, every linear extension
+    rebuilds it (``is_heap_of_its_word``), so every trial passes and none
+    is drawn.  Otherwise the seeded trials give the count."""
+    if is_heap_of_its_word(bundle.heap):
         return trials, 0
     rng = random.Random(f"{seed}:{bundle.spec.case_id}")
     return trials, word_rebuild_failures(bundle.heap, rng, trials)

@@ -12,37 +12,32 @@ builds in O(|P| * deg) mask operations.
 
 A ``Heap`` is its labels and its covers, and every cover ascends in
 position, so position order is a linear extension of every ``Heap``;
-the order masks, ranks and names are derived from these.  A linear
-extension of a heap is a maximal chain of its lattice of order ideals,
-and whether the word read off it gives the heap back is decided letter
-by letter by one rule, ``_letter_rule``, whose verdict on a letter
-depends only on the cover of J(P) it takes.  ``failing_cover_letters``
-applies it once per cover of a given J(P): when no cover fails, every
-linear extension rebuilds the heap, which no number of random trials
-shows.  ``word_rebuild_failures`` applies it to the letters of seeded
-``random_linear_extension`` draws.
+the order masks, ranks and names are derived from these.  The linear
+extensions of the heap of a word read off exactly the words of its
+commutation class, and every one of them has that heap (Cartier-Foata;
+Viennot's heaps of pieces; Stembridge 1996).  So ``is_heap_of_its_word``
+certifies with one ``heap_from_word`` that every linear extension of a
+heap rebuilds it, which no number of random trials shows, and
+``word_rebuild_failures`` counts the seeded ``random_linear_extension``
+draws whose words do not rebuild a heap.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from functools import cache, cached_property
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 from .bits import iter_bits
 from .cartan import CartanDatum, Weight, _check_node
 from .errors import DomainError
 from .frozen import Frozen
 
-if TYPE_CHECKING:
-    from .ideals import IdealLattice
-
 
 class Heap(Frozen):
-    """An immutable heap: the label of each element, the sorted
-    (lower, upper) cover pairs and the base weight.  Every cover ascends
-    in position, so positions are a linear extension of every ``Heap``;
+    """An immutable heap: the label of each element, a node of
+    ``cartan``; the sorted (lower, upper) cover pairs; and the base
+    weight, with one coordinate per node.  Every cover ascends in
+    position, so positions are a linear extension of every ``Heap``;
     the order masks, ranks and names are derived from the covers and
     labels, each in one pass."""
 
@@ -53,6 +48,10 @@ class Heap(Frozen):
         covers: tuple[tuple[int, int], ...],
         base: Weight | None = None,
     ) -> None:
+        for i in labels:
+            _check_node(cartan, i)
+        if base is not None and len(base) != cartan.rank:
+            raise DomainError(f"base weight has {len(base)} coordinates, expected {cartan.rank}")
         previous = (-1, -1)
         for cover in covers:
             a, b = cover
@@ -178,8 +177,6 @@ def heap_from_word(cd: CartanDatum, word: tuple[int, ...], base: Weight | None =
     maps to.  The covers come from ``_rest_on_last`` in O(|P| * deg)."""
     for i in word:
         _check_node(cd, i)
-    if base is not None and len(base) != cd.rank:
-        raise DomainError(f"base weight has {len(base)} coordinates, expected {cd.rank}")
     lower = _rest_on_last(cd.neighbours, cd.rank, word, range(len(word)))
     covers = sorted((c, j) for j, m in enumerate(lower) for c in iter_bits(m))
     return Heap(cd, tuple(word), tuple(covers), tuple(base) if base is not None else None)
@@ -237,83 +234,35 @@ def random_linear_extension(h: Heap, rng: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _letter_rule(h: Heap) -> tuple[list[int], Callable[[int, int], bool]]:
-    """The verdict on one letter of a word read off a walk up J(h), as
-    ``around`` and ``passes``: the letter of element p, label i, taken
-    when ``chosen`` are the elements chosen before it, passes exactly
-    when ``passes(p, chosen & around[p])``.
-
-    The letter rests as in ``_rest_on_last`` on the latest occurrence of
-    each label in ``neighbours[i - 1]``, read as the highest chosen
-    element of that label, and passes when the elements it covers are
-    h's lower covers of p.  So the verdict is a function of p and the
-    chosen elements whose labels are in ``around[p]``, cached per pair.
-    """
-    below, lower, labels = h.below, h.lower, h.labels
-    neighbours, fiber_masks = h.cartan.neighbours, h.fiber_masks
-    around = [sum(fiber_masks[k] for k in neighbours[i - 1]) for i in labels]
-
-    @cache
-    def passes(p: int, seen: int) -> bool:
-        candidates = dominated = 0
-        for k in neighbours[labels[p] - 1]:
-            last = seen & fiber_masks[k]
-            if last:
-                y = last.bit_length() - 1
-                candidates |= 1 << y
-                dominated |= below[y]
-        return candidates & ~dominated == lower[p]
-
-    return around, passes
-
-
-def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
-    """How many of ``trials`` random linear extensions of h read off a
-    word whose heap is not h.
-
-    Each trial draws a ``random_linear_extension`` and judges its letters
-    in order by ``_letter_rule``, each with the elements before it
-    chosen; it fails at its first failing letter.
-
-    A trial fails exactly when ``heaps_isomorphic(h, heap_from_word(cd,
-    word))`` is None.  While an extension takes the elements of each
-    label in position order, p is the element its letter is named for and
-    the highest chosen element of a label is that label's latest
-    occurrence, so each verdict is the word's own.  An extension that
-    takes some x after a higher y of its label fails at x, since the
-    highest candidate lies above x in position, where no cover of x
-    reaches; and the heap of its word, whose equal labels form chains, is
-    not h.
-    """
-    around, passes = _letter_rule(h)
-    failures = 0
-    for _ in range(trials):
-        chosen = 0
-        for p in random_linear_extension(h, rng):
-            if not passes(p, chosen & around[p]):
-                failures += 1
-                break
-            chosen |= 1 << p
-    return failures
-
-
-def failing_cover_letters(lattice: IdealLattice) -> int:
-    """How many covers (lo, hi, p) of ``lattice``, which is J(h) for
-    h = ``lattice.heap``, take a letter that fails ``_letter_rule``: the
-    letter of p with ideal lo chosen before it.
-
-    Every linear extension of h is a maximal chain of J(h), and each of
-    its steps is a cover, so the count is 0 exactly when every linear
-    extension of h reads off a word whose heap is h; a failing cover
-    lies on some maximal chain, whose word then fails.  So a count of 0
-    certifies what ``word_rebuild_failures`` samples, in one cached
-    verdict per cover.
-    """
-    around, passes = _letter_rule(lattice.heap)
-    ideals = lattice.ideals
-    return sum(not passes(p, ideals[lo] & around[p]) for lo, _, p in lattice.covers)
-
-
 def word_of_extension(h: Heap, extension: tuple[int, ...]) -> tuple[int, ...]:
     """Read the labels of a linear extension off as a word."""
     return tuple(h.labels[p] for p in extension)
+
+
+def is_heap_of_its_word(h: Heap) -> bool:
+    """Does the word of every linear extension of h build a heap that is
+    label-preserving isomorphic to h?  Exactly when h is the heap of its
+    own word ``h.labels``: one ``heap_from_word``, O(|P| * deg).
+
+    Necessary: positions are a linear extension of every ``Heap``, and
+    its word is ``h.labels``.  The heap of that word has the same labels
+    at the same positions, so the same names, and ``heaps_isomorphic``
+    can only match each position with itself, an isomorphism exactly
+    when the covers agree.  Sufficient: the linear extensions of the heap
+    of a word w read off exactly the words of w's commutation class, and
+    each of them has the heap of w (Cartier-Foata; Viennot's heaps of
+    pieces; Stembridge 1996).  Equal labels form chains in a heap of a
+    word, so that label-preserving isomorphism keeps each element's name
+    (i, t), and it is the one ``heaps_isomorphic`` finds.
+    """
+    return heap_from_word(h.cartan, h.labels).covers == h.covers
+
+
+def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
+    """How many of ``trials`` seeded ``random_linear_extension`` draws of
+    h read off a word whose heap ``heaps_isomorphic`` does not match to h."""
+    failures = 0
+    for _ in range(trials):
+        word = word_of_extension(h, random_linear_extension(h, rng))
+        failures += heaps_isomorphic(h, heap_from_word(h.cartan, word)) is None
+    return failures

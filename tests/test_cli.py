@@ -20,6 +20,7 @@ from minuscule import (
     cli,
     enumerate_ideals,
     fundamental_weight,
+    heap_from_word,
 )
 from minuscule.heap import word_rebuild_failures
 from minuscule.cli import (
@@ -569,9 +570,9 @@ def test_the_cover_certificate_draws_no_trial_on_the_catalog_or_the_ladder(
 
 def test_a_consistently_tampered_bundle_reports_the_trials_count(monkeypatch):
     """With a cover added to the heap, and the lattice its J(P), the
-    certificate finds failing covers on every catalog case that has a
+    heap is no heap of its own word on every catalog case that has a
     pair to add, and the row then reads the seeded trials' count."""
-    certificates = spy_on(monkeypatch, "failing_cover_letters")
+    certificates = spy_on(monkeypatch, "is_heap_of_its_word")
     trials = spy_on(monkeypatch, "word_rebuild_failures")
     tampered = 0
     for spec in default_catalog():
@@ -584,10 +585,28 @@ def test_a_consistently_tampered_bundle_reports_the_trials_count(monkeypatch):
         bundle = bundle._replace(heap=heap, lattice=enumerate_ideals(heap))
         want = word_rebuild_failures(heap, random.Random(f"3:{spec.case_id}"), 20)
         assert cli._word_robustness_failures(bundle, 20, 3) == (20, want) == (20, 20)
-        assert certificates[-1][0] == (bundle.lattice,) and certificates[-1][1] > 0
+        assert certificates[-1][0] == (heap,) and certificates[-1][1] is False
         assert trials[-1][0][0] is heap
         tampered += 1
     assert tampered == len(certificates) == len(trials) == len(default_catalog()) - 3
+
+
+def test_a_genuine_heap_needs_no_lattice(monkeypatch):
+    """A heap of its own word certifies its word rebuilds by itself: with
+    the lattice J(P) of another ``Heap`` object, built from the same
+    word, the ``heap_words`` row reads every trial passed and none is
+    drawn."""
+    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    for spec in default_catalog():
+        bundle = build_case(spec.family, spec.rank, spec.node)
+        h = bundle.heap
+        other = heap_from_word(h.cartan, h.labels, h.base)
+        bundle = bundle._replace(lattice=enumerate_ideals(other))
+        assert bundle.lattice.heap is not bundle.heap
+        assert cli._word_robustness_failures(bundle, 100, 1) == (100, 0), spec
+    result = verify_case(bundle, seed=1, word_trials=100)
+    assert CheckRow("heap_words", 100, 0) in result.checks
+    assert trials == []
 
 
 def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):

@@ -17,8 +17,7 @@ from minuscule import (
     random_linear_extension,
     word_of_extension,
 )
-from minuscule.heap import Heap, failing_cover_letters, word_rebuild_failures
-from minuscule.ideals import enumerate_ideals
+from minuscule.heap import Heap, is_heap_of_its_word, word_rebuild_failures
 from conftest import hand_built_heaps, random_heap_word, small_catalog
 from oracles import (
     below_mask_isomorphic,
@@ -250,9 +249,10 @@ def tampered_covers(h):
 @settings(max_examples=100)
 @given(random_heap_word(), st.integers(0, 2**32 - 1))
 def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
-    """One trial at a time, the one-pass check and extension + rebuild +
-    isomorphism give the same verdict and consume the same draws, on the
-    heap and on copies with one cover dropped or one added."""
+    """One trial at a time, the trials and the oracle's extension +
+    rebuild + isomorphism give the same verdict and consume the same
+    draws, on the heap and on copies with one cover dropped or one
+    added."""
     cd, word = case
     h = heap_from_word(cd, word)
     for heap in [h] + [with_covers(h, covers) for covers in tampered_covers(h)]:
@@ -266,19 +266,19 @@ def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
 
 
 def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, bundle):
-    """The trials and the cover certificate on J(P) agree: every catalog
-    heap passes, and a cover dropped or added fails every trial and the
-    letter of some cover."""
+    """The trials and the own-word certificate agree: every catalog heap
+    passes both, and a cover dropped or added fails every trial and is
+    no heap of its own word."""
     trials = 20
     tampered_cases = 0
     for spec in catalog:
         h = bundle(spec.family, spec.rank, spec.node).heap
         assert word_rebuild_failures(h, random.Random(spec.case_id), 100) == 0, spec
-        assert failing_cover_letters(enumerate_ideals(h)) == 0, spec
+        assert is_heap_of_its_word(h), spec
         for covers in tampered_covers(h):
             tampered = with_covers(h, covers)
             assert word_rebuild_failures(tampered, random.Random(spec.case_id), trials) == trials
-            assert failing_cover_letters(enumerate_ideals(tampered)) > 0, spec
+            assert not is_heap_of_its_word(tampered), spec
             tampered_cases += 1
     # A1.1 has no cover to drop, and no pair to add to the one-element or
     # two-element chains A1.1, A2.1 and A2.2.
@@ -304,11 +304,10 @@ def same_count_and_draws(check, reference, heap, seed, trials):
 @settings(max_examples=100)
 @given(random_heap_word(), st.integers(0, 2**32 - 1), st.integers(20, 50), st.data())
 def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, data):
-    """With 20 to 50 trials per call, walks pass through states an
-    earlier trial filled: the failure count and the draws consumed equal
-    the whole-word replay's and the composition's on the heap, on copies
-    with a cover dropped or added, and on a copy with two labels swapped.
-    A copy with one cover reversed is no heap."""
+    """With 20 to 50 trials per call, the failure count and the draws
+    consumed equal the whole-word replay's and the composition's on the
+    heap, on copies with a cover dropped or added, and on a copy with two
+    labels swapped.  A copy with one cover reversed is no heap."""
     cd, word = case
     h = heap_from_word(cd, word)
     heaps = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
@@ -357,13 +356,13 @@ def test_word_walks_agree_with_the_composition_on_swapped_labels():
 )
 def test_the_cover_certificate_agrees_with_every_linear_extension(h, seed):
     """On heaps of words and on hand-built heaps, whose fibers need not
-    be chains: no cover of J(h) takes a failing letter exactly when the
-    word of every linear extension rebuilds h, and sampled trials fail
-    only where some cover does."""
-    failing = failing_cover_letters(enumerate_ideals(h))
-    assert (failing == 0) == every_extension_rebuilds(h)
+    be chains: h is the heap of its own word exactly when the word of
+    every linear extension rebuilds h, and sampled trials fail only
+    where it is not."""
+    certified = is_heap_of_its_word(h)
+    assert certified == every_extension_rebuilds(h)
     if word_rebuild_failures(h, random.Random(seed), 20):
-        assert failing
+        assert not certified
 
 
 @pytest.mark.parametrize(
@@ -381,6 +380,27 @@ def test_heap_rejects_covers_that_do_not_ascend_in_increasing_order(covers, name
     cd = build_cartan("A", 2)
     with pytest.raises(DomainError, match=re.escape(str(named))):
         Heap(cd, (1, 2, 1), covers)
+
+
+@pytest.mark.parametrize(
+    "labels,base,named",
+    [
+        ((0,), None, "node 0 out of range for A2"),
+        ((3,), None, "node 3 out of range for A2"),
+        ((True,), None, "got True"),
+        (("1",), None, "got '1'"),
+        ((1,), (1, 0, 5), "base weight has 3 coordinates, expected 2"),
+        ((1,), (1,), "base weight has 1 coordinates, expected 2"),
+    ],
+)
+def test_heap_rejects_labels_that_are_not_nodes_and_a_base_of_the_wrong_length(
+    labels, base, named
+):
+    """A label must be a node of the Cartan datum, an int in 1..rank and
+    never a bool, and the base weight has one coordinate per node."""
+    cd = build_cartan("A", 2)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        Heap(cd, labels, (), base)
 
 
 def test_heap_rejects_the_reversed_cover_of_the_word_1_1():

@@ -10,11 +10,11 @@ docstrings), counted with ``tokenize`` and ``ast``.
 The workloads are the command lines of ``WORKLOADS`` in bench/run.py,
 which is imported and not changed.  Each runs in this process through
 ``minuscule.cli.main`` under ``sys.settrace``, with its output discarded.
-A ``verify --all`` sweep forks workers whose calls the trace would not
-see, so it runs as one ``verify`` per catalog case instead.  Every line
-runs with seed 1.  A function counts as executed when it is called at
-least once; a generator, when it is first resumed.  Standard library
-only.
+A ``verify --all`` sweep would fork workers whose calls the trace would
+not see, so ``cli._worker_count`` is wrapped to return 1 once it has
+run, and the sweep runs every case in this process.  Every line runs
+with seed 1.  A function counts as executed when it is called at least
+once; a generator, when it is first resumed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -92,22 +92,12 @@ def functions(path: Path) -> dict[tuple[int, str], str]:
 
 
 def command_lines() -> list[list[str]]:
-    """Every command line of every workload, a sweep as one ``verify``
-    per catalog case."""
+    """Every command line of every workload."""
     sys.dont_write_bytecode = True  # leave bench/ as it is
     sys.path.insert(0, str(BENCH))
     from run import WORKLOADS
 
-    lines = []
-    for ops in WORKLOADS.values():
-        for op in ops:
-            if op.sweep:
-                for case in op.cases:
-                    family, rank_node = case[0], case[1:]
-                    lines.append(["verify", family, *rank_node.split("."), "--format=json", f"--seed={SEED}"])
-            else:
-                lines.append(op.argv(SEED))
-    return lines
+    return [op.argv(SEED) for ops in WORKLOADS.values() for op in ops]
 
 
 def executed(argvs: list[list[str]]) -> set[tuple[str, int, str]]:
@@ -115,6 +105,7 @@ def executed(argvs: list[list[str]]) -> set[tuple[str, int, str]]:
     sys.path.insert(0, str(SRC))
     from minuscule import cli
 
+    cli._worker_count = lambda cases, count=cli._worker_count: min(count(cases), 1)
     package = str(PACKAGE)
     called = set()
 
