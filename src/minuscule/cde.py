@@ -29,10 +29,12 @@ ending at it, by length) is one integer at t = 2^W, built in one walk
 of the ideals in index order that hands a running zeta-transform prefix
 up each cover, and its up polynomial is the same walk on the dual
 lattice.  One product per ideal then holds its strict k-chain count in
-W-bit slot k, with W from a bound on every sum the rows take, so no
-slot carries.  Each call forms the products afresh and keeps none;
-``chain_counts`` and the rows read them alike.  Multichain counts
-are their binomial transform.  Counts stay integers, and the checks
+W-bit slot k.  No slot of any sum the rows take exceeds (|P|+1)^2 C,
+for C the number of strict chains, which one walk at t = 1 counts, so
+W = bit_length((|P|+1)^2 C) keeps every slot from carrying.  Each call
+forms the products afresh, once, and keeps none; ``chain_counts`` and
+the rows read them alike.  Multichain counts are their binomial
+transform.  Counts stay integers, and the checks
 read them through ``ChainRow``: per-element toggle differences and the
 sums behind the expectation, all linear in the counts, so each row is
 read off whole-integer sums of the products, and each multichain row is
@@ -125,22 +127,23 @@ def _strict_products(lattice: IdealLattice) -> tuple[int, tuple[int, ...]]:
     """(W, products): per ideal x, P_x = F_x * G_x at t = 2**W, whose
     W-bit slot k holds the strict k-chains through x, k = 0..|P|.
 
-    G_x, the up polynomial, is F on the dual lattice.  At t = 1 the
-    product is every strict chain through x, which bounds each of its
-    coefficients; W is the bit length of the largest sum the rows take
-    of them (per element p over either end of its covers, of ddeg times
-    them, or of them all), so no slot of a product or of such a sum
-    carries into the next (Kronecker substitution).
+    G_x, the up polynomial, is F on the dual lattice.  Every sum the rows
+    take stays below 2**W in each slot, so no slot of a product or of
+    such a sum carries into the next (Kronecker substitution).  Let c_k
+    be the number of strict k-chains and C = sum_k c_k = sum_x F_x(1),
+    one walk at t = 1.  Slot k summed over all products is (k+1) * c_k
+    <= (|P|+1) * C, since a k-chain passes through k+1 ideals.  An ideal
+    is the lower end of at most one cover labelled p and the upper end
+    of at most one, and its down-degree is at most |P|; so no slot of a
+    per-label sum or of the total exceeds (|P|+1) * C, and none of the
+    ddeg sum exceeds |P| * (|P|+1) * C.  Both are below 2**W for W =
+    bit_length((|P|+1)^2 * C).
     """
     upper, dual = _cover_lists(lattice)
-
-    def polynomials(shift):
-        up = list(_down_polynomials(dual, shift))  # dual index N-1-x: last is x = 0
-        return [f * up.pop() for f in _down_polynomials(upper, shift)]
-
-    lows, highs, ddeg_sum, total = _chain_sums(lattice, polynomials(0))
-    width = max(max(lows + highs, default=0), ddeg_sum, total).bit_length()
-    return width, tuple(polynomials(width))
+    chains = sum(_down_polynomials(upper, 0))
+    width = ((len(lattice.heap) + 1) ** 2 * chains).bit_length()
+    up = list(_down_polynomials(dual, width))  # dual index N-1-x: last is x = 0
+    return width, tuple(f * up.pop() for f in _down_polynomials(upper, width))
 
 
 def label_sums(lattice: IdealLattice, values) -> tuple[list, list]:

@@ -29,6 +29,7 @@ from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
     MULTI,
     STRICT,
+    LpCertificate,
     homomesy_report,
     lp_certificate,
     multichain_rows,
@@ -128,7 +129,7 @@ class CaseResult(NamedTuple):
     constant: Fraction
     checks: tuple[CheckRow, ...]
     distributions: tuple[DistRow, ...]
-    lp: dict
+    lp: LpCertificate
 
     @property
     def failures(self) -> int:
@@ -225,22 +226,13 @@ def verify_case(
     cert = lp_certificate(lattice)
     lp_failures = int(cert.minimum != constant) + int(cert.maximum != constant)
     checks.append(CheckRow("lp_certificate", 2, lp_failures))
-    lp = {
-        "minimum": serialize.frac_str(cert.minimum),
-        "maximum": serialize.frac_str(cert.maximum),
-        "constant": serialize.frac_str(constant),
-        "equal": cert.minimum == cert.maximum == constant,
-        "witness": None
-        if cert.witness is None
-        else [serialize.frac_str(v) for v in cert.witness],
-    }
 
     for report in homomesy:
         failures = sum(not row.matches for row in report.rows)
         checks.append(CheckRow(f"homomesy_{report.action}", len(report.rows), failures))
 
     checks.append(CheckRow("heap_words", *_word_robustness_failures(bundle, word_trials, seed)))
-    return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), lp)
+    return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), cert)
 
 
 def _case_csv(res: CaseResult) -> str:
@@ -252,8 +244,10 @@ def _case_csv(res: CaseResult) -> str:
 
 def _case_json(res: CaseResult) -> str:
     """One case of the JSON report, rendered as it sits in the report's
-    ``cases`` list; its constant is formatted once."""
+    ``cases`` list; its constant is formatted once, and its LP
+    certificate only here, since the CSV report shows none of it."""
     constant = serialize.frac_str(res.constant)
+    lp = res.lp
     payload = {
         "case": res.case_id,
         "constant": constant,
@@ -271,7 +265,15 @@ def _case_json(res: CaseResult) -> str:
             }
             for d in res.distributions
         ],
-        "lp": res.lp,
+        "lp": {
+            "minimum": serialize.frac_str(lp.minimum),
+            "maximum": serialize.frac_str(lp.maximum),
+            "constant": constant,
+            "equal": lp.minimum == lp.maximum == res.constant,
+            "witness": None
+            if lp.witness is None
+            else [serialize.frac_str(v) for v in lp.witness],
+        },
     }
     return serialize.dumps(payload, level=2)
 

@@ -12,14 +12,16 @@ builds in O(|P| * deg) mask operations.
 
 A ``Heap`` is its labels and its covers, and every cover ascends in
 position, so position order is a linear extension of every ``Heap``;
-the order masks, ranks and names are derived from these.  The linear
-extensions of the heap of a word read off exactly the words of its
-commutation class, and every one of them has that heap (Cartier-Foata;
-Viennot's heaps of pieces; Stembridge 1996).  So ``is_heap_of_its_word``
-certifies with one ``heap_from_word`` that every linear extension of a
-heap rebuilds it, which no number of random trials shows, and
-``word_rebuild_failures`` counts the seeded ``random_linear_extension``
-draws whose words do not rebuild a heap.
+the masks of the elements below and above each element, the mask of
+the minimal elements, the ranks, names and fibers are derived from
+these, each when first read.  The linear extensions of the heap of a
+word read off exactly the words of its commutation class, and every
+one of them has that heap (Cartier-Foata; Viennot's heaps of pieces;
+Stembridge 1996).  So ``is_heap_of_its_word`` certifies with one
+``heap_from_word`` that every linear extension of a heap rebuilds it,
+which no number of random trials shows, and ``word_rebuild_failures``
+counts the seeded ``random_linear_extension`` draws whose words do not
+rebuild a heap.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class Heap(Frozen):
     ``cartan``; the sorted (lower, upper) cover pairs; and the base
     weight, with one coordinate per node.  Every cover ascends in
     position, so positions are a linear extension of every ``Heap``;
-    the order masks, ranks and names are derived from the covers and
-    labels, each in one pass."""
+    the below, above and minimal masks, ranks and names are derived
+    from the covers and labels, each in one pass."""
 
     def __init__(
         self,
@@ -69,14 +71,6 @@ class Heap(Frozen):
     @property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
-
-    @cached_property
-    def lower(self) -> tuple[int, ...]:
-        """Element -> the mask of the elements it covers."""
-        out = [0] * len(self.labels)
-        for a, b in self.covers:
-            out[b] |= 1 << a
-        return tuple(out)
 
     @cached_property
     def below(self) -> tuple[int, ...]:
@@ -117,8 +111,9 @@ class Heap(Frozen):
 
     @cached_property
     def minimal_mask(self) -> int:
-        """The elements with nothing below them."""
-        return sum(1 << p for p, m in enumerate(self.lower) if not m)
+        """The elements with nothing below them: every element but the
+        upper ends of the covers, whose distinct bits sum to their OR."""
+        return self.full_mask - sum({1 << b for _, b in self.covers})
 
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:

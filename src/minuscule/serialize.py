@@ -12,7 +12,6 @@ some depth, such as one case of a report, renders on its own.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .bits import bit_string
@@ -70,8 +69,9 @@ def _render(value, newline: str) -> str:
 
 
 def frac_str(value) -> str:
-    q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    """A ``Fraction`` or an int as "num/den": both keep their numerator
+    and denominator in lowest terms, the denominator positive."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def cartan_to_dict(cd: CartanDatum) -> dict:

@@ -14,10 +14,14 @@ The quadratic heap builder returns a library ``Heap`` beside the
 tables it computes, so each table a ``Heap`` derives compares directly,
 ``rowmotion_by_toggles`` sweeps the library's ``toggle``,
 ``commutation_violations_by_toggle_label`` its
-``toggle_label``, ``rebuild_failures_by_composition`` chains the
-library's public heap functions, and ``replayed_rebuild_failures``
-replays the heap builder's ``_rest_on_last`` once per whole word;
-``every_extension_rebuilds`` composes them over every linear extension.
+``toggle_label``, and ``replayed_rebuild_failures`` replays the heap
+builder's ``_rest_on_last`` once per whole word, where the library
+rebuilds a ``Heap`` and matches it by names; ``every_extension_rebuilds``
+composes the public heap functions over every linear extension.
+``exact_product_width`` is the pass at t = 1 that once set the slot
+width of the packed strict products from the sums the rows take, so it
+runs the library's chain walk; it is the measured width that the
+library's bound must never undercut.
 ``positive_roots``, ``weyl_dimension`` and ``coxeter_number`` read the
 Cartan matrix alone, and ``value_at_root_of_unity`` reads the
 ``ideal_size_polynomial`` of a lattice at a root of unity as its
@@ -49,7 +53,7 @@ from minuscule import (
     toggle_label,
     word_of_extension,
 )
-from minuscule.cde import ChainRow
+from minuscule.cde import ChainRow, _chain_sums, _cover_lists, _down_polynomials
 from minuscule.heap import _rest_on_last
 from minuscule.stats import CheckRow
 
@@ -358,6 +362,20 @@ def zeta_strict_chain_rows(lattice):
     return tuple(chain_row(lattice, counts) for counts in zeta_strict_count_levels(lattice))
 
 
+def exact_product_width(lattice):
+    """The bit length of the largest sum the strict chain rows take of
+    the packed products at t = 1, where each product is every strict
+    chain through its ideal: per element over either end of its covers,
+    of ddeg times them, and of them all.  Each of those bounds every
+    slot of the same sum at t = 2^W, so no slot carries at this width.
+    It forms every product, and walks the dual lattice, to measure it."""
+    upper, dual = _cover_lists(lattice)
+    up = list(_down_polynomials(dual, 0))  # dual index N-1-x: last is x = 0
+    products = [f * up.pop() for f in _down_polynomials(upper, 0)]
+    lows, highs, ddeg_sum, total = _chain_sums(lattice, products)
+    return max(max(lows + highs, default=0), ddeg_sum, total).bit_length()
+
+
 def zeta_multichain_counts(lattice, k):
     """Multichains of k+1 ideals through each ideal, counted once per
     position, from zeta-transform tables over the cover graph: each level
@@ -465,7 +483,8 @@ def quadratic_heap_from_word(cd, word, base=None):
     covers and ranks are then read off the full masks.  The reference for
     the last-occurrence builder ``heap_from_word``: returns the ``Heap``
     of the word's labels and covers, and the tables a ``Heap`` derives,
-    computed here: ``below``, ``above``, ``ranks`` and ``names``."""
+    computed here: ``below``, ``above``, ``ranks``, ``names`` and
+    ``minimal_mask``, the elements with nothing below them."""
     n = len(word)
     matrix = cd.matrix
     below = [0] * n
@@ -495,6 +514,7 @@ def quadratic_heap_from_word(cd, word, base=None):
         "above": tuple(above),
         "ranks": tuple(ranks),
         "names": tuple(names),
+        "minimal_mask": sum(1 << j for j in range(n) if not below[j]),
     }
     return heap, tables
 
@@ -516,17 +536,6 @@ def rescanning_linear_extension(h, rng):
 def less(h, x, y):
     """Is x strictly below y in the heap?"""
     return bool(h.below[y] >> x & 1)
-
-
-def rebuild_failures_by_composition(h, rng, trials):
-    """``word_rebuild_failures`` as its three public steps: draw a linear
-    extension, build the heap of its word, test it for isomorphism."""
-    failures = 0
-    for _ in range(trials):
-        word = word_of_extension(h, random_linear_extension(h, rng))
-        if heaps_isomorphic(h, heap_from_word(h.cartan, word)) is None:
-            failures += 1
-    return failures
 
 
 def replayed_rebuild_failures(h, rng, trials):

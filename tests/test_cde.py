@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minuscule import (
@@ -48,6 +48,7 @@ from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
     chain_row,
     coxeter_number,
+    exact_product_width,
     ideal_size_polynomial,
     make_distribution,
     maxchain_distribution,
@@ -259,12 +260,19 @@ def test_strict_chain_rows_match_the_zeta_level_oracle_on_random_heaps(case):
     assert strict_chain_rows(L) == zeta_strict_chain_rows(L)
 
 
-@pytest.mark.parametrize("family,rank,node", small_catalog())
+@pytest.mark.parametrize(
+    "family,rank,node",
+    small_catalog() + [("A", 9, 5), ("D", 9, 9), pytest.param("A", 1, None, id="empty")],
+)
 def test_every_packed_sum_round_trips_through_its_slots(family, rank, node):
     """Each slot of each sum the rows read is below 2^W, and the slots
-    pack back to the sum: no slot carries into the next."""
+    pack back to the sum: no slot carries into the next.  Node None is
+    the empty heap, whose one ideal is its one chain."""
     cd = build_cartan(family, rank)
-    L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
+    if node is None:
+        L = enumerate_ideals(heap_from_word(cd, ()))
+    else:
+        L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
     width, products = _strict_products(L)
     slots = len(L.heap) + 1
     lows, highs, ddeg_sum, total = _chain_sums(L, products)
@@ -830,6 +838,33 @@ def test_every_chain_total_is_a_weyl_dimension(family, rank, node):
     for k, total in enumerate(multi_totals):
         strict_totals.append(total - sum(comb(k + 1, s + 1) * c for s, c in enumerate(strict_totals)))
     assert strict_totals == [row.total for row in strict] + [0]
+
+
+def check_product_width(lattice):
+    """The slot width of the packed products is never below the width
+    the t = 1 pass measures, and at most 2 * bit_length(|P| + 1) above
+    it: that pass's total already counts every strict chain."""
+    width, _ = _strict_products(lattice)
+    exact = exact_product_width(lattice)
+    assert exact <= width <= exact + 2 * (len(lattice.heap) + 1).bit_length(), (exact, width)
+
+
+@pytest.mark.parametrize(
+    "family,rank,node", [(s.family, s.rank, s.node) for s in default_catalog()] + LADDER
+)
+def test_the_slot_width_bound_covers_the_measured_width(family, rank, node):
+    check_product_width(build_case(family, rank, node).lattice)
+
+
+@settings(max_examples=100)
+@given(random_heap_word())
+@example((build_cartan("A", 1), ()))
+@example((build_cartan("A", 1), (1,)))
+@example((build_cartan("E", 7), (4,)))
+def test_the_slot_width_bound_covers_the_measured_width_on_random_heaps(case):
+    """Heaps of words, the empty word and one-letter words among them."""
+    cd, word = case
+    check_product_width(enumerate_ideals(heap_from_word(cd, word)))
 
 
 def fixed_counts(orbits, h):

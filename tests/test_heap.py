@@ -26,8 +26,8 @@ from oracles import (
     grid_word,
     join_irreducible_indices,
     less,
+    linear_extensions,
     quadratic_heap_from_word,
-    rebuild_failures_by_composition,
     replayed_rebuild_failures,
     rescanning_linear_extension,
 )
@@ -227,6 +227,24 @@ def test_heap_functions_agree_with_quadratic_oracles(case, seed):
     assert heaps_isomorphic(h, other) == below_mask_isomorphic(h, other)
 
 
+@pytest.mark.parametrize(
+    "n,covers,minimal",
+    [
+        (3, (), 0b111),  # no covers
+        (3, ((0, 1), (1, 2)), 0b001),  # one chain
+        (4, ((0, 2), (1, 3)), 0b0011),  # two components
+        (5, ((0, 3), (1, 3), (2, 4), (3, 4)), 0b00111),  # two below one, a chain above
+    ],
+)
+def test_minimal_mask_is_the_elements_with_nothing_below_them(n, covers, minimal):
+    """On hand-built heaps, the minimal elements are those whose down-set
+    is empty, and the ready mask every linear extension starts from."""
+    h = Heap(build_cartan("A", 3), (1, 2, 3, 1, 2)[:n], covers)
+    assert h.minimal_mask == minimal
+    assert h.minimal_mask == sum(1 << p for p in range(n) if not h.below[p])
+    assert {ext[0] for ext in linear_extensions(h)} == {p for p in range(n) if minimal >> p & 1}
+
+
 def with_covers(h, covers):
     """h with its cover list replaced and everything else kept."""
     return Heap(h.cartan, h.labels, tuple(sorted(covers)), h.base)
@@ -248,11 +266,10 @@ def tampered_covers(h):
 
 @settings(max_examples=100)
 @given(random_heap_word(), st.integers(0, 2**32 - 1))
-def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
-    """One trial at a time, the trials and the oracle's extension +
-    rebuild + isomorphism give the same verdict and consume the same
-    draws, on the heap and on copies with one cover dropped or one
-    added."""
+def test_word_rebuilds_agree_with_the_replay_draw_for_draw(case, seed):
+    """One trial at a time, the trials and the oracle's whole-word replay
+    give the same verdict and consume the same draws, on the heap and on
+    copies with one cover dropped or one added."""
     cd, word = case
     h = heap_from_word(cd, word)
     for heap in [h] + [with_covers(h, covers) for covers in tampered_covers(h)]:
@@ -260,7 +277,7 @@ def test_word_rebuilds_agree_with_the_composition_draw_for_draw(case, seed):
         verdicts = []
         for _ in range(5):
             verdicts.append(word_rebuild_failures(heap, rng, 1))
-            assert verdicts[-1] == rebuild_failures_by_composition(heap, ref, 1)
+            assert verdicts[-1] == replayed_rebuild_failures(heap, ref, 1)
             assert rng.getstate() == ref.getstate()
         assert verdicts == [int(heap is not h)] * 5
 
@@ -304,10 +321,11 @@ def same_count_and_draws(check, reference, heap, seed, trials):
 @settings(max_examples=100)
 @given(random_heap_word(), st.integers(0, 2**32 - 1), st.integers(20, 50), st.data())
 def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, data):
-    """With 20 to 50 trials per call, the failure count and the draws
-    consumed equal the whole-word replay's and the composition's on the
-    heap, on copies with a cover dropped or added, and on a copy with two
-    labels swapped.  A copy with one cover reversed is no heap."""
+    """With 20 to 50 trials per call, at the drawn seed and the next, the
+    failure count and the draws consumed equal the whole-word replay's
+    on the heap, on copies with a cover dropped or added, and on a copy
+    with two labels swapped.  A copy with one cover reversed is no
+    heap."""
     cd, word = case
     h = heap_from_word(cd, word)
     heaps = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
@@ -320,10 +338,8 @@ def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, d
         x, y = data.draw(st.lists(st.integers(0, len(h) - 1), min_size=2, max_size=2, unique=True))
         heaps.append(with_labels_swapped(h, x, y))
     for heap in heaps:
-        same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, heap, seed, trials)
-        same_count_and_draws(
-            word_rebuild_failures, rebuild_failures_by_composition, heap, seed, trials
-        )
+        for s in (seed, seed + 1):
+            same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, heap, s, trials)
 
 
 def test_word_walks_match_the_replay_on_the_catalog(catalog, bundle):
@@ -336,16 +352,14 @@ def test_word_walks_match_the_replay_on_the_catalog(catalog, bundle):
             assert failures == 0, spec
 
 
-def test_word_walks_agree_with_the_composition_on_swapped_labels():
+def test_word_walks_agree_with_the_replay_on_swapped_labels():
     """Swapping two labels of a chain gives the chain of another word,
-    and its names follow the new labels: the walk and the composition
-    pass every trial and consume the same draws."""
+    and its names follow the new labels: the walk and the whole-word
+    replay pass every trial and consume the same draws."""
     cd = build_cartan("A", 2)
     h = with_labels_swapped(heap_from_word(cd, (2, 2, 1, 1, 2, 2, 1, 1, 2)), 4, 6)
     assert h.names == heap_from_word(cd, h.labels).names
-    failures = same_count_and_draws(
-        word_rebuild_failures, rebuild_failures_by_composition, h, 0, 40
-    )
+    failures = same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, h, 0, 40)
     assert failures == 0
 
 

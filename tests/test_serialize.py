@@ -71,3 +71,21 @@ def test_a_value_rendered_at_a_depth_reads_as_it_sits_there(value, level):
 def test_dumps_raises_type_error_on_anything_else(value):
     with pytest.raises(TypeError):
         serialize.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (3, "3/1"),
+        (0, "0/1"),
+        (-7, "-7/1"),
+        (Fraction(0), "0/1"),
+        (Fraction(-5, 3), "-5/3"),
+        (Fraction(4, -6), "-2/3"),
+        (Fraction(2**70, 2**68), "4/1"),
+    ],
+)
+def test_frac_str_writes_lowest_terms_with_a_positive_denominator(value, text):
+    """An int is over 1, and a ``Fraction`` from an unreduced pair or a
+    negative denominator is written reduced, its sign on the numerator."""
+    assert serialize.frac_str(value) == text
