@@ -11,14 +11,14 @@ orbits FAMILY RANK NODE    tabulate rowmotion or gyration orbits with
                            exact mean down-degree
 
 Exit codes: 0 success, 1 check failure, 2 domain error, 3 resource cap.
-All output is deterministic for a fixed command line, including --seed.
+All output is deterministic for a fixed command line; --seed is accepted
+and changes no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +27,7 @@ from typing import NamedTuple
 from . import serialize
 from .cartan import CartanDatum, Weight, build_cartan, fundamental_weight
 from .cde import (
+    ACTIONS,
     MULTI,
     STRICT,
     LpCertificate,
@@ -37,8 +38,8 @@ from .cde import (
     strict_chain_rows,
 )
 from .errors import ConfigurationError, DomainError, InternalCheckError, ResourceLimitError
-from .heap import Heap, is_heap_of_its_word, word_rebuild_failures
-from .ideals import DEFAULT_IDEAL_CAP, IdealLattice
+from .heap import Heap, is_heap_of_its_word
+from .ideals import DEFAULT_IDEAL_CAP, IdealLattice, image_orbits
 from .orbit import MinusculeReport, OrbitPoset, generate_orbit, verify_minuscule
 from .stats import CheckRow, tcde_constant, toggle_suite
 
@@ -167,23 +168,18 @@ def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
     return 2 + n * n, failures
 
 
-def _word_robustness_failures(bundle: CaseBundle, trials: int, seed: int) -> tuple[int, int]:
-    """Rebuild the heap from random linear extensions; each rebuild must
-    be label-preserving isomorphic to it.
-
-    When the heap is the heap of its own word, every linear extension
-    rebuilds it (``is_heap_of_its_word``), so every trial passes and none
-    is drawn.  Otherwise the seeded trials give the count."""
-    if is_heap_of_its_word(bundle.heap):
-        return trials, 0
-    rng = random.Random(f"{seed}:{bundle.spec.case_id}")
-    return trials, word_rebuild_failures(bundle.heap, rng, trials)
+def _word_robustness_failures(bundle: CaseBundle, trials: int) -> tuple[int, int]:
+    """Rebuild the heap from ``trials`` linear extensions; each rebuild
+    must be label-preserving isomorphic to it.  A heap of its own word
+    passes every rebuild and any other heap fails every one
+    (``is_heap_of_its_word``), so the certificate decides all trials and
+    none is drawn."""
+    return trials, 0 if is_heap_of_its_word(bundle.heap) else trials
 
 
 def verify_case(
     bundle: CaseBundle,
     chain_modes: tuple[str, ...] = (STRICT, MULTI),
-    seed: int = 1,
     word_trials: int = 100,
 ) -> CaseResult:
     """Run the full certification stack on one case."""
@@ -210,10 +206,11 @@ def verify_case(
     named_rows = [("uni", strict[0]), ("maxchain", strict[-1])]
     for mode in chain_modes:
         named_rows += [(f"chain_{mode}_{k}", row) for k, row in enumerate(chain_rows[mode])]
-    homomesy = [homomesy_report(lattice, action) for action in ("rowmotion", "gyration")]
-    for report in homomesy:
-        rows = orbit_rows(lattice, [row.orbit for row in report.rows])
-        named_rows += [(f"{report.action}_orbit_{j}", row) for j, row in enumerate(rows)]
+    action_rows = {}
+    for action in ("rowmotion", "gyration"):
+        rows = orbit_rows(lattice, image_orbits(lattice, ACTIONS[action](lattice)))
+        action_rows[action] = rows
+        named_rows += [(f"{action}_orbit_{j}", row) for j, row in enumerate(rows)]
     symmetry_failures = sum(len(row.differences) for _, row in named_rows)
     checks.append(CheckRow("toggle_symmetry", len(h) * len(named_rows), symmetry_failures))
     dists = [DistRow(name, row.expectation) for name, row in named_rows]
@@ -227,11 +224,14 @@ def verify_case(
     lp_failures = int(cert.minimum != constant) + int(cert.maximum != constant)
     checks.append(CheckRow("lp_certificate", 2, lp_failures))
 
-    for report in homomesy:
-        failures = sum(not row.matches for row in report.rows)
-        checks.append(CheckRow(f"homomesy_{report.action}", len(report.rows), failures))
+    # Homomesy: each orbit's mean down-degree against the constant of the
+    # heap's base weight, as ``homomesy_report`` compares it.
+    base_constant = tcde_constant(h.cartan, h.base)
+    for action, rows in action_rows.items():
+        failures = sum(row.expectation != base_constant for row in rows)
+        checks.append(CheckRow(f"homomesy_{action}", len(rows), failures))
 
-    checks.append(CheckRow("heap_words", *_word_robustness_failures(bundle, word_trials, seed)))
+    checks.append(CheckRow("heap_words", *_word_robustness_failures(bundle, word_trials)))
     return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), cert)
 
 
@@ -484,7 +484,7 @@ def cmd_verify(args) -> int:
             if not args.all:
                 raise
             return None
-        res = verify_case(bundle, modes, seed=args.seed, word_trials=args.words)
+        res = verify_case(bundle, modes, word_trials=args.words)
         return res.failures, render_case(res)
 
     outcomes = _map_forked(run, specs, _worker_count(len(specs)))

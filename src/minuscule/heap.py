@@ -19,9 +19,10 @@ word read off exactly the words of its commutation class, and every
 one of them has that heap (Cartier-Foata; Viennot's heaps of pieces;
 Stembridge 1996).  So ``is_heap_of_its_word`` certifies with one
 ``heap_from_word`` that every linear extension of a heap rebuilds it,
-which no number of random trials shows, and ``word_rebuild_failures``
-counts the seeded ``random_linear_extension`` draws whose words do not
-rebuild a heap.
+which no number of random trials shows.  Conversely, a heap that one
+linear extension's word rebuilds is the heap of its own word, so a heap
+that is not fails every rebuild, and the certificate decides every
+trial.
 """
 
 from __future__ import annotations
@@ -249,15 +250,15 @@ def is_heap_of_its_word(h: Heap) -> bool:
     pieces; Stembridge 1996).  Equal labels form chains in a heap of a
     word, so that label-preserving isomorphism keeps each element's name
     (i, t), and it is the one ``heaps_isomorphic`` finds.
+
+    Conversely, if the word u of any one linear extension rebuilds h,
+    then h is isomorphic to the heap of u.  Through that isomorphism,
+    h's position order is a linear extension of the heap of u, and it
+    reads ``h.labels``, so ``h.labels`` lies in u's commutation class and
+    its heap is isomorphic to h.  Equal labels form chains in both, so
+    the isomorphism keeps names: it is the identity, and the covers
+    agree.  So a heap that is not the heap of its own word fails every
+    rebuild.
     """
     return heap_from_word(h.cartan, h.labels).covers == h.covers
 
-
-def word_rebuild_failures(h: Heap, rng: random.Random, trials: int) -> int:
-    """How many of ``trials`` seeded ``random_linear_extension`` draws of
-    h read off a word whose heap ``heaps_isomorphic`` does not match to h."""
-    failures = 0
-    for _ in range(trials):
-        word = word_of_extension(h, random_linear_extension(h, rng))
-        failures += heaps_isomorphic(h, heap_from_word(h.cartan, word)) is None
-    return failures

@@ -85,7 +85,9 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
     Weight indices are deterministic: by reflection distance from lam,
     then lexicographically within a layer.  Covers are recorded wherever
     a coordinate equals 1.  Raises DomainError for non-dominant or
-    non-integral lam, ResourceLimitError if the orbit outgrows ``cap``.
+    non-integral lam, ResourceLimitError if the orbit outgrows ``cap``,
+    as soon as it does: the cap is checked after each new weight, so at
+    most cap + 1 distinct weights are ever formed.
 
     Only reflections at a positive coordinate are taken.  For dominant
     lam, the distance of mu from lam is the length of the shortest w with
@@ -104,6 +106,8 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
         raise DomainError(f"weight {lam} is not dominant")
     lam = tuple(int(m) for m in lam)
 
+    if cap < 1:  # the orbit holds lam at least
+        raise ResourceLimitError(f"orbit exceeds cap of {cap} weights")
     order = [lam]
     layers = [0]
     covers = []
@@ -119,11 +123,11 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
                 if mi > 0:
                     nu = _reflect(cd, i, mu)
                     fresh.add(nu)
+                    if len(order) + len(fresh) > cap:
+                        raise ResourceLimitError(f"orbit exceeds cap of {cap} weights")
                     if mi == 1:
                         pending.append((u, nu, i))
             u += 1
-        if len(order) + len(fresh) > cap:
-            raise ResourceLimitError(f"orbit exceeds cap of {cap} weights")
         frontier = sorted(fresh)
         position = {nu: len(order) + j for j, nu in enumerate(frontier)}
         covers += [(u, position[nu], i) for u, nu, i in pending]

@@ -14,18 +14,21 @@ The quadratic heap builder returns a library ``Heap`` beside the
 tables it computes, so each table a ``Heap`` derives compares directly,
 ``rowmotion_by_toggles`` sweeps the library's ``toggle``,
 ``commutation_violations_by_toggle_label`` its
-``toggle_label``, and ``replayed_rebuild_failures`` replays the heap
-builder's ``_rest_on_last`` once per whole word, where the library
-rebuilds a ``Heap`` and matches it by names; ``every_extension_rebuilds``
-composes the public heap functions over every linear extension.
+``toggle_label``, and ``replayed_rebuild_failures`` draws the trials
+that the library's own-word certificate decides without drawing, and
+replays the heap builder's ``_rest_on_last`` once per whole word drawn;
+``every_extension_rebuilds`` composes the public heap functions over
+every linear extension.
 ``exact_product_width`` is the pass at t = 1 that once set the slot
 width of the packed strict products from the sums the rows take, so it
 runs the library's chain walk; it is the measured width that the
 library's bound must never undercut.
 ``positive_roots``, ``weyl_dimension`` and ``coxeter_number`` read the
-Cartan matrix alone, and ``value_at_root_of_unity`` reads the
-``ideal_size_polynomial`` of a lattice at a root of unity as its
-remainder modulo a ``cyclotomic`` polynomial, by integer long division.
+Cartan matrix alone, ``bipartite_coxeter_images`` reads gyration off
+the ideal weights through the library's ``_reflect``, and
+``value_at_root_of_unity`` reads the ``ideal_size_polynomial`` of a
+lattice at a root of unity as its remainder modulo a ``cyclotomic``
+polynomial, by integer long division.
 The lookups that only tests read (the Cartan inverse as Fractions, the
 minuscule node table, simple roots, coroot pairings and the weight of
 an ideal folded from its reflections) live here too, the last through
@@ -53,6 +56,7 @@ from minuscule import (
     toggle_label,
     word_of_extension,
 )
+from minuscule.cartan import _reflect
 from minuscule.cde import ChainRow, _chain_sums, _cover_lists, _down_polynomials
 from minuscule.heap import _rest_on_last
 from minuscule.stats import CheckRow
@@ -539,10 +543,11 @@ def less(h, x, y):
 
 
 def replayed_rebuild_failures(h, rng, trials):
-    """``word_rebuild_failures`` as one replay of ``_rest_on_last`` per
-    whole word: the t-th occurrence of label i in the word stands for
-    ``h.fibers[i][t - 1]``, and the word passes when its lower covers,
-    so mapped into h, equal h's element by element."""
+    """How many of ``trials`` seeded ``random_linear_extension`` draws of
+    h read off a word whose heap is not h, by one replay of
+    ``_rest_on_last`` per whole word: the t-th occurrence of label i in
+    the word stands for ``h.fibers[i][t - 1]``, and the word passes when
+    its lower covers, so mapped into h, equal h's element by element."""
     n = len(h)
     neighbours, rank = h.cartan.neighbours, h.cartan.rank
     lower_masks = [0] * n
@@ -1010,3 +1015,35 @@ def value_at_root_of_unity(coefficients, m):
     is an integer c exactly when the remainder is the constant c."""
     _, rest = _divmod_monic(coefficients, cyclotomic(m))
     return None if any(rest[1:]) else rest[0]
+
+
+def bipartite_coxeter_images(lattice):
+    """Gyration read off the weights alone: the image of the ideal of
+    weight w is the ideal of weight c w, c the bipartite Coxeter element.
+
+    Toggling the fiber of label i acts as s_i on weights, and every cover
+    of a minuscule heap joins adjacent labels, so a label's elements all
+    share the rank parity of its Dynkin distance from the label of the
+    minimal element, the node of the bottom weight.  Gyration toggles the
+    even ranks, then the odd ones, so c applies s_i at each node of even
+    distance, then at each of odd distance; the nodes of one class are
+    pairwise non-adjacent, so their order does not matter."""
+    cd = lattice.heap.cartan
+    bottom = lattice.weights[lattice.index[0]]
+    (node,) = [i for i, m in enumerate(bottom, 1) if m]
+    parity = {node: 0}
+    stack = [node]
+    while stack:
+        i = stack.pop()
+        for j, a in enumerate(cd.matrix[i - 1], 1):
+            if a == -1 and j not in parity:
+                parity[j] = 1 - parity[i]
+                stack.append(j)
+    order = sorted(parity, key=parity.get)
+    position = {w: k for k, w in enumerate(lattice.weights)}
+    images = []
+    for w in lattice.weights:
+        for i in order:
+            w = _reflect(cd, i, w)
+        images.append(lattice.ideals[position[w]])
+    return images

@@ -41,11 +41,12 @@ from minuscule.cde import (
     toggle_polytope,
 )
 from minuscule.cli import build_case, default_catalog
-from minuscule.ideals import IdealLattice, image_orbits
+from minuscule.ideals import IdealLattice, gyration_images, image_orbits
 from minuscule.simplex import OPTIMAL, solve_lp
 from minuscule.stats import CheckRow, closed_form_witness, toggle_suite, witness_residues
 from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
+    bipartite_coxeter_images,
     chain_row,
     coxeter_number,
     exact_product_width,
@@ -933,3 +934,13 @@ def test_the_gram_witness_is_exact_on_random_heaps(case):
         rows, _ = toggle_polytope(L)
         for k, ddeg in enumerate(L.down_degrees):
             assert sum(row[k] * v for row, v in zip(rows, witness)) == ddeg
+
+
+@pytest.mark.parametrize(
+    "family,rank,node", [(s.family, s.rank, s.node) for s in default_catalog()] + LADDER
+)
+def test_gyration_is_the_bipartite_coxeter_element_on_the_weights(family, rank, node):
+    """Rush-Shi: through the weight map, gyration is the bipartite
+    Coxeter element c, so the image of every ideal has weight c w."""
+    lattice = build_case(family, rank, node).lattice
+    assert gyration_images(lattice) == bipartite_coxeter_images(lattice)

@@ -22,7 +22,7 @@ from minuscule import (
     fundamental_weight,
     heap_from_word,
 )
-from minuscule.heap import word_rebuild_failures
+import minuscule.heap as heap_module
 from minuscule.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -40,6 +40,7 @@ from oracles import (
     commutation_violations_by_toggle_label,
     pairwise_structure_failures,
     per_triple_identity_suite,
+    replayed_rebuild_failures,
 )
 
 
@@ -200,8 +201,8 @@ def test_default_catalog_shape():
 
 def test_render_csv_is_stable():
     bundle = build_case("A", 2, 1)
-    res1 = verify_case(bundle, seed=1, word_trials=5)
-    res2 = verify_case(bundle, seed=1, word_trials=5)
+    res1 = verify_case(bundle, word_trials=5)
+    res2 = verify_case(bundle, word_trials=5)
     assert _case_csv(res1) == _case_csv(res2)
 
 
@@ -232,6 +233,14 @@ LADDER_DIGESTS = {
     "verify A 9 5 --format=json --seed=1": "cc59e3d69e1b0d0c918e009842faec712a84d76d53a4e06b4ad1c78fcde54d4d",
     "verify D 9 9 --format=json --seed=1": "6160fe1dc5e4f9232f8131e6afeb6f9eff54c44080f4543a11ebc77edcc59757",
 }
+
+
+def test_the_seed_changes_no_sweep_report(capsys):
+    """No check draws from the seed, so ``verify --all`` prints the same
+    bytes at seeds 1 and 2."""
+    code1, out1, err1 = run(capsys, "verify", "--all", "--seed=1")
+    code2, out2, err2 = run(capsys, "verify", "--all", "--seed=2")
+    assert (code1, out1, err1) == (code2, out2, err2) == (EXIT_OK, out1, "")
 
 
 @pytest.mark.parametrize("argv", sorted(LADDER_DIGESTS))
@@ -530,50 +539,59 @@ def test_verify_case_runs_word_rebuilds_through_the_module_binding(monkeypatch):
     calls = []
     rebuild = cli._word_robustness_failures
 
-    def spy(bundle, trials, seed):
-        calls.append((bundle.spec.case_id, trials, seed))
-        return rebuild(bundle, trials, seed)
+    def spy(bundle, trials):
+        calls.append((bundle.spec.case_id, trials))
+        return rebuild(bundle, trials)
 
     monkeypatch.setattr(cli, "_word_robustness_failures", spy)
-    result = verify_case(build_case("A", 3, 2), seed=4, word_trials=7)
-    assert calls == [("A3.2", 7, 4)]
+    result = verify_case(build_case("A", 3, 2), word_trials=7)
+    assert calls == [("A3.2", 7)]
     assert CheckRow("heap_words", 7, 0) in result.checks
 
 
-def spy_on(monkeypatch, name):
-    """Record the arguments and result of each call to ``cli.<name>``."""
+def spy_on(monkeypatch, name, module=cli):
+    """Record the arguments and result of each call to ``module.<name>``."""
     calls = []
-    real = getattr(cli, name)
+    real = getattr(module, name)
 
     def spy(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def spy_on_draws(monkeypatch):
+    """Record each random linear extension the library draws."""
+    return spy_on(monkeypatch, "random_linear_extension", heap_module)
 
 
 @pytest.mark.parametrize("argv", ["verify --all", "verify A 9 5", "verify D 9 9"])
 def test_the_cover_certificate_draws_no_trial_on_the_catalog_or_the_ladder(
     capsys, monkeypatch, argv
 ):
-    """Every case's lattice is J(P) of its heap with no failing cover, so
-    its ``heap_words`` row reads all 100 trials passed and none is drawn."""
+    """Every case's heap is the heap of its own word, so its
+    ``heap_words`` row reads all 100 trials passed, one certificate per
+    case decides them, and no linear extension is drawn."""
     use_cpus(monkeypatch, 1)
-    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    certificates = spy_on(monkeypatch, "is_heap_of_its_word")
+    draws = spy_on_draws(monkeypatch)
     code, out, _ = run(capsys, *argv.split())
-    assert code == EXIT_OK and trials == []
+    assert code == EXIT_OK and draws == []
     rows = [line for line in out.splitlines() if ",heap_words," in line]
     cases = len(default_catalog()) if "--all" in argv else 1
     assert len(rows) == cases and all(row.endswith(",heap_words,100,0") for row in rows)
+    assert [verdict for _, verdict in certificates] == [True] * cases
 
 
 def test_a_consistently_tampered_bundle_reports_the_trials_count(monkeypatch):
     """With a cover added to the heap, and the lattice its J(P), the
     heap is no heap of its own word on every catalog case that has a
-    pair to add, and the row then reads the seeded trials' count."""
+    pair to add, so the row reads every trial failed, as the whole-word
+    replay of seeded trials does, and no trial is drawn."""
     certificates = spy_on(monkeypatch, "is_heap_of_its_word")
-    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    draws = spy_on_draws(monkeypatch)
     tampered = 0
     for spec in default_catalog():
         bundle = build_case(spec.family, spec.rank, spec.node)
@@ -583,12 +601,14 @@ def test_a_consistently_tampered_bundle_reports_the_trials_count(monkeypatch):
             continue
         heap = Heap(h.cartan, h.labels, tuple(sorted(h.covers + (pairs[0],))), h.base)
         bundle = bundle._replace(heap=heap, lattice=enumerate_ideals(heap))
-        want = word_rebuild_failures(heap, random.Random(f"3:{spec.case_id}"), 20)
-        assert cli._word_robustness_failures(bundle, 20, 3) == (20, want) == (20, 20)
+        want = replayed_rebuild_failures(heap, random.Random(f"3:{spec.case_id}"), 20)
+        assert cli._word_robustness_failures(bundle, 20) == (20, want) == (20, 20)
+        for trials in (0, 1):
+            assert cli._word_robustness_failures(bundle, trials) == (trials, trials)
         assert certificates[-1][0] == (heap,) and certificates[-1][1] is False
-        assert trials[-1][0][0] is heap
         tampered += 1
-    assert tampered == len(certificates) == len(trials) == len(default_catalog()) - 3
+    assert tampered == len(default_catalog()) - 3
+    assert len(certificates) == 3 * tampered and draws == []
 
 
 def test_a_genuine_heap_needs_no_lattice(monkeypatch):
@@ -596,17 +616,37 @@ def test_a_genuine_heap_needs_no_lattice(monkeypatch):
     the lattice J(P) of another ``Heap`` object, built from the same
     word, the ``heap_words`` row reads every trial passed and none is
     drawn."""
-    trials = spy_on(monkeypatch, "word_rebuild_failures")
+    draws = spy_on_draws(monkeypatch)
     for spec in default_catalog():
         bundle = build_case(spec.family, spec.rank, spec.node)
         h = bundle.heap
         other = heap_from_word(h.cartan, h.labels, h.base)
         bundle = bundle._replace(lattice=enumerate_ideals(other))
         assert bundle.lattice.heap is not bundle.heap
-        assert cli._word_robustness_failures(bundle, 100, 1) == (100, 0), spec
-    result = verify_case(bundle, seed=1, word_trials=100)
+        assert cli._word_robustness_failures(bundle, 100) == (100, 0), spec
+    result = verify_case(bundle, word_trials=100)
     assert CheckRow("heap_words", 100, 0) in result.checks
-    assert trials == []
+    assert draws == []
+
+
+def test_verify_reads_homomesy_off_the_orbit_rows(monkeypatch):
+    """``verify_case`` takes each orbit's mean down-degree from its orbit
+    row, and never calls ``homomesy_report``; the rows count the orbits
+    the report finds off its constant, none on the catalog."""
+
+    def unused(*args):
+        raise AssertionError("verify_case called homomesy_report")
+
+    for spec in default_catalog()[::5]:
+        bundle = build_case(spec.family, spec.rank, spec.node)
+        reports = [cde.homomesy_report(bundle.lattice, a) for a in ("rowmotion", "gyration")]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "homomesy_report", unused)
+            checks = {row.check: row for row in verify_case(bundle).checks}
+        for report in reports:
+            failures = sum(not row.matches for row in report.rows)
+            want = CheckRow(f"homomesy_{report.action}", len(report.rows), failures)
+            assert checks[want.check] == want == want._replace(failures=0)
 
 
 def test_cde_rows_count_the_chain_rows(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from minuscule import (
     random_linear_extension,
     word_of_extension,
 )
-from minuscule.heap import Heap, is_heap_of_its_word, word_rebuild_failures
+from minuscule.heap import Heap, is_heap_of_its_word
 from conftest import hand_built_heaps, random_heap_word, small_catalog
 from oracles import (
     below_mask_isomorphic,
@@ -264,38 +264,41 @@ def tampered_covers(h):
     return out
 
 
+def forced_failures(heap, trials):
+    """The rebuild failures the own-word certificate fixes: none on a
+    heap of its own word, and every trial on any other heap."""
+    return 0 if is_heap_of_its_word(heap) else trials
+
+
 @settings(max_examples=100)
 @given(random_heap_word(), st.integers(0, 2**32 - 1))
 def test_word_rebuilds_agree_with_the_replay_draw_for_draw(case, seed):
-    """One trial at a time, the trials and the oracle's whole-word replay
-    give the same verdict and consume the same draws, on the heap and on
-    copies with one cover dropped or one added."""
+    """One trial at a time, the whole-word replay gives the verdict the
+    certificate fixes, on the heap and on copies with one cover dropped
+    or one added, and so does every linear extension."""
     cd, word = case
     h = heap_from_word(cd, word)
     for heap in [h] + [with_covers(h, covers) for covers in tampered_covers(h)]:
-        rng, ref = random.Random(seed), random.Random(seed)
-        verdicts = []
-        for _ in range(5):
-            verdicts.append(word_rebuild_failures(heap, rng, 1))
-            assert verdicts[-1] == replayed_rebuild_failures(heap, ref, 1)
-            assert rng.getstate() == ref.getstate()
-        assert verdicts == [int(heap is not h)] * 5
+        rng = random.Random(seed)
+        verdicts = [replayed_rebuild_failures(heap, rng, 1) for _ in range(5)]
+        assert verdicts == [forced_failures(heap, 1)] * 5 == [int(heap is not h)] * 5
+        assert every_extension_rebuilds(heap) == (heap is h)
 
 
 def test_word_rebuilds_pass_on_the_catalog_and_fail_on_tampered_covers(catalog, bundle):
-    """The trials and the own-word certificate agree: every catalog heap
-    passes both, and a cover dropped or added fails every trial and is
-    no heap of its own word."""
+    """The replayed trials and the own-word certificate agree: every
+    catalog heap passes both, and a cover dropped or added fails every
+    trial and is no heap of its own word."""
     trials = 20
     tampered_cases = 0
     for spec in catalog:
         h = bundle(spec.family, spec.rank, spec.node).heap
-        assert word_rebuild_failures(h, random.Random(spec.case_id), 100) == 0, spec
-        assert is_heap_of_its_word(h), spec
+        assert replayed_rebuild_failures(h, random.Random(spec.case_id), 100) == 0, spec
+        assert forced_failures(h, 100) == 0, spec
         for covers in tampered_covers(h):
             tampered = with_covers(h, covers)
-            assert word_rebuild_failures(tampered, random.Random(spec.case_id), trials) == trials
-            assert not is_heap_of_its_word(tampered), spec
+            failures = replayed_rebuild_failures(tampered, random.Random(spec.case_id), trials)
+            assert failures == forced_failures(tampered, trials) == trials, spec
             tampered_cases += 1
     # A1.1 has no cover to drop, and no pair to add to the one-element or
     # two-element chains A1.1, A2.1 and A2.2.
@@ -309,12 +312,11 @@ def with_labels_swapped(h, x, y):
     return Heap(h.cartan, tuple(labels), h.covers, h.base)
 
 
-def same_count_and_draws(check, reference, heap, seed, trials):
-    """Both counts agree and consume the same draws; returns the count."""
-    rng, ref = random.Random(seed), random.Random(seed)
-    failures = check(heap, rng, trials)
-    assert failures == reference(heap, ref, trials)
-    assert rng.getstate() == ref.getstate()
+def replay_matches_the_certificate(heap, seed, trials):
+    """The whole-word replay of ``trials`` seeded draws fails as many as
+    the certificate fixes; returns that count."""
+    failures = replayed_rebuild_failures(heap, random.Random(seed), trials)
+    assert failures == forced_failures(heap, trials)
     return failures
 
 
@@ -322,10 +324,10 @@ def same_count_and_draws(check, reference, heap, seed, trials):
 @given(random_heap_word(), st.integers(0, 2**32 - 1), st.integers(20, 50), st.data())
 def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, data):
     """With 20 to 50 trials per call, at the drawn seed and the next, the
-    failure count and the draws consumed equal the whole-word replay's
-    on the heap, on copies with a cover dropped or added, and on a copy
-    with two labels swapped.  A copy with one cover reversed is no
-    heap."""
+    whole-word replay fails none or all of them, as the certificate and
+    every linear extension decide, on the heap, on copies with a cover
+    dropped or added, and on a copy with two labels swapped.  A copy
+    with one cover reversed is no heap."""
     cd, word = case
     h = heap_from_word(cd, word)
     heaps = [h] + [with_covers(h, covers) for covers in tampered_covers(h)]
@@ -339,28 +341,26 @@ def test_word_walks_agree_with_the_replay_over_many_trials(case, seed, trials, d
         heaps.append(with_labels_swapped(h, x, y))
     for heap in heaps:
         for s in (seed, seed + 1):
-            same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, heap, s, trials)
+            replay_matches_the_certificate(heap, s, trials)
+        assert every_extension_rebuilds(heap) == is_heap_of_its_word(heap)
 
 
 def test_word_walks_match_the_replay_on_the_catalog(catalog, bundle):
     for spec in catalog:
         h = bundle(spec.family, spec.rank, spec.node).heap
         for seed in (1, 2):
-            failures = same_count_and_draws(
-                word_rebuild_failures, replayed_rebuild_failures, h, seed, 100
-            )
-            assert failures == 0, spec
+            assert replay_matches_the_certificate(h, seed, 100) == 0, spec
 
 
 def test_word_walks_agree_with_the_replay_on_swapped_labels():
     """Swapping two labels of a chain gives the chain of another word,
-    and its names follow the new labels: the walk and the whole-word
-    replay pass every trial and consume the same draws."""
+    and its names follow the new labels: the whole-word replay passes
+    every trial, as the certificate and the one linear extension do."""
     cd = build_cartan("A", 2)
     h = with_labels_swapped(heap_from_word(cd, (2, 2, 1, 1, 2, 2, 1, 1, 2)), 4, 6)
     assert h.names == heap_from_word(cd, h.labels).names
-    failures = same_count_and_draws(word_rebuild_failures, replayed_rebuild_failures, h, 0, 40)
-    assert failures == 0
+    assert replay_matches_the_certificate(h, 0, 40) == 0
+    assert every_extension_rebuilds(h)
 
 
 @settings(max_examples=300)
@@ -371,12 +371,11 @@ def test_word_walks_agree_with_the_replay_on_swapped_labels():
 def test_the_cover_certificate_agrees_with_every_linear_extension(h, seed):
     """On heaps of words and on hand-built heaps, whose fibers need not
     be chains: h is the heap of its own word exactly when the word of
-    every linear extension rebuilds h, and sampled trials fail only
-    where it is not."""
+    every linear extension rebuilds h, and sampled trials fail none or
+    all, as it is or is not."""
     certified = is_heap_of_its_word(h)
     assert certified == every_extension_rebuilds(h)
-    if word_rebuild_failures(h, random.Random(seed), 20):
-        assert not certified
+    assert replayed_rebuild_failures(h, random.Random(seed), 20) == (0 if certified else 20)
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ from minuscule import (
     simple_reflection,
     verify_minuscule,
 )
+import minuscule.orbit as orbit_module
 from conftest import small_catalog
-from minuscule.cli import default_catalog
+from minuscule.cli import default_catalog, main
 from oracles import (
     all_reflections_orbit,
     closure_orbit,
@@ -103,6 +104,50 @@ def test_orbit_cap():
     cd = build_cartan("D", 8)
     with pytest.raises(ResourceLimitError):
         generate_orbit(cd, fundamental_weight(cd, 8), cap=100)
+
+
+def count_formed_weights(monkeypatch):
+    """The set of distinct weights ``generate_orbit`` forms by ``_reflect``
+    from now on."""
+    formed = set()
+    reflect = orbit_module._reflect
+
+    def counting(cd, i, mu):
+        nu = reflect(cd, i, mu)
+        formed.add(nu)
+        return nu
+
+    monkeypatch.setattr(orbit_module, "_reflect", counting)
+    return formed
+
+
+@pytest.mark.parametrize("cap", [1, 5, 6, 7, 30, 719, 720])
+def test_the_cap_bounds_the_weights_formed(monkeypatch, cap):
+    """rho of A5, not minuscule, has 720 weights in layers of 1, 5, 14,
+    24, ...: the walk stops as soon as the orbit outgrows the cap, inside
+    a layer as at its end, so ``_reflect`` forms at most cap + 1 distinct
+    weights; at 720 the whole orbit is built."""
+    formed = count_formed_weights(monkeypatch)
+    cd = build_cartan("A", 5)
+    if cap < 720:
+        with pytest.raises(ResourceLimitError) as exc:
+            generate_orbit(cd, (1,) * 5, cap)
+        assert str(exc.value) == f"orbit exceeds cap of {cap} weights"
+        assert len(formed) <= cap + 1
+    else:
+        assert len(generate_orbit(cd, (1,) * 5, cap)) == 720
+        assert len(formed) == 719
+
+
+def test_a_capped_non_minuscule_node_exits_3_having_formed_at_most_cap_plus_one_weights(
+    capsys, monkeypatch
+):
+    """Node 2 of D8 is not minuscule, and its orbit outgrows a cap of 100
+    inside a layer: exit 3 with the ideal-count message."""
+    formed = count_formed_weights(monkeypatch)
+    assert main(["build", "D", "8", "2", "--cap-ideals", "100"]) == 3
+    assert capsys.readouterr() == ("", "error: ideal count exceeds cap of 100\n")
+    assert 0 < len(formed) <= 101
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())

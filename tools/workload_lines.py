@@ -14,7 +14,8 @@ A ``verify --all`` sweep would fork workers whose calls the trace would
 not see, so ``cli._worker_count`` is wrapped to return 1 once it has
 run, and the sweep runs every case in this process.  Every line runs
 with seed 1.  A function counts as executed when it is called at least
-once; a generator, when it is first resumed.  Standard library only.
+once; a generator, when it is first resumed.  A reader that closes the
+pipe early (``| head``) ends the script quietly.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -149,4 +151,13 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): end quietly, with
+        # stdout pointed at devnull so the interpreter's own flush at
+        # exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
