@@ -181,8 +181,6 @@ def _reflect(cd: CartanDatum, i: int, mu: Weight) -> Weight:
     so only those coordinates change: -mu_i at i, mu_j + mu_i at each
     neighbour j."""
     mi = mu[i - 1]
-    if mi == 0:
-        return tuple(mu)
     out = list(mu)
     for j in cd.neighbours[i - 1]:
         out[j - 1] += mi

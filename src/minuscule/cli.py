@@ -109,11 +109,9 @@ def _build_case(spec: CaseSpec) -> CaseBundle:
     return CaseBundle(spec, cd, lam, orb, report, lattice.heap, lattice)
 
 
-def build_case(
-    family: str, rank: int, node: int, cap_ideals: int = DEFAULT_IDEAL_CAP
-) -> CaseBundle:
+def build_case(family: str, rank: int, node: int) -> CaseBundle:
     """Build (and cache) everything for one catalog case."""
-    return _build_case(CaseSpec(family, rank, node, cap_ideals))
+    return _build_case(CaseSpec(family, rank, node))
 
 
 # ---------------------------------------------------------------------------

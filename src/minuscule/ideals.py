@@ -219,17 +219,15 @@ def rowmotion(h: Heap, mask: int) -> int:
     return out
 
 
-def gyration(h: Heap, mask: int, even_first: bool = True) -> int:
+def gyration(h: Heap, mask: int) -> int:
     """Toggle all even-rank elements, then all odd-rank ones.
 
     Within a parity class no two elements form a cover (the heap is
-    graded), so the toggles commute and the phase is order-free.  The
-    ``even_first`` flag swaps the two phases.
+    graded), so the toggles commute and the phase is order-free.
     """
     if not h.is_graded:
         raise DomainError("gyration needs a graded heap")
-    phases = (0, 1) if even_first else (1, 0)
-    for parity in phases:
+    for parity in (0, 1):
         for p in range(len(h)):
             if h.ranks[p] % 2 == parity:
                 mask = toggle(h, mask, p)

@@ -226,13 +226,13 @@ def verify_minuscule(cd: CartanDatum, orbit: OrbitPoset) -> MinusculeReport:
     return MinusculeReport(n, (), _first_mismatch(orbit, lattice), lattice)
 
 
-def build_minuscule_heap(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> Heap:
+def build_minuscule_heap(cd: CartanDatum, lam: Weight) -> Heap:
     """The minuscule heap of a minuscule dominant weight.
 
     Generates and certifies the orbit first; a failed certification is a
     DomainError carrying the report summary.
     """
-    report = verify_minuscule(cd, generate_orbit(cd, lam, cap))
+    report = verify_minuscule(cd, generate_orbit(cd, lam))
     if not report.ok:
         raise DomainError(f"weight {tuple(lam)} is not minuscule ({report.summary()})")
     return report.lattice.heap

@@ -89,16 +89,13 @@ class ToggleSuite(NamedTuple):
 def closed_form_witness(h: Heap) -> list[int]:
     """det C times the dual witness y of the toggle polytope in closed
     form, from the heap's base weight lam: y_0 = (lam, lam), and y_p =
-    (j - 1) - (lam, omega_i) for p the j-th element of the label-i fiber.
-    On a minuscule heap A^T y = ddeg on every ideal, which is the
-    ``ddeg_decomposition`` identity."""
+    (t - 1) - (lam, omega_i) for p named (i, t) in ``Heap.names``, the
+    t-th element of the label-i fiber.  On a minuscule heap A^T y = ddeg
+    on every ideal, which is the ``ddeg_decomposition`` identity."""
     cd = h.cartan
     base_sums = det_pairings(cd, h.base)
-    y = [sum(b * s for b, s in zip(h.base, base_sums))] + [0] * len(h)
-    for i in cd.nodes:
-        for j, p in enumerate(h.fibers[i]):
-            y[p + 1] = cd.det * j - base_sums[i - 1]
-    return y
+    y0 = sum(b * s for b, s in zip(h.base, base_sums))
+    return [y0, *(cd.det * (t - 1) - base_sums[i - 1] for i, t in h.names)]
 
 
 def witness_residues(lattice: IdealLattice, y: list[int], d: int) -> int:
@@ -132,13 +129,10 @@ def toggle_suite(lattice: IdealLattice) -> ToggleSuite:
     d = cd.det
     labels = h.labels
     base_sums = det_pairings(cd, h.base)
-    # at[b] is the fiber position j, counted from 1 in heap order, of
-    # element b - 1, and at[0] = 0: a mask of at most one bit has its
+    # at[b] is the fiber position t of element b - 1, named (i, t) in
+    # ``Heap.names``, and at[0] = 0: a mask of at most one bit has its
     # position at[mask.bit_length()].
-    at = [0] * (len(h) + 1)
-    for i in cd.nodes:
-        for j, p in enumerate(h.fibers[i], start=1):
-            at[p + 1] = j
+    at = [0, *(t for _, t in h.names)]
     chained = {labels[a] for a, b in h.covers if labels[a] == labels[b]}
     nodes = [(i, h.fiber_masks[i], base_sums[i - 1], i in chained) for i in cd.nodes]
     weights, index = lattice.weights, lattice.index

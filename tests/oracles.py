@@ -421,7 +421,9 @@ def maxchain_distribution(lattice):
 
 
 def _rref(rows, rhs):
-    """Reduce to an independent system; drops zero rows."""
+    """Reduce to an independent system, dropping the rows that reduce to
+    0 = 0; None when a row reduces to 0 = c with c != 0, so the system
+    has no solution."""
     aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
     m, n = len(aug), len(rows[0])
     r = 0
@@ -439,8 +441,9 @@ def _rref(rows, rhs):
         r += 1
         if r == m:
             break
-    kept = [row for row in aug[:r]]
-    return [row[:-1] for row in kept], [row[-1] for row in kept]
+    if any(row[-1] != 0 for row in aug[r:]):
+        return None
+    return [row[:-1] for row in aug[:r]], [row[-1] for row in aug[:r]]
 
 
 def _solve_square(rows, rhs):
@@ -461,9 +464,14 @@ def _solve_square(rows, rhs):
 
 
 def polytope_vertices(rows, rhs):
-    """All basic feasible solutions of {x >= 0, rows x = rhs}."""
-    rows, rhs = _rref(rows, rhs)
-    m, n = len(rows), len(rows[0])
+    """All basic feasible solutions of {x >= 0, rows x = rhs}; none when
+    rows x = rhs has no solution at all."""
+    n = len(rows[0])
+    reduced = _rref(rows, rhs)
+    if reduced is None:
+        return []
+    rows, rhs = reduced
+    m = len(rows)
     vertices = set()
     for cols in combinations(range(n), m):
         square = [[rows[r][c] for c in cols] for r in range(m)]

@@ -88,6 +88,13 @@ def test_unsupported_types_rejected(family, rank):
     assert f"{family}{rank}" in str(err.value)
 
 
+@pytest.mark.parametrize("rank", [3.0, True])
+def test_a_rank_that_is_not_an_int_is_a_configuration_error(rank):
+    with pytest.raises(ConfigurationError) as err:
+        build_cartan("A", rank)
+    assert str(err.value) == f"rank must be an integer, got {rank!r}"
+
+
 def test_a2_fundamental_inner_products():
     cd = build_cartan("A", 2)
     w1, w2 = fundamental_weight(cd, 1), fundamental_weight(cd, 2)

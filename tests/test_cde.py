@@ -944,3 +944,18 @@ def test_gyration_is_the_bipartite_coxeter_element_on_the_weights(family, rank, 
     Coxeter element c, so the image of every ideal has weight c w."""
     lattice = build_case(family, rank, node).lattice
     assert gyration_images(lattice) == bipartite_coxeter_images(lattice)
+
+
+def test_weights_of_the_wrong_length_are_a_domain_error():
+    L = build_case("A", 3, 2).lattice
+    with pytest.raises(DomainError) as info:
+        toggle_symmetry_report(L, [1] * (len(L) - 1))
+    assert str(info.value) == "distribution length does not match lattice"
+
+
+def test_homomesy_on_a_heap_without_a_base_weight_is_a_domain_error():
+    L = enumerate_ideals(heap_from_word(build_cartan("A", 3), (1, 3, 2)))
+    for action in ("rowmotion", "gyration"):
+        with pytest.raises(DomainError) as info:
+            homomesy_report(L, action)
+        assert str(info.value) == "heap carries no base weight"

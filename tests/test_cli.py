@@ -17,6 +17,7 @@ from minuscule import (
     Heap,
     IdealLattice,
     InternalCheckError,
+    build_cartan,
     cli,
     enumerate_ideals,
     fundamental_weight,
@@ -911,6 +912,58 @@ def test_out_path_occupied_by_a_file_is_a_domain_error(capsys, tmp_path):
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
     assert occupied.read_text() == "keep\n"
+
+
+def test_a_failed_rename_is_a_domain_error_and_leaves_no_temporary_file(
+    capsys, tmp_path, monkeypatch
+):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    reports = tmp_path / "reports"
+    code, _, err = run(capsys, "build", "A", "3", "2", "--out", str(reports))
+    assert code == EXIT_DOMAIN
+    assert err == f"error: cannot write {reports / 'A3.2.json'}: Permission denied\n"
+    assert list(reports.iterdir()) == []
+
+
+def test_an_interrupted_write_leaves_no_temporary_file_and_propagates(tmp_path, monkeypatch):
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli._write(str(tmp_path), "report.csv", "case,check,instances,failures\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_worker_count_without_fork_or_without_cpu_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [cli._worker_count(n) for n in (1, 2, 5)] == [1, 2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(5) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert [cli._worker_count(n) for n in (1, 5)] == [1, 1]
+
+
+def test_the_json_case_writes_null_for_an_lp_certificate_without_a_witness():
+    """The N-poset control has no dual witness, so its optima come from
+    the simplex; a case carrying that certificate renders its witness as
+    null."""
+    L = enumerate_ideals(heap_from_word(build_cartan("A", 4), (2, 4, 3, 1)))
+    cert = cde.lp_certificate(L)
+    assert cert.witness is None
+    res = verify_case(build_case("A", 1, 1), word_trials=0)._replace(lp=cert)
+    assert json.loads(cli._case_json(res))["lp"] == {
+        "minimum": "6/5",
+        "maximum": "4/3",
+        "constant": "1/2",
+        "equal": False,
+        "witness": None,
+    }
 
 
 def test_verify_case_together_with_all_is_a_domain_error(capsys):

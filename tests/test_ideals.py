@@ -252,17 +252,6 @@ def test_gyration_examples():
         assert gyration(anti, gyration(anti, m)) == m
 
 
-def test_gyration_phase_flag():
-    h = grid_heap()
-    L = enumerate_ideals(h)
-    even_then_odd = {m: gyration(h, m, even_first=True) for m in L.ideals}
-    odd_then_even = {m: gyration(h, m, even_first=False) for m in L.ideals}
-    # both phase orders are bijections, generally different maps
-    assert sorted(even_then_odd.values()) == sorted(L.ideals)
-    assert sorted(odd_then_even.values()) == sorted(L.ideals)
-    assert any(even_then_odd[m] != odd_then_even[m] for m in L.ideals)
-
-
 def test_action_orbit_bookkeeping():
     h = grid_heap()
     L = enumerate_ideals(h)

@@ -68,6 +68,9 @@ def test_non_dominant_and_non_integral_rejected():
 
     with pytest.raises(DomainError):
         generate_orbit(cd, (Fraction(1, 2), Fraction(0)))
+    with pytest.raises(DomainError) as info:
+        generate_orbit(cd, (1,))
+    assert str(info.value) == "weight has 1 coordinates, expected 2"
 
 
 def assert_orbit_matches_the_all_reflections_closure(cd, lam, orb):
@@ -282,3 +285,29 @@ def test_a_cover_going_down_in_index_is_a_domain_error():
         with pytest.raises(DomainError) as info:
             orb.below_masks
         assert str(info.value) == f"orbit cover {edge} does not ascend in weight index"
+
+
+def test_top_of_an_orbit_with_two_maximal_weights_is_a_domain_error():
+    """A hand-built A2 digraph: the bottom covered by two weights that
+    nothing covers."""
+    a2 = generate_orbit(build_cartan("A", 2), (1, 0))
+    fork = OrbitPoset(a2.cartan, a2.weights, ((0, 1, 1), (0, 2, 2)), (0, 1, 1))
+    with pytest.raises(DomainError) as info:
+        fork.top
+    assert str(info.value) == "orbit has 2 maximal weights, not 1"
+    assert a2.top == 2
+
+
+def test_saturated_chain_on_a_cyclic_cover_digraph_is_a_domain_error():
+    a1 = generate_orbit(build_cartan("A", 1), (1,))
+    cyclic = OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers)
+    with pytest.raises(DomainError) as info:
+        saturated_chain(cyclic)
+    assert str(info.value) == "cover digraph contains a cycle"
+
+
+def test_the_summary_of_a_certified_orbit():
+    cd = build_cartan("A", 3)
+    report = verify_minuscule(cd, generate_orbit(cd, fundamental_weight(cd, 2)))
+    assert report.ok
+    assert report.summary() == "minuscule: 6 weights form a distributive lattice"
