@@ -160,9 +160,11 @@ def label_sums(lattice: IdealLattice, values) -> tuple[list, list]:
 
 def _chain_sums(lattice: IdealLattice, products) -> tuple[list[int], list[int], int, int]:
     """``label_sums`` of ``products``, then the sum of ddeg times them,
-    and their sum."""
+    and their sum.  ddeg(x) is the number of covers into x, so the ddeg
+    sum is the sum of the highs, which add ``products`` over the upper
+    end of every cover once."""
     lows, highs = label_sums(lattice, products)
-    return lows, highs, sum(map(mul, lattice.down_degrees, products)), sum(products)
+    return lows, highs, sum(highs), sum(products)
 
 
 def _unpack(value: int, width: int, slots: int) -> list[int]:

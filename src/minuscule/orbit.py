@@ -17,7 +17,7 @@ from .cartan import CartanDatum, Weight, _reflect, is_dominant, is_integral
 from .errors import DomainError, ResourceLimitError
 from .frozen import Frozen
 from .heap import Heap, heap_from_word
-from .ideals import IdealLattice, enumerate_ideals
+from .ideals import IdealLattice
 
 DEFAULT_ORBIT_CAP = 10**6
 
@@ -28,6 +28,10 @@ class OrbitPoset(Frozen):
     Weight indices ascend along every cover (u < v): ``generate_orbit``
     lists the weights layer by layer, so index order is a linear
     extension of the orbit, and the walks here take the weights in it.
+    The constructor checks this once, and raises ``DomainError`` for an
+    empty orbit, a weight without one coordinate per node, ``layers``
+    without one entry per weight, or a cover that is not 0 <= u < v < n
+    at a node.  So every walk up the covers ends, and none needs a guard.
     """
 
     def __init__(
@@ -37,6 +41,19 @@ class OrbitPoset(Frozen):
         covers: tuple[tuple[int, int, int], ...],
         layers: tuple[int, ...],
     ) -> None:
+        n, rank = len(weights), cartan.rank
+        if not n:
+            raise DomainError("orbit has no weights")
+        for w in weights:
+            if len(w) != rank:
+                raise DomainError(f"orbit weight {w} has {len(w)} coordinates, expected {rank}")
+        if len(layers) != n:
+            raise DomainError(f"orbit has {len(layers)} layers for {n} weights")
+        for cover in covers:
+            u, v, i = cover
+            if not (0 <= u < v < n and 1 <= i <= rank):
+                rule = f"each (u, v, i) has 0 <= u < v < {n} and 1 <= i <= {rank}"
+                raise DomainError(f"orbit cover {cover} breaks the rule that {rule}")
         self._set(cartan=cartan, weights=weights, covers=covers, layers=layers)
 
     @cached_property
@@ -65,13 +82,10 @@ class OrbitPoset(Frozen):
     @cached_property
     def below_masks(self) -> tuple[int, ...]:
         """Strict down-sets as bit masks over weight indices, built in
-        index order; a cover that does not ascend in index, as every
-        cycle of the cover digraph has, raises DomainError."""
+        index order, which every cover ascends."""
         below = [0] * len(self.weights)
         for u, up in enumerate(self.up_adjacency):
             for _, v in up:
-                if v <= u:
-                    raise DomainError(f"orbit cover {u} -> {v} does not ascend in weight index")
                 below[v] |= below[u] | (1 << u)
         return tuple(below)
 
@@ -139,10 +153,11 @@ def generate_orbit(cd: CartanDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -
 class MinusculeReport(NamedTuple):
     """Outcome of the minuscule certification of an orbit poset.
 
-    ``lattice`` is the ideal lattice of the heap of ``saturated_chain``
-    whenever it was enumerated; ``mismatch`` names the first place where
-    its weight map fails to be a label-preserving cover isomorphism onto
-    the orbit.
+    ``lattice`` is J(P) for the heap of ``saturated_chain``, read off
+    the orbit's own covers and carrying the orbit's own weights, whenever
+    the orbit is certified; ``mismatch`` names the first orbit weight or
+    cover, or the first ideal or cover of the lattice read off it, where
+    the orbit fails to be J(P) with weights along reflections.
     """
 
     size: int
@@ -166,64 +181,71 @@ class MinusculeReport(NamedTuple):
         return f"not minuscule: {self.mismatch}"
 
 
-def _first_mismatch(orbit: OrbitPoset, lattice: IdealLattice) -> str | None:
-    """Where ideal -> weight fails to be a bijection onto the orbit that
-    sends the covers of J(P) onto the orbit covers with the same labels."""
-    n = len(orbit)
-    pos = [orbit.index.get(w, -1) for w in lattice.weights]
-    if sorted(pos) != list(range(n)):
-        k = min(set(range(n)) - set(pos))
-        return f"orbit weight {orbit.weights[k]} is the weight of no ideal"
-    covers = set(orbit.covers)
-    labels = lattice.heap.labels
-    hit = set()
-    for lo, hi, p in lattice.covers:
-        edge = (pos[lo], pos[hi], labels[p])
-        if edge not in covers:
-            return (
-                f"cover {lattice.weights[lo]} -> {lattice.weights[hi]}"
-                f" at node {labels[p]} of J(P) is not an orbit cover"
-            )
-        hit.add(edge)
-    if len(hit) != len(covers):
-        u, v, i = next(c for c in orbit.covers if c not in hit)
-        return f"orbit cover {orbit.weights[u]} -> {orbit.weights[v]} at node {i} is not a cover of J(P)"
-    return None
-
-
 def verify_minuscule(cd: CartanDatum, orbit: OrbitPoset) -> MinusculeReport:
     """Certify that an orbit is the weight lattice of a minuscule representation.
 
     First every coroot pairing must lie in {-1, 0, 1}; a violation already
     refutes minuscularity and nothing further is built.  Then the heap of
-    ``saturated_chain`` is built and its ideal lattice J(P) enumerated, at
-    most one ideal per orbit weight.  The orbit is certified when the map
-    ideal -> weight is a bijection onto the orbit that sends every cover of
-    J(P) to an orbit cover with the same label, and both have equally many
-    covers: the orbit is then isomorphic to J(P), hence a distributive
-    lattice (Rush and Shi).  The check is linear in the at most
-    |J(P)| * rank covers; enumerating J(P) costs O(|J(P)| * |P|).
-    Orbit weights of another rank and a cyclic cover digraph are a
-    DomainError.
+    ``saturated_chain`` is built, and one walk of the orbit covers in
+    index order reads J(P) off the orbit.  Along a cover (u, v, i) the
+    Rush-Shi isomorphism sends the ideal of v to the ideal of u plus the
+    lowest label-i element outside it, so each cover maps to that element,
+    and the first cover into v fixes the ideal of v.  Along that cover the
+    weight of u must have coordinate 1 at node i and v must be its
+    reflection, and no weight may be listed twice.  The ideals, sorted by
+    (cardinality, mask), the renumbered covers and the orbit's own weights
+    go to ``IdealLattice``, whose constructor accepts exactly J(P), each
+    cover once.  It is the one proof that the labelled orbit digraph is
+    J(P), so the orbit is a distributive lattice (Rush and Shi).  A
+    DomainError from the walk or the constructor, naming the first orbit
+    weight or cover, or lattice ideal or cover, that breaks a rule, is the
+    report's ``mismatch``.  The walk is linear in the at most
+    |J(P)| * rank covers.  An orbit of another rank is a DomainError.
     """
-    n = len(orbit)
-    for w in orbit.weights:
-        if len(w) != cd.rank:
-            raise DomainError(f"orbit weights have {len(w)} coordinates, expected {cd.rank}")
+    if cd.rank != orbit.cartan.rank:
+        raise DomainError(f"orbit weights have {orbit.cartan.rank} coordinates, expected {cd.rank}")
+    weights, n = orbit.weights, len(orbit)
     pairing = tuple(
         (w, i, w[i - 1])
-        for w in orbit.weights
+        for w in weights
         for i in cd.nodes
         if not -1 <= w[i - 1] <= 1
     )
     if pairing:
         return MinusculeReport(n, pairing)
-    h = heap_from_word(cd, saturated_chain(orbit), base=orbit.weights[orbit.bottom])
+    h = heap_from_word(cd, saturated_chain(orbit), base=weights[orbit.bottom])
+
+    def refuted(u, v, i, why):
+        return DomainError(f"orbit cover {weights[u]} -> {weights[v]} at node {i} {why}")
+
+    masks: list = [0] + [None] * (n - 1)  # per weight, its ideal, from the first cover into it
+    covers = []  # (u, v, p): each orbit cover with the element p it adds
     try:
-        lattice = enumerate_ideals(h, cap=n)
-    except ResourceLimitError:
-        return MinusculeReport(n, (), f"the heap of the saturated chain has more than {n} ideals")
-    return MinusculeReport(n, (), _first_mismatch(orbit, lattice), lattice)
+        if len(orbit.index) != n:
+            w = next(w for k, w in enumerate(weights) if orbit.index[w] != k)
+            raise DomainError(f"orbit weight {w} is listed twice")
+        for u, up in enumerate(orbit.up_adjacency):
+            if masks[u] is None:
+                raise DomainError(f"orbit weight {weights[u]} is the weight of no ideal")
+            for i, v in up:
+                outside = h.fiber_masks[i] & ~masks[u]
+                bit = outside & -outside
+                if not bit:
+                    why = f"adds nothing: the ideal of {weights[u]} holds all of label {i}"
+                    raise refuted(u, v, i, why)
+                if masks[v] is None:
+                    if weights[u][i - 1] != 1 or weights[v] != _reflect(cd, i, weights[u]):
+                        raise refuted(u, v, i, "is not a reflection at a coordinate equal to 1")
+                    masks[v] = masks[u] | bit
+                covers.append((u, v, bit.bit_length() - 1))
+        order = sorted(range(n), key=lambda k: (masks[k].bit_count(), masks[k]))
+        position = {x: k for k, x in enumerate(order)}
+        renumbered = tuple(sorted((position[u], position[v], p) for u, v, p in covers))
+        ideals = tuple(masks[x] for x in order)
+        lattice = IdealLattice(h, ideals, renumbered, tuple(weights[x] for x in order))
+    except DomainError as exc:
+        return MinusculeReport(n, (), str(exc))
+    return MinusculeReport(n, (), None, lattice)
 
 
 def build_minuscule_heap(cd: CartanDatum, lam: Weight) -> Heap:
@@ -242,16 +264,14 @@ def saturated_chain(orbit: OrbitPoset) -> tuple[int, ...]:
     """Labels along the bottom-to-top chain taking the smallest node at each step.
 
     On a minuscule orbit every such walk is a maximal chain of full
-    length; ``verify_minuscule`` certifies the orbit through the heap of
-    this word.  A walk longer than ``len(orbit) - 1`` steps repeats a
-    weight, so it raises DomainError on a cyclic cover digraph.
+    length; ``verify_minuscule`` reads J(P) for the heap of this word
+    off the orbit.  Every cover ascends in weight index, so the walk
+    ends within ``len(orbit) - 1`` steps.
     """
     word = []
     u = orbit.bottom
     up = orbit.up_adjacency
     while up[u]:
-        if len(word) == len(orbit) - 1:
-            raise DomainError("cover digraph contains a cycle")
         i, u = up[u][0]
         word.append(i)
     return tuple(word)

@@ -22,7 +22,9 @@ every linear extension.
 ``exact_product_width`` is the pass at t = 1 that once set the slot
 width of the packed strict products from the sums the rows take, so it
 runs the library's chain walk; it is the measured width that the
-library's bound must never undercut.
+library's bound must never undercut.  ``chain_count_table`` reads every
+k of ``chain_counts`` off one pass of the library's packed products, so
+a test that reads every k forms them once.
 ``positive_roots``, ``weyl_dimension`` and ``coxeter_number`` read the
 Cartan matrix alone, ``bipartite_coxeter_images`` reads gyration off
 the ideal weights through the library's ``_reflect``, and
@@ -57,7 +59,15 @@ from minuscule import (
     word_of_extension,
 )
 from minuscule.cartan import _reflect
-from minuscule.cde import ChainRow, _chain_sums, _cover_lists, _down_polynomials
+from minuscule.cde import (
+    ChainRow,
+    _chain_sums,
+    _cover_lists,
+    _down_polynomials,
+    _multichain_weights,
+    _strict_products,
+    _unpack,
+)
 from minuscule.heap import _rest_on_last
 from minuscule.stats import CheckRow
 
@@ -378,6 +388,22 @@ def exact_product_width(lattice):
     products = [f * up.pop() for f in _down_polynomials(upper, 0)]
     lows, highs, ddeg_sum, total = _chain_sums(lattice, products)
     return max(max(lows + highs, default=0), ddeg_sum, total).bit_length()
+
+
+def chain_count_table(lattice, mode, lengths):
+    """``chain_counts(lattice, k, mode)`` for every k in ``lengths``, from
+    one pass of the packed products: the slots of each product are the
+    strict counts of its ideal, and the multichain counts are their
+    binomial transform."""
+    width, products = _strict_products(lattice)
+    rank = len(lattice.heap)
+    strict = [_unpack(c, width, rank + 1) for c in products]
+    if mode == "strict":
+        return [tuple(slots[k] for slots in strict) for k in lengths]
+    return [
+        tuple(sum(w * c for w, c in zip(_multichain_weights(k, rank), slots)) for slots in strict)
+        for k in lengths
+    ]
 
 
 def zeta_multichain_counts(lattice, k):

@@ -47,6 +47,7 @@ from minuscule.stats import CheckRow, closed_form_witness, toggle_suite, witness
 from conftest import base_shifted_lattices, random_heap_word, small_catalog
 from oracles import (
     bipartite_coxeter_images,
+    chain_count_table,
     chain_row,
     coxeter_number,
     exact_product_width,
@@ -150,12 +151,15 @@ def test_chain_counts_against_brute_force(family, rank, node):
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
 def test_chain_counts_match_subset_table_oracle(family, rank, node):
+    """The one table per mode against the subset-table oracle, and
+    ``chain_counts`` and ``chain_distribution`` against the table at
+    every k."""
     cd = build_cartan(family, rank)
     L = enumerate_ideals(build_minuscule_heap(cd, fundamental_weight(cd, node)))
     p = len(L.heap)
     for mode, lengths in (("strict", range(p + 1)), ("multi", range(p + 3))):
-        for k in lengths:
-            counts = chain_counts(L, k, mode)
+        for k, counts in zip(lengths, chain_count_table(L, mode, lengths)):
+            assert chain_counts(L, k, mode) == counts, (mode, k)
             assert list(counts) == subset_table_chain_counts(L.ideals, k, mode), (mode, k)
             total = sum(counts)
             assert chain_distribution(L, k, mode) == tuple(F(c, total) for c in counts)
@@ -180,8 +184,8 @@ def test_chain_counts_match_oracles_on_random_heaps(case):
         return L.ideals[a] & ~L.ideals[b] == 0
 
     for mode, lengths in (("strict", range(p + 1)), ("multi", range(p + 3))):
-        for k in lengths:
-            counts = list(chain_counts(L, k, mode))
+        for k, counts in zip(lengths, chain_count_table(L, mode, lengths)):
+            counts = list(counts)
             assert counts == subset_table_chain_counts(L.ideals, k, mode), (mode, k)
             if mode == "multi":
                 assert counts == zeta_multichain_counts(L, k), k
@@ -216,7 +220,8 @@ def test_chain_rows_match_the_per_distribution_checks_on_the_catalog(catalog, bu
         L = bundle(spec.family, spec.rank, spec.node).lattice
         levels = range(len(L.heap) + 1)
         strict = strict_chain_rows(L)
-        assert rows_as_checked(strict) == rows_from_counts(L, [chain_counts(L, k) for k in levels])
+        counts = chain_count_table(L, "strict", levels)
+        assert rows_as_checked(strict) == rows_from_counts(L, counts)
         oracle = rows_from_counts(L, [zeta_multichain_counts(L, k) for k in levels])
         assert rows_as_checked(multichain_rows(strict)) == oracle, spec
 
@@ -232,7 +237,8 @@ def test_multichain_transform_of_perturbed_rows_on_random_heaps(case, seed):
     L = enumerate_ideals(heap_from_word(cd, word))
     rng = random.Random(seed)
     rank = len(L.heap)
-    strict = [[c + rng.randint(0, 3) for c in chain_counts(L, s)] for s in range(rank + 1)]
+    table = chain_count_table(L, "strict", range(rank + 1))
+    strict = [[c + rng.randint(0, 3) for c in counts] for counts in table]
     multi = [
         [sum(comb(k + 1, s + 1) * strict[s][i] for s in range(k + 1)) for i in range(len(L))]
         for k in range(rank + 1)

@@ -759,13 +759,13 @@ def _weight_of_node_1(bundle, monkeypatch):
     return bundle._replace(weight=fundamental_weight(bundle.cartan, 1))
 
 
-def _top_ideal_read_twice_by_label_sums(bundle, monkeypatch):
+def _bottom_ideal_read_twice_by_label_sums(bundle, monkeypatch):
     label_sums = cde.label_sums
 
     def twice(lattice, values):
         lows, highs = label_sums(lattice, values)
-        _, hi, p = lattice.covers[-1]
-        highs[p] += values[hi]
+        lo, _, p = lattice.covers[0]
+        lows[p] += values[lo]
         return lows, highs
 
     monkeypatch.setattr(cde, "label_sums", twice)
@@ -808,9 +808,10 @@ VERIFY_ROWS = (
 # its constant from the heap's base).  No lattice can list a cover twice,
 # and on J(P) every chain count and orbit indicator is toggle-symmetric,
 # so that row's fault is planted in its one reader: ``label_sums``
-# adding the value of the top ideal twice to the upper-end sum of the top
-# cover's element unbalances every weighting that is nonzero there, and
-# changes nothing else.  An extra heap cover fails every rebuilt word.
+# adding the value of the bottom ideal twice to the lower-end sum of the
+# first cover's element unbalances every weighting that is nonzero there,
+# and changes nothing else (the ddeg sum is read off the upper-end sums).
+# An extra heap cover fails every rebuilt word.
 PLANTED_FAULTS = (
     (_report_with_a_mismatch, {"minuscule"}),
     (_orbit_of_a3_1, {"structure"}),
@@ -828,7 +829,7 @@ PLANTED_FAULTS = (
             "homomesy_gyration",
         },
     ),
-    (_top_ideal_read_twice_by_label_sums, {"toggle_symmetry"}),
+    (_bottom_ideal_read_twice_by_label_sums, {"toggle_symmetry"}),
     (_weight_of_node_1, {"cde_strict", "cde_multi", "lp_certificate"}),
     (_heap_with_an_extra_cover, {"heap_words"}),
 )

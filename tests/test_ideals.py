@@ -80,7 +80,7 @@ def test_ideal_cap():
     h = build_minuscule_heap(cd, fundamental_weight(cd, 6))
     with pytest.raises(ResourceLimitError):
         enumerate_ideals(h, cap=10)
-    # The exact boundary: verify_minuscule enumerates with cap = |orbit|.
+    # The exact boundary: the E6.6 heap has 27 ideals.
     assert len(enumerate_ideals(h, cap=27)) == 27
     with pytest.raises(ResourceLimitError):
         enumerate_ideals(h, cap=26)

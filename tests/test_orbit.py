@@ -273,18 +273,96 @@ def test_below_masks_are_the_closure_of_the_covers(small_dominant_orbits):
 def test_a_cover_going_down_in_index_is_a_domain_error():
     """The cyclic A1 orbits 0 -> 1 -> 0 and 0 -> 1 -> 1, and the A2
     vector orbit listed top first, which is acyclic but has its covers
-    going down in index."""
+    going down in index: no such orbit poset is built."""
     a1 = generate_orbit(build_cartan("A", 1), (1,))
     a2 = generate_orbit(build_cartan("A", 2), (1, 0))
     flipped = tuple((2 - u, 2 - v, i) for u, v, i in a2.covers)
-    for orb, edge in (
-        (OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers), "1 -> 0"),
-        (OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 1, 1)), a1.layers), "1 -> 1"),
-        (OrbitPoset(a2.cartan, a2.weights[::-1], flipped, a2.layers[::-1]), "1 -> 0"),
+    on_a1, on_a2 = "v < 2 and 1 <= i <= 1", "v < 3 and 1 <= i <= 2"
+    for args, cover, rule in (
+        ((a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers), (1, 0, 1), on_a1),
+        ((a1.cartan, a1.weights, ((0, 1, 1), (1, 1, 1)), a1.layers), (1, 1, 1), on_a1),
+        ((a2.cartan, a2.weights[::-1], flipped, a2.layers[::-1]), (2, 1, 1), on_a2),
     ):
         with pytest.raises(DomainError) as info:
-            orb.below_masks
-        assert str(info.value) == f"orbit cover {edge} does not ascend in weight index"
+            OrbitPoset(*args)
+        assert str(info.value) == (
+            f"orbit cover {cover} breaks the rule that each (u, v, i) has 0 <= u < {rule}"
+        )
+
+
+def test_an_orbit_poset_is_checked_at_construction():
+    """Each rule once, on the A2 vector orbit; the empty orbit and the
+    cover (0, 9, 1) used to end in an IndexError inside verify_minuscule."""
+    a2 = generate_orbit(build_cartan("A", 2), (1, 0))
+    cd, weights, covers, layers = a2.cartan, a2.weights, a2.covers, a2.layers
+    rule = "breaks the rule that each (u, v, i) has 0 <= u < v < 3 and 1 <= i <= 2"
+    for args, message in (
+        ((cd, (), (), ()), "orbit has no weights"),
+        (
+            (cd, weights[:2] + ((0, -1, 0),), covers, layers),
+            "orbit weight (0, -1, 0) has 3 coordinates, expected 2",
+        ),
+        ((cd, weights, covers, layers[:2]), "orbit has 2 layers for 3 weights"),
+        ((cd, weights, covers + ((0, 9, 1),), layers), f"orbit cover (0, 9, 1) {rule}"),
+        ((cd, weights, covers + ((-1, 2, 1),), layers), f"orbit cover (-1, 2, 1) {rule}"),
+        ((cd, weights, covers + ((0, 2, 3),), layers), f"orbit cover (0, 2, 3) {rule}"),
+        ((cd, weights, covers + ((0, 2, 0),), layers), f"orbit cover (0, 2, 0) {rule}"),
+    ):
+        with pytest.raises(DomainError) as info:
+            OrbitPoset(*args)
+        assert str(info.value) == message
+
+
+def test_a_weight_listed_twice_is_named():
+    a2 = generate_orbit(build_cartan("A", 2), (1, 0))
+    twice = OrbitPoset(a2.cartan, a2.weights[:2] + a2.weights[1:2], a2.covers, a2.layers)
+    report = verify_minuscule(a2.cartan, twice)
+    assert report.summary() == "not minuscule: orbit weight (-1, 1) is listed twice"
+
+
+def test_a_cover_past_the_last_element_of_its_label_is_named():
+    """The A3 orbit of the third fundamental weight, chain word (3, 2, 1),
+    with a cover (1, 3, 3) beside the chain: the ideal of weight 1 holds
+    the one element of label 3 already."""
+    cd = build_cartan("A", 3)
+    orb = generate_orbit(cd, fundamental_weight(cd, 3))
+    assert orb.covers == ((0, 1, 3), (1, 2, 2), (2, 3, 1))
+    extra = OrbitPoset(cd, orb.weights, orb.covers + ((1, 3, 3),), orb.layers)
+    assert saturated_chain(extra) == (3, 2, 1)
+    assert verify_minuscule(cd, extra).summary() == (
+        f"not minuscule: orbit cover {orb.weights[1]} -> {orb.weights[3]} at node 3"
+        f" adds nothing: the ideal of {orb.weights[1]} holds all of label 3"
+    )
+
+
+@pytest.mark.parametrize("family,rank,node", [("A", 3, 2), ("D", 5, 5), ("E", 6, 6)])
+def test_a_dropped_cover_into_a_join_reducible_weight_is_refuted_by_the_lattice(
+    family, rank, node
+):
+    """The walk still reaches every weight, and the lattice constructor
+    finds the ideal of the lower weight missing a cover up."""
+    cd = build_cartan(family, rank)
+    orb = generate_orbit(cd, fundamental_weight(cd, node))
+    good = verify_minuscule(cd, orb).lattice
+    chain = saturated_chain(orb)
+    on_chain, u = set(), orb.bottom
+    while orb.up_adjacency[u]:
+        i, v = orb.up_adjacency[u][0]
+        on_chain.add((u, v, i))
+        u = v
+    dropped = next(
+        c for c in orb.covers if c not in on_chain and sum(w == c[1] for _, w, _ in orb.covers) > 1
+    )
+    u, v, i = dropped
+    covers = tuple(c for c in orb.covers if c != dropped)
+    tampered = OrbitPoset(cd, orb.weights, covers, orb.layers)
+    assert saturated_chain(tampered) == chain
+    lo = good.weights.index(orb.weights[u])
+    hi = good.weights.index(orb.weights[v])
+    (p,) = [p for a, b, p in good.covers if (a, b) == (lo, hi)]
+    assert verify_minuscule(cd, tampered).summary() == (
+        f"not minuscule: no lattice cover adds the addable element {p} to ideal {lo}"
+    )
 
 
 def test_top_of_an_orbit_with_two_maximal_weights_is_a_domain_error():
@@ -299,11 +377,12 @@ def test_top_of_an_orbit_with_two_maximal_weights_is_a_domain_error():
 
 
 def test_saturated_chain_on_a_cyclic_cover_digraph_is_a_domain_error():
+    """No walk up the covers can go round a cycle: the cyclic A1 orbit is
+    refused at construction."""
     a1 = generate_orbit(build_cartan("A", 1), (1,))
-    cyclic = OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers)
     with pytest.raises(DomainError) as info:
-        saturated_chain(cyclic)
-    assert str(info.value) == "cover digraph contains a cycle"
+        OrbitPoset(a1.cartan, a1.weights, ((0, 1, 1), (1, 0, 1)), a1.layers)
+    assert str(info.value).startswith("orbit cover (1, 0, 1) breaks the rule")
 
 
 def test_the_summary_of_a_certified_orbit():
