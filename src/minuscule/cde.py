@@ -38,9 +38,9 @@ transform.  Counts stay integers, and the checks
 read them through ``ChainRow``: per-element toggle differences and the
 sums behind the expectation, all linear in the counts, so each row is
 read off whole-integer sums of the products, and each multichain row is
-the same combination of the strict rows.  The 0/1 indicators of an
-action's orbits are packed the same way, orbit j in slot j, and read by
-the same reader.
+the same combination of the strict rows.  The 0/1 indicator of each
+of an action's orbits is a ``ChainRow`` too, counted without packing
+off its members' toggle masks, the two ends of the covers at them.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
+from .bits import iter_bits
 from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
 from .ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
@@ -159,10 +160,10 @@ def label_sums(lattice: IdealLattice, values) -> tuple[list, list]:
 
 
 def _chain_sums(lattice: IdealLattice, products) -> tuple[list[int], list[int], int, int]:
-    """``label_sums`` of ``products``, then the sum of ddeg times them,
-    and their sum.  ddeg(x) is the number of covers into x, so the ddeg
-    sum is the sum of the highs, which add ``products`` over the upper
-    end of every cover once."""
+    """``label_sums`` of the packed chain ``products``, then the sum of
+    ddeg times them, and their sum.  ddeg(x) is the number of covers
+    into x, so the ddeg sum is the sum of the highs, which add
+    ``products`` over the upper end of every cover once."""
     lows, highs = label_sums(lattice, products)
     return lows, highs, sum(highs), sum(products)
 
@@ -257,23 +258,31 @@ def strict_chain_rows(lattice: IdealLattice) -> tuple[ChainRow, ...]:
 
 
 def orbit_rows(lattice: IdealLattice, orbits) -> tuple[ChainRow, ...]:
-    """The ``ChainRow`` of each orbit's 0/1 indicator, orbit j in slot j.
-
-    An ideal of J(P) is the lower end of at most one cover labelled p
-    and the upper end of at most one, and its down-degree is at most
-    |P|; so for 0/1 indicators no slot of any sum the rows read exceeds
-    |J(P)| * |P|, and W = bit_length(|J(P)| * (|P| + 1)) keeps every
-    slot from carrying.  An empty orbit (no expectation), an index out
-    of range or one repeated within an orbit (not a 0/1 indicator)
-    raises ``DomainError``.
+    """The ``ChainRow`` of each orbit's 0/1 indicator, counted off its
+    members' toggle masks.  An ideal is the lower end of a cover
+    labelled p exactly when p is in its ``adds`` mask and the upper end
+    of one exactly when p is in its ``removes`` mask, so d_p, the
+    ``label_sums`` difference of the indicator, is the number of members
+    where p can be inserted minus the number where p can be deleted.
+    The ddeg sum adds ``down_degrees`` over the members, and the total
+    is their number.  Each orbit takes one step per cover end at its
+    members, so a partition into orbits takes two per cover.  Orbits
+    may overlap and need not cover the lattice.  An empty orbit (no
+    expectation), an index out of range or one repeated within an orbit
+    (not a 0/1 indicator) raises ``DomainError``.
     """
-    width = (len(lattice) * (len(lattice.heap) + 1)).bit_length()
-    packed = [0] * len(lattice)
-    for j, orbit in enumerate(orbits):
+    masks, degrees, size = lattice.toggle_masks, lattice.down_degrees, len(lattice.heap)
+    rows = []
+    for orbit in orbits:
         _check_orbit(lattice, orbit)
+        d = [0] * size
         for k in orbit:
-            packed[k] += 1 << (j * width)
-    return read_chain_rows(lattice, width, packed, len(orbits))
+            adds, removes = masks[k]
+            for p in iter_bits(adds | removes):  # adds lie outside ideal k, removes inside
+                d[p] += 1 if adds >> p & 1 else -1
+        differences = tuple((p, x) for p, x in enumerate(d) if x)
+        rows.append(ChainRow(differences, sum(degrees[k] for k in orbit), len(orbit)))
+    return tuple(rows)
 
 
 def multichain_rows(strict: tuple[ChainRow, ...]) -> tuple[ChainRow, ...]:

@@ -136,34 +136,27 @@ class CaseResult(NamedTuple):
 
 
 def _structure_failures(bundle: CaseBundle) -> tuple[int, int]:
-    """Ideal lattice against orbit poset: equal size, weight bijection,
-    and containment matching the orbit order in both directions.
+    """Ideal lattice against orbit poset: equal size, equal weight
+    multisets, and the map sigma from each ideal to the orbit index of
+    its weight sending covers onto covers.
 
-    One instance per (ideal a, ideal b) pair, counted with bit masks over
-    ideal indices.  The lattice is J(P), so containment is the closure of
-    its covers; the orbit order is the closure of the orbit covers, seeded
-    at each ideal's weight position.  For each b the two closures, the
-    ideals inside b and those whose weight lies at or below b's, must
-    agree.  A weight with no orbit position lies in no orbit down-set and
-    has none below it."""
+    The row keeps one instance per (ideal a, ideal b) pair.  A bijection
+    of finite posets is an order isomorphism exactly when it maps covers
+    onto covers, and neither cover set has a redundant edge: the lattice
+    constructor proves that J(P)'s covers are its Hasse diagram, and
+    every orbit cover that ``generate_orbit`` lists climbs one layer.
+    So the failures past the first two are the pairs in exactly one of
+    {(sigma lo, sigma hi)} over the lattice covers and {(u, v)} over the
+    orbit covers; when sigma is a bijection, these are the pairs on
+    which the two cover relations disagree.  A weight with no orbit
+    index is mapped to None, which lies on no orbit cover."""
     lattice, orb = bundle.lattice, bundle.orbit
     n = len(lattice)
     failures = int(n != len(orb)) + int(sorted(lattice.weights) != sorted(orb.weights))
-    contained = [1 << a for a in range(n)]  # per ideal, the ideals inside it
-    for lo, hi, _ in lattice.covers:  # sorted by lo, and lo < hi
-        contained[hi] |= contained[lo]
-    # per orbit weight, the ideals whose weight lies at or below it
-    dominated = [0] * len(orb)
-    weight_pos = [orb.index.get(w) for w in lattice.weights]
-    for a, w in enumerate(weight_pos):
-        if w is not None:
-            dominated[w] |= 1 << a
-    for u, up in enumerate(orb.up_adjacency):  # covers ascend in index
-        for _, v in up:
-            dominated[v] |= dominated[u]
-    for inside, w in zip(contained, weight_pos):
-        failures += (inside ^ (0 if w is None else dominated[w])).bit_count()
-    return 2 + n * n, failures
+    sigma = [orb.index.get(w) for w in lattice.weights]
+    mapped = {(sigma[lo], sigma[hi]) for lo, hi, _ in lattice.covers}
+    ordered = {(u, v) for u, v, _ in orb.covers}
+    return 2 + n * n, failures + len(mapped ^ ordered)
 
 
 def _word_robustness_failures(bundle: CaseBundle, trials: int) -> tuple[int, int]:
@@ -574,7 +567,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="sweep the default catalog")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--chain-mode", choices=(STRICT, MULTI, "both"), default="both")
-    p_verify.add_argument("--words", type=int, default=100, help="random word rebuilds per case")
+    words = "instance count of the heap_words row, all decided by one own-word certificate"
+    p_verify.add_argument("--words", type=int, default=100, help=words)
     p_verify.set_defaults(func=cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="tabulate action orbits")

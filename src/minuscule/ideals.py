@@ -88,10 +88,10 @@ class IdealLattice(Frozen):
     lo with its down-set inside, every ideal of P is listed, and the
     covers are the Hasse diagram of J(P), each once.  ``weights`` must
     be None or hold one weight per ideal; they are not checked against
-    the heap.  The same pass fills ``toggle_masks``, per ideal the masks
-    ``(adds, removes)`` of the elements that toggle into it and out of
-    it, and ``entering``, per ideal (lo, p) of its first cover in, None
-    for the empty ideal.
+    the heap, but an error at an ideal names its weight.  The same pass
+    fills ``toggle_masks``, per ideal the masks ``(adds, removes)`` of
+    the elements that toggle into it and out of it, and ``entering``,
+    per ideal (lo, p) of its first cover in, None for the empty ideal.
     """
 
     def __init__(
@@ -134,19 +134,23 @@ class IdealLattice(Frozen):
             removes[hi] |= bit
             if entering[hi] is None:
                 entering[hi] = lo, p
+
+        def named(k: int) -> str:  # ideal k, with its weight when there are weights
+            return f"ideal {k}" + ("" if weights is None else f" of weight {weights[k]}")
+
         ready = heap.minimal_mask
         for k, came in enumerate(entering):
             if k:
                 if came is None:
-                    raise DomainError(f"ideal {k} ({ideals[k]:#b}) is the upper end of no cover")
+                    raise DomainError(f"{named(k)} ({ideals[k]:#b}) is the upper end of no cover")
                 ready = ready_after(heap, adds[came[0]], came[1], ideals[k])
             missing, extra = ready & ~adds[k], adds[k] & ~ready
             if missing:
                 p = (missing & -missing).bit_length() - 1
-                raise DomainError(f"no lattice cover adds the addable element {p} to ideal {k}")
+                raise DomainError(f"no lattice cover adds the addable element {p} to {named(k)}")
             if extra:
                 p = (extra & -extra).bit_length() - 1
-                raise DomainError(f"a lattice cover adds the unaddable element {p} to ideal {k}")
+                raise DomainError(f"a lattice cover adds the unaddable element {p} to {named(k)}")
         self._set(heap=heap, ideals=ideals, covers=covers, weights=weights)
         self._set(toggle_masks=tuple(zip(adds, removes)), entering=tuple(entering))
 

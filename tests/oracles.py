@@ -5,8 +5,8 @@ dumbest correct algorithm available (fixpoint closures, powerset
 filters, exhaustive chain enumeration, subset-table and zeta-table
 chain counts, zeta-level strict chain rows, basis enumeration for
 polytope vertices, the quadratic heap builder, the pairwise structure
-check, the all-reflections orbit closure and the rescanning ideal
-enumerator) and stays deliberately ignorant of the library's internals.
+and cover checks, the all-reflections orbit closure and the rescanning
+ideal enumerator) and stays deliberately ignorant of the library's internals.
 The per-(ideal, node) identity checks at the end are the exception: they
 are the reference for the batched integer suite, so they take their
 Fraction inner products and weights from the library's public API.
@@ -24,7 +24,10 @@ width of the packed strict products from the sums the rows take, so it
 runs the library's chain walk; it is the measured width that the
 library's bound must never undercut.  ``chain_count_table`` reads every
 k of ``chain_counts`` off one pass of the library's packed products, so
-a test that reads every k forms them once.
+a test that reads every k forms them once.  ``packed_orbit_rows`` packs
+the orbit indicators into slots and reads them with the library's
+``read_chain_rows``, a path apart from the toggle-mask counts of
+``orbit_rows``.
 ``positive_roots``, ``weyl_dimension`` and ``coxeter_number`` read the
 Cartan matrix alone, ``bipartite_coxeter_images`` reads gyration off
 the ideal weights through the library's ``_reflect``, and
@@ -67,6 +70,7 @@ from minuscule.cde import (
     _multichain_weights,
     _strict_products,
     _unpack,
+    read_chain_rows,
 )
 from minuscule.heap import _rest_on_last
 from minuscule.stats import CheckRow
@@ -404,6 +408,30 @@ def chain_count_table(lattice, mode, lengths):
         tuple(sum(w * c for w, c in zip(_multichain_weights(k, rank), slots)) for slots in strict)
         for k in lengths
     ]
+
+
+def packed_orbit_indicators(lattice, orbits):
+    """(W, packed): the 0/1 indicator of orbit j in W-bit slot j of one
+    integer per ideal.
+
+    An ideal of J(P) is the lower end of at most one cover labelled p
+    and the upper end of at most one, and its down-degree is at most
+    |P|; so for 0/1 indicators no slot of any sum the rows read exceeds
+    |J(P)| * |P|, and W = bit_length(|J(P)| * (|P| + 1)) keeps every
+    slot from carrying."""
+    width = (len(lattice) * (len(lattice.heap) + 1)).bit_length()
+    packed = [0] * len(lattice)
+    for j, orbit in enumerate(orbits):
+        for k in orbit:
+            packed[k] += 1 << (j * width)
+    return width, packed
+
+
+def packed_orbit_rows(lattice, orbits):
+    """The ``ChainRow`` of each orbit's 0/1 indicator, read off the
+    packed indicators by the library's slot reader ``read_chain_rows``:
+    O(covers * orbits) bit work.  The reference for ``orbit_rows``."""
+    return read_chain_rows(lattice, *packed_orbit_indicators(lattice, orbits), len(orbits))
 
 
 def zeta_multichain_counts(lattice, k):
@@ -757,6 +785,25 @@ def pairwise_structure_failures(bundle):
             dominated = None not in (wa, wb) and bool(order[wb] >> wa & 1)
             if contained != dominated:
                 failures += 1
+    return 2 + n * n, failures
+
+
+def pairwise_cover_failures(bundle):
+    """The ``structure`` check row of ``verify`` on covers, one (ideal,
+    ideal) pair at a time: sizes, the weight multisets, and whether b
+    covers a in J(P) (mask b is mask a with one element added) against
+    whether the orbit lists a cover from the weight of a to that of b.
+    A weight outside the orbit lies on no orbit cover.  When each ideal
+    has its own orbit weight, this is the count ``verify`` reports."""
+    lattice, orb = bundle.lattice, bundle.orbit
+    n = len(lattice)
+    failures = int(n != len(orb)) + int(sorted(lattice.weights) != sorted(orb.weights))
+    ordered = {(u, v) for u, v, _ in orb.covers}
+    weight_pos = [orb.index.get(w) for w in lattice.weights]
+    for a, mask_a in enumerate(lattice.ideals):
+        for b, mask_b in enumerate(lattice.ideals):
+            covered = mask_a & ~mask_b == 0 and (mask_b & ~mask_a).bit_count() == 1
+            failures += covered != ((weight_pos[a], weight_pos[b]) in ordered)
     return 2 + n * n, failures
 
 

@@ -55,6 +55,8 @@ from oracles import (
     make_distribution,
     maxchain_distribution,
     multi_chain_member_counts,
+    packed_orbit_indicators,
+    packed_orbit_rows,
     polytope_vertices,
     simple_root,
     strict_chain_member_counts,
@@ -351,9 +353,11 @@ def split_off(orbits, j):
 
 
 def check_orbit_rows(L, orbits):
-    """The packed orbit rows equal ``toggle_symmetry_report`` on each
-    orbit's indicator, and ``expectation`` on each; returns the rows."""
+    """The counted orbit rows equal the packed oracle's, and
+    ``toggle_symmetry_report`` and ``expectation`` on each orbit's
+    indicator; returns the rows."""
     rows = orbit_rows(L, orbits)
+    assert rows == packed_orbit_rows(L, orbits)
     for orbit, row in zip(orbits, rows, strict=True):
         report = toggle_symmetry_report(L, indicator(L, orbit))
         assert row.differences == tuple((p, e - f) for p, e, f in report.violations)
@@ -363,7 +367,7 @@ def check_orbit_rows(L, orbits):
 
 
 def check_orbit_violations(L, orbits, j):
-    """The packed rows' violations equal the per-orbit reports,
+    """The orbit rows' violations equal the per-orbit reports,
     untampered and with orbit j's indicator tampered; returns both."""
     found = elements_by_row(check_orbit_rows(L, orbits))
     found_tampered = elements_by_row(check_orbit_rows(L, split_off(orbits, j)))
@@ -410,6 +414,23 @@ def test_orbit_rows_of_the_coarsest_and_finest_partitions(bundle, family, rank, 
         assert [p for p, _ in row.differences] == toggled
 
 
+@pytest.mark.parametrize("family,rank,node", small_catalog())
+def test_orbit_rows_of_overlapping_and_partial_orbit_lists(bundle, family, rank, node):
+    """Orbits may overlap and need not cover the lattice: both actions'
+    orbits in one list put every ideal in two, every second rowmotion
+    orbit leaves ideals in none, and nested index runs in any order mix
+    both."""
+    L = bundle(family, rank, node).lattice
+    n = len(L)
+    rowmotion_orbits = action_orbits(L, rowmotion)
+    for orbits in (
+        [*rowmotion_orbits, *action_orbits(L, gyration)],
+        rowmotion_orbits[::2],
+        [tuple(range(n)), tuple(range(0, n, 2)), tuple(range(n - 1, -1, -3))],
+    ):
+        check_orbit_rows(L, orbits)
+
+
 @pytest.mark.parametrize(
     "orbits,message",
     [
@@ -427,19 +448,17 @@ def test_orbit_rows_reject_what_is_not_an_orbit_indicator(orbits, message):
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())
 def test_every_packed_orbit_sum_round_trips_through_its_slots(bundle, family, rank, node):
-    """At W = bit_length(|J(P)| * (|P| + 1)), every slot of every sum the
-    orbit rows read is at most |J(P)| * |P|, and the slots pack back to
-    the sum, for both actions' orbits and the coarsest and finest
-    partitions."""
+    """In the packed oracle, at W = bit_length(|J(P)| * (|P| + 1)), every
+    slot of every sum the orbit rows read is at most |J(P)| * |P|, and
+    the slots pack back to the sum, for both actions' orbits and the
+    coarsest and finest partitions."""
     L = bundle(family, rank, node).lattice
     n, rank_p = len(L), len(L.heap)
-    width = (n * (rank_p + 1)).bit_length()
     partitions = [action_orbits(L, rowmotion), action_orbits(L, gyration)]
     partitions += [[tuple(range(n))], [(k,) for k in range(n)]]
     for orbits in partitions:
-        packed = [
-            sum(1 << (j * width) for j, orbit in enumerate(orbits) if k in orbit) for k in range(n)
-        ]
+        width, packed = packed_orbit_indicators(L, orbits)
+        assert width == (n * (rank_p + 1)).bit_length()
         lows, highs, ddeg_sum, total = _chain_sums(L, packed)
         for value in [*packed, *lows, *highs, ddeg_sum, total]:
             unpacked = _unpack(value, width, len(orbits))
@@ -456,6 +475,9 @@ def test_orbit_violations_match_the_per_orbit_checks_on_random_heaps(case, data)
     for action in (rowmotion, gyration) if h.is_graded else (rowmotion,):
         orbits = action_orbits(L, action)
         check_orbit_violations(L, orbits, data.draw(st.integers(0, len(orbits) - 1)))
+    # any nonempty index lists, overlapping or not, covering L or not
+    member = st.lists(st.integers(0, len(L) - 1), min_size=1, unique=True).map(tuple)
+    check_orbit_rows(L, data.draw(st.lists(member, max_size=4)))
 
 
 @pytest.mark.parametrize("family,rank,node", small_catalog())

@@ -39,6 +39,7 @@ from minuscule.cli import (
 )
 from oracles import (
     commutation_violations_by_toggle_label,
+    pairwise_cover_failures,
     pairwise_structure_failures,
     per_triple_identity_suite,
     replayed_rebuild_failures,
@@ -711,7 +712,7 @@ def test_the_gram_solve_decides_the_lp_row_for_a_shifted_base(monkeypatch):
         (
             _swap_weights_of_ideals_1_and_2,
             {
-                "structure": 4,
+                "structure": 8,
                 "commutation": 7,
                 "label_count": 2,
                 "signed_toggle_sum": 4,
@@ -733,8 +734,8 @@ def test_the_gram_solve_decides_the_lp_row_for_a_shifted_base(monkeypatch):
 def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, tamper, failing):
     """A3.2 with a fault planted in its lattice or heap: ``verify`` exits
     1, the identity rows equal the per-triple oracle, ``structure`` the
-    pairwise oracle and ``commutation`` the element-by-element toggles,
-    and exactly the rows the fault must trip fail."""
+    pairwise cover oracle and ``commutation`` the element-by-element
+    toggles, and exactly the rows the fault must trip fail."""
     bundle = tamper(build_case("A", 3, 2), monkeypatch)
     monkeypatch.setattr(cli, "_build_case", lambda spec: bundle)
     code, out, _ = run(capsys, "verify", "A", "3", "2", "--format=json")
@@ -743,7 +744,7 @@ def test_identity_rows_through_verify_count_planted_faults(capsys, monkeypatch, 
     assert {check: n for check, n in failures.items() if n} == failing
     for row in per_triple_identity_suite(bundle.lattice):
         assert failures[row.check] == row.failures
-    assert failures["structure"] == pairwise_structure_failures(bundle)[1]
+    assert failures["structure"] == pairwise_cover_failures(bundle)[1]
     assert failures["commutation"] == len(commutation_violations_by_toggle_label(bundle.lattice))
 
 
@@ -1034,16 +1035,30 @@ def test_empty_out_is_a_domain_error(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def check_structure_row(bundle):
+    """``_structure_failures`` has the instances and the verdict of the
+    pairwise containment oracle and, when each ideal has its own orbit
+    weight, the count of the pairwise cover oracle.  Returns its
+    failures and whether the count was checked."""
+    instances, failures = cli._structure_failures(bundle)
+    want_instances, want_failures = pairwise_structure_failures(bundle)
+    assert (instances, failures > 0) == (want_instances, want_failures > 0)
+    sigma = [bundle.orbit.index.get(w) for w in bundle.lattice.weights]
+    bijective = None not in sigma and sorted(sigma) == list(range(len(bundle.orbit)))
+    if bijective:
+        assert (instances, failures) == pairwise_cover_failures(bundle)
+    return failures, bijective
+
+
 def test_structure_check_matches_the_pairwise_oracle():
     for family, rank, node in (("A", 9, 5), ("D", 9, 9)):  # the ladder cases
-        bundle = build_case(family, rank, node)
-        assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
+        assert check_structure_row(build_case(family, rank, node)) == (0, True)
     rng = random.Random(23)
     shuffles = shuffled_failures = 0
-    tampered_failures = 0
+    tampered_failures = counted = 0
     for spec in default_catalog():
         bundle = build_case(spec.family, spec.rank, spec.node)
-        assert cli._structure_failures(bundle) == pairwise_structure_failures(bundle)
+        assert check_structure_row(bundle) == (0, True)
         L = bundle.lattice
         if len(L) > 2:
             # ideal 1 is the one minimal element; ideal 2 holds two
@@ -1059,10 +1074,9 @@ def test_structure_check_matches_the_pairwise_oracle():
             L.weights[:1] + (moved,) + L.weights[2:],  # off the orbit
         ):
             lattice = IdealLattice(L.heap, L.ideals, L.covers, weights)
-            tampered = bundle._replace(lattice=lattice)
-            instances, failures = cli._structure_failures(tampered)
-            assert (instances, failures) == pairwise_structure_failures(tampered)
+            failures, bijective = check_structure_row(bundle._replace(lattice=lattice))
             tampered_failures += failures > 0
+            counted += bijective
         # seeded permutations of the weights, every fourth with one weight
         # moved off the orbit
         for k in range(20):
@@ -1071,13 +1085,13 @@ def test_structure_check_matches_the_pairwise_oracle():
             if k % 4 == 0:
                 weights[rng.randrange(len(weights))] = moved
             lattice = IdealLattice(L.heap, L.ideals, L.covers, tuple(weights))
-            tampered = bundle._replace(lattice=lattice)
-            instances, failures = cli._structure_failures(tampered)
-            assert (instances, failures) == pairwise_structure_failures(tampered)
+            failures, bijective = check_structure_row(bundle._replace(lattice=lattice))
             shuffles += 1
             shuffled_failures += failures > 0
+            counted += bijective
     assert tampered_failures > 2 * len(default_catalog())
     assert shuffled_failures > 0.95 * shuffles
+    assert counted == 16 * len(default_catalog())  # the rotations and unmoved shuffles
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

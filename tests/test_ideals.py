@@ -420,10 +420,11 @@ def test_a_relabelled_cover_is_a_domain_error_at_construction():
 def test_a_dropped_cover_is_a_domain_error_at_construction():
     """With the one cover into ideal 1 dropped, the empty ideal has an
     addable element no cover adds: the error names the missing cover by
-    its lower ideal and element."""
+    its lower ideal, with that ideal's weight, and element."""
     L, error = a3_2_lattice_with_covers(lambda covers: covers[1:])
     assert [hi for _, hi, _ in L.covers].count(1) == 1
-    assert error == "no lattice cover adds the addable element 0 to ideal 0"
+    assert L.weights[0] == (0, 1, 0)
+    assert error == "no lattice cover adds the addable element 0 to ideal 0 of weight (0, 1, 0)"
 
 
 def test_a_reversed_cover_is_a_domain_error_at_construction():
@@ -493,6 +494,24 @@ def chain_of_two():
             "ideal 2 (0b10) is the upper end of no cover",
         ),
         (lambda h, L: (h, L.ideals, L.covers, L.weights[1:]), "lattice has 5 weights for 6 ideals"),
+        (
+            lambda h, L: (h, L.ideals, L.covers[:4] + L.covers[5:], L.weights),
+            "no lattice cover adds the addable element 1 to ideal 3 of weight (1, 0, -1)",
+        ),
+        (
+            lambda h, L: (
+                *chain_of_two(),
+                ((0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)),
+                ((1, 0), (-1, 1), (0, 0), (0, -1)),
+            ),
+            "a lattice cover adds the unaddable element 1 to ideal 0 of weight (1, 0)",
+        ),
+        (
+            lambda h, L: (
+                *chain_of_two(), ((0, 1, 0), (1, 3, 1)), ((1, 0), (-1, 1), (0, 0), (0, -1))
+            ),
+            "ideal 2 of weight (0, 0) (0b10) is the upper end of no cover",
+        ),
     ],
     ids=[
         "no_ideals",
@@ -508,11 +527,15 @@ def chain_of_two():
         "cover_missing",
         "ideal_entered_by_no_cover",
         "weights_short",
+        "cover_missing_at_a_weight",
+        "down_set_outside_at_a_weight",
+        "ideal_entered_by_no_cover_at_a_weight",
     ],
 )
 def test_the_lattice_constructor_names_the_first_broken_rule(tamper, message):
     """One input per rule, on the A3.2 lattice (ideals 0, 0b1, 0b11,
-    0b101, 0b111, 0b1111) or on a chain of two with a non-ideal mask."""
+    0b101, 0b111, 0b1111) or on a chain of two with a non-ideal mask.
+    Given weights, an error at an ideal also names its weight."""
     h = grid_heap()
     L = enumerate_ideals(h)
     with pytest.raises(DomainError) as info:

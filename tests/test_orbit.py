@@ -340,7 +340,8 @@ def test_a_dropped_cover_into_a_join_reducible_weight_is_refuted_by_the_lattice(
     family, rank, node
 ):
     """The walk still reaches every weight, and the lattice constructor
-    finds the ideal of the lower weight missing a cover up."""
+    finds the ideal of the lower weight missing a cover up, and names
+    that weight."""
     cd = build_cartan(family, rank)
     orb = generate_orbit(cd, fundamental_weight(cd, node))
     good = verify_minuscule(cd, orb).lattice
@@ -361,7 +362,8 @@ def test_a_dropped_cover_into_a_join_reducible_weight_is_refuted_by_the_lattice(
     hi = good.weights.index(orb.weights[v])
     (p,) = [p for a, b, p in good.covers if (a, b) == (lo, hi)]
     assert verify_minuscule(cd, tampered).summary() == (
-        f"not minuscule: no lattice cover adds the addable element {p} to ideal {lo}"
+        f"not minuscule: no lattice cover adds the addable element {p}"
+        f" to ideal {lo} of weight {orb.weights[u]}"
     )
 
 
