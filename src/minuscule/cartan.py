@@ -8,13 +8,11 @@ length occurs.  Coroots then coincide with roots; the simple root
 alpha_i has coordinate vector equal to row i of the Cartan matrix, and
 both reflections and coroot pairings are integer row operations.
 
-The inverse Cartan matrix is kept as an integer adjugate and determinant
-from ``_bareiss_solve``, the fraction-free solver ``cde`` shares for the
-Gram system of its dual witness on a heap without a base weight or
-whose closed-form witness fails (when no witness exists, ``cde`` runs
-the simplex, which pivots by Bland's rule only).  ``det_pairings`` gives det C (mu,
-omega_i) for every node, so an inner product of integral weights is an
-integer sum over det C.
+The inverse Cartan matrix is kept as an integer adjugate and determinant,
+read in closed form off the Dynkin diagram, a path with at most one
+node hanging from it, so no elimination runs.  ``det_pairings`` gives
+det C (mu, omega_i) for every node, so an inner product of integral
+weights is an integer sum over det C.
 
 Node numbering follows Bourbaki.  In type D the fork sits at node
 rank-2, with nodes rank-1 and rank as the two prongs.  In type E the
@@ -33,56 +31,16 @@ Rational = int | Fraction
 Weight = tuple[Rational, ...]
 
 
-def _dynkin_edges(family: str, rank: int) -> list[tuple[int, int]]:
+def _dynkin_layout(family: str, rank: int) -> tuple[list[int], int | None, int]:
+    """The Dynkin diagram as a path of nodes, the node hanging from path
+    position q (1-based), and q; None and 0 when the diagram is a path."""
     if family == "A" and rank >= 1:
-        return [(i, i + 1) for i in range(1, rank)]
+        return list(range(1, rank + 1)), None, 0
     if family == "D" and rank >= 3:
-        edges = [(i, i + 1) for i in range(1, rank - 2)]
-        edges += [(rank - 2, rank - 1), (rank - 2, rank)]
-        return edges
+        return list(range(1, rank)), rank, rank - 2
     if family == "E" and rank in (6, 7):
-        chain = [1, 3, 4, 5, 6, 7][: rank - 1]
-        edges = list(zip(chain, chain[1:]))
-        edges.append((2, 4))
-        return sorted(edges)
+        return [1, 3, 4, 5, 6, 7][: rank - 1], 2, 3
     raise ConfigurationError(f"unsupported Cartan type {family}{rank}")
-
-
-def _bareiss_solve(matrix: list[list[int]], columns: list[list[int]]) -> tuple[list, int] | None:
-    """Integer columns x_j and d != 0 such that x_j / d solves the square
-    integer system ``matrix y = b_j`` for each b_j in ``columns``, or None
-    when the matrix is singular.
-
-    Fraction-free (Bareiss) elimination, once for all columns: every
-    entry stays an integer minor of the input, so every division is
-    exact, and the last pivot d is the determinant up to sign, so d y is
-    integral by Cramer's rule.
-    """
-    n = len(matrix)
-    aug = [row[:] + [b[i] for b in columns] for i, row in enumerate(matrix)]
-    width = n + len(columns)
-    prev = 1
-    for c in range(n):
-        pick = next((i for i in range(c, n) if aug[i][c]), None)
-        if pick is None:
-            return None
-        aug[c], aug[pick] = aug[pick], aug[c]
-        top = aug[c]
-        pv = top[c]
-        for row in aug[c + 1 :]:
-            f = row[c]
-            for j in range(c + 1, width):
-                row[j] = (pv * row[j] - f * top[j]) // prev
-            row[c] = 0
-        prev = pv
-    solutions = []
-    for col in range(n, width):
-        x = [0] * n
-        for c in reversed(range(n)):
-            row = aug[c]
-            x[c] = (prev * row[col] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
-        solutions.append(x)
-    return solutions, prev
 
 
 class CartanDatum(Frozen):
@@ -122,23 +80,38 @@ def build_cartan(family: str, rank: int) -> CartanDatum:
     Supported ranks: A with rank >= 1, D with rank >= 3, E with rank 6
     or 7.  Anything else raises ConfigurationError naming the pair.
 
-    The adjugate comes from one ``_bareiss_solve`` of C x = e_j for all
-    j at once.  Every leading minor of a finite-type Cartan matrix is
-    positive, so no row is swapped, the last pivot is det C > 0 and x_j
-    is column j of the adjugate.
+    The adjugate is read off the layout in closed form.  On a path of m
+    nodes, g(a, b) = min(a, b) (m + 1 - max(a, b)) is m + 1 times the
+    inverse Cartan matrix at path positions a and b, and its det is
+    m + 1.  A node x hanging from position q adds one row and column;
+    its Schur complement gives det C = 2 (m + 1) - g(q, q), and
+    adj[a][b] = (det g(a, b) + g(a, q) g(q, b)) / (m + 1) on the path,
+    adj[a][x] = g(a, q) and adj[x][x] = m + 1.  With q = 0 the g(., q)
+    terms vanish and adj is g.
     """
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ConfigurationError(f"rank must be an integer, got {rank!r}")
-    edges = _dynkin_edges(family, rank)
+    path, extra, q = _dynkin_layout(family, rank)
+    m1 = len(path) + 1
+    g_q = [min(a, q) * (m1 - max(a, q)) for a in range(m1)]
+    edges = list(zip(path, path[1:]))
+    det = m1
     matrix = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    adjugate = [[0] * rank for _ in range(rank)]
+    if extra is not None:
+        edges.append((path[q - 1], extra))
+        det = 2 * m1 - g_q[q]
+        adjugate[extra - 1][extra - 1] = m1
+    for a, i in enumerate(path, 1):
+        row = adjugate[i - 1]
+        for b, j in enumerate(path, 1):
+            row[j - 1] = (det * min(a, b) * (m1 - max(a, b)) + g_q[a] * g_q[b]) // m1
+        if extra is not None:
+            row[extra - 1] = adjugate[extra - 1][i - 1] = g_q[a]
     for a, b in edges:
         matrix[a - 1][b - 1] = -1
         matrix[b - 1][a - 1] = -1
-    identity = [[int(i == j) for i in range(rank)] for j in range(rank)]
-    columns, det = _bareiss_solve(matrix, identity)
-    adjugate = tuple(zip(*columns))
-    frozen = tuple(tuple(row) for row in matrix)
-    return CartanDatum(family, rank, frozen, adjugate, det)
+    return CartanDatum(family, rank, tuple(map(tuple, matrix)), tuple(map(tuple, adjugate)), det)
 
 
 def _check_node(cd: CartanDatum, i: int) -> None:

@@ -12,8 +12,8 @@ covers.  On a heap with a base weight y has a closed form,
 positions, and its residues are also the ``ddeg_decomposition`` row;
 only a heap without a base, or one whose closed form has residues,
 solves the Gram system of the integer rows of ``toggle_polytope`` by the
-fraction-free elimination ``_bareiss_solve`` that ``cartan`` also uses
-for the Cartan adjugate.
+fraction-free elimination ``_bareiss_solve``, the package's one
+elimination.
 The simplex runs only when no witness exists, i.e. when the expectation
 is not constant on the polytope.
 
@@ -51,7 +51,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .bits import iter_bits
-from .cartan import _bareiss_solve
 from .errors import DomainError, InternalCheckError
 from .ideals import IdealLattice, gyration_images, image_orbits, rowmotion_images
 from .simplex import OPTIMAL, solve_lp
@@ -407,6 +406,43 @@ def _dual_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:
         if not witness_residues(lattice, y, d):
             return tuple(Fraction(v, d) for v in y)
     return _gram_witness(lattice)
+
+
+def _bareiss_solve(matrix: list[list[int]], columns: list[list[int]]) -> tuple[list, int] | None:
+    """Integer columns x_j and d != 0 such that x_j / d solves the square
+    integer system ``matrix y = b_j`` for each b_j in ``columns``, or None
+    when the matrix is singular.
+
+    Fraction-free (Bareiss) elimination, once for all columns: every
+    entry stays an integer minor of the input, so every division is
+    exact, and the last pivot d is the determinant up to sign, so d y is
+    integral by Cramer's rule.
+    """
+    n = len(matrix)
+    aug = [row[:] + [b[i] for b in columns] for i, row in enumerate(matrix)]
+    width = n + len(columns)
+    prev = 1
+    for c in range(n):
+        pick = next((i for i in range(c, n) if aug[i][c]), None)
+        if pick is None:
+            return None
+        aug[c], aug[pick] = aug[pick], aug[c]
+        top = aug[c]
+        pv = top[c]
+        for row in aug[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, width):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pv
+    solutions = []
+    for col in range(n, width):
+        x = [0] * n
+        for c in reversed(range(n)):
+            row = aug[c]
+            x[c] = (prev * row[col] - sum(row[j] * x[j] for j in range(c + 1, n))) // row[c]
+        solutions.append(x)
+    return solutions, prev
 
 
 def _gram_witness(lattice: IdealLattice) -> tuple[Fraction, ...] | None:

@@ -226,20 +226,13 @@ def verify_case(
     return CaseResult(bundle.spec.case_id, constant, tuple(checks), tuple(dists), cert)
 
 
-def _case_csv(res: CaseResult) -> str:
-    """The CSV lines of one case."""
-    return "".join(
-        f"{res.case_id},{row.check},{row.instances},{row.failures}\n" for row in res.checks
-    )
-
-
-def _case_json(res: CaseResult) -> str:
-    """One case of the JSON report, rendered as it sits in the report's
-    ``cases`` list; its constant is formatted once, and its LP
-    certificate only here, since the CSV report shows none of it."""
+def _case_payload(res: CaseResult) -> dict:
+    """One case of the JSON report, as it sits in the report's ``cases``
+    list; its constant is formatted once.  The CSV report reads only its
+    ``checks``."""
     constant = serialize.frac_str(res.constant)
     lp = res.lp
-    payload = {
+    return {
         "case": res.case_id,
         "constant": constant,
         "checks": [
@@ -266,26 +259,6 @@ def _case_json(res: CaseResult) -> str:
             else [serialize.frac_str(v) for v in lp.witness],
         },
     }
-    return serialize.dumps(payload, level=2)
-
-
-def _join_csv(cases: list[str], skipped: list[str]) -> str:
-    """The CSV report from the ``_case_csv`` text of each case."""
-    return (
-        "case,check,instances,failures\n"
-        + "".join(cases)
-        + "".join(f"{case_id},skipped,0,0\n" for case_id in skipped)
-    )
-
-
-def _join_json(cases: list[str], skipped: list[str], failures: int) -> str:
-    """The JSON report from the ``_case_json`` text of each case, as
-    ``serialize.dumps`` would render the whole payload."""
-    listed = "[\n    " + ",\n    ".join(cases) + "\n  ]" if cases else "[]"
-    return (
-        f'{{\n  "cases": {listed},\n  "skipped": {serialize.dumps(skipped, level=1)},\n'
-        f'  "total_failures": {failures}\n}}\n'
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +417,9 @@ def _map_forked(run, specs: list, workers: int) -> list:
 
 def cmd_verify(args) -> int:
     """Verify one case, or the catalog with ``--all``.  The cases are
-    independent, so they run on ``_worker_count`` processes; the report
-    is the same for any count."""
+    independent, so they run on ``_worker_count`` processes, each
+    returning its cases as data; this process renders the report once,
+    the same for any count."""
     given = (args.family, args.rank, args.node)
     if args.all:
         if any(v is not None for v in given):
@@ -463,12 +437,10 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--words must be at least 0, got {args.words}")
     modes = (STRICT, MULTI) if args.chain_mode == "both" else (args.chain_mode,)
 
-    render_case = _case_json if args.format == "json" else _case_csv
-
     def run(spec):
-        """The case's failure count and its text in the report, rendered
-        where it was verified; None when a sweep skips it for exceeding
-        the ideal cap."""
+        """The case's failure count and its ``_case_payload``, built where
+        it was verified; None when a sweep skips it for exceeding the
+        ideal cap."""
         try:
             bundle = _build_case(spec)
         except ResourceLimitError:
@@ -476,7 +448,7 @@ def cmd_verify(args) -> int:
                 raise
             return None
         res = verify_case(bundle, modes, word_trials=args.words)
-        return res.failures, render_case(res)
+        return res.failures, _case_payload(res)
 
     outcomes = _map_forked(run, specs, _worker_count(len(specs)))
     cases = []
@@ -492,9 +464,17 @@ def cmd_verify(args) -> int:
             cases.append(outcome[1])
 
     if args.format == "json":
-        text = _join_json(cases, skipped, failures)
+        report = {"cases": cases, "skipped": skipped, "total_failures": failures}
+        text = serialize.dumps(report) + "\n"
     else:
-        text = _join_csv(cases, skipped)
+        lines = ["case,check,instances,failures\n"]
+        lines += [
+            f"{case['case']},{c['check']},{c['instances']},{c['failures']}\n"
+            for case in cases
+            for c in case["checks"]
+        ]
+        lines += [f"{case_id},skipped,0,0\n" for case_id in skipped]
+        text = "".join(lines)
     sys.stdout.write(text)
     _write(args.out, f"report.{args.format}", text)
 

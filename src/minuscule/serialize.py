@@ -6,8 +6,7 @@ carry exactness); ideals are serialized as 0/1 strings indexed by heap
 element.  All emitted orderings are deterministic.  ``dumps`` writes
 the text of ``json.dumps(value, indent=2, sort_keys=True)``, which with
 an indent runs the json module's pure-Python encoder; here a flat list
-of ints or of strings is joined in one C call, and a value nested at
-some depth, such as one case of a report, renders on its own.
+of ints or of strings is joined in one C call.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ from .ideals import IdealLattice
 from .orbit import OrbitPoset
 
 
-def dumps(value, level: int = 0) -> str:
+def dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for a value built
-    of dicts with str keys, lists, tuples, strs, ints, bools and None,
-    as it appears nested ``level`` deep in a larger such value: the
-    lines after the first are indented by 2 * ``level`` more spaces.
+    of dicts with str keys, lists, tuples, strs, ints, bools and None.
     Any other type, a float or ``Fraction`` included, or a non-str key,
     raises ``TypeError``."""
-    return _render(value, "\n" + "  " * level)
+    return _render(value, "\n")
 
 
 def _render(value, newline: str) -> str:

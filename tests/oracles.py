@@ -34,6 +34,8 @@ the ideal weights through the library's ``_reflect``, and
 ``value_at_root_of_unity`` reads the ``ideal_size_polynomial`` of a
 lattice at a root of unity as its remainder modulo a ``cyclotomic``
 polynomial, by integer long division.
+``bareiss_adjugate`` eliminates the Cartan matrix through the library's
+``_bareiss_solve``, apart from the closed form ``build_cartan`` reads.
 The lookups that only tests read (the Cartan inverse as Fractions, the
 minuscule node table, simple roots, coroot pairings and the weight of
 an ideal folded from its reflections) live here too, the last through
@@ -69,6 +71,7 @@ from minuscule.cde import (
     _down_polynomials,
     _multichain_weights,
     _strict_products,
+    _bareiss_solve,
     _unpack,
     read_chain_rows,
 )
@@ -186,6 +189,18 @@ def gauss_jordan_inverse(matrix):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def bareiss_adjugate(matrix):
+    """The integer adjugate and det of a Cartan matrix by one fraction-free
+    elimination of C x = e_j for every j, the reference for the closed
+    form of ``build_cartan``.  Every leading minor of a finite-type
+    Cartan matrix is positive, so no row is swapped and the last pivot
+    is det C."""
+    n = len(matrix)
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    columns, det = _bareiss_solve([list(row) for row in matrix], identity)
+    return tuple(zip(*columns)), det
 
 
 def cartan_inverse(cd):

@@ -16,8 +16,11 @@ from minuscule import (
     simple_reflection,
     toggle_label,
 )
+import minuscule.cde as cde
+import minuscule.simplex as simplex
 from minuscule.cartan import _reflect
 from oracles import (
+    bareiss_adjugate,
     cartan_inverse,
     coroot_pairing,
     gauss_jordan_inverse,
@@ -40,6 +43,44 @@ def test_type_a_adjugate_closed_form_at_rank_150():
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert cd.adjugate[i - 1][j - 1] == min(i, j) * (n + 1 - max(i, j))
+
+
+def test_type_d_adjugate_closed_form_at_rank_150():
+    """4 min(i, j) on the path below the fork, 2i against either spin
+    node, n on each spin node's diagonal and n - 2 between the two."""
+    n = 150
+    cd = build_cartan("D", n)
+    assert cd.det == 4
+    spins = (n - 1, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i in spins and j in spins:
+                expected = n if i == j else n - 2
+            elif i in spins or j in spins:
+                expected = 2 * min(i, j)
+            else:
+                expected = 4 * min(i, j)
+            assert cd.adjugate[i - 1][j - 1] == expected
+
+
+CLOSED_FORM_TYPES = (
+    [("A", r) for r in range(1, 41)] + [("D", r) for r in range(3, 41)] + [("E", 6), ("E", 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", CLOSED_FORM_TYPES)
+def test_closed_form_adjugate_is_the_bareiss_adjugate(family, rank):
+    cd = build_cartan(family, rank)
+    assert (cd.adjugate, cd.det) == bareiss_adjugate(cd.matrix)
+
+
+def test_build_cartan_calls_no_solver(monkeypatch):
+    calls = []
+    for module, name in ((cde, "_bareiss_solve"), (cde, "solve_lp"), (simplex, "solve_lp")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    for family, rank in CLOSED_FORM_TYPES:
+        build_cartan(family, rank)
+    assert calls == []
 
 
 def test_rank_one_matrix():

@@ -22,6 +22,7 @@ from minuscule import (
     enumerate_ideals,
     fundamental_weight,
     heap_from_word,
+    serialize,
 )
 import minuscule.heap as heap_module
 from minuscule.cli import (
@@ -31,7 +32,7 @@ from minuscule.cli import (
     EXIT_RESOURCE,
     CaseSpec,
     CheckRow,
-    _case_csv,
+    _case_payload,
     build_case,
     default_catalog,
     main,
@@ -205,7 +206,7 @@ def test_render_csv_is_stable():
     bundle = build_case("A", 2, 1)
     res1 = verify_case(bundle, word_trials=5)
     res2 = verify_case(bundle, word_trials=5)
-    assert _case_csv(res1) == _case_csv(res2)
+    assert _case_payload(res1)["checks"] == _case_payload(res2)["checks"]
 
 
 def test_verify_rerun_output_identical(capsys):
@@ -959,7 +960,7 @@ def test_the_json_case_writes_null_for_an_lp_certificate_without_a_witness():
     cert = cde.lp_certificate(L)
     assert cert.witness is None
     res = verify_case(build_case("A", 1, 1), word_trials=0)._replace(lp=cert)
-    assert json.loads(cli._case_json(res))["lp"] == {
+    assert json.loads(serialize.dumps(_case_payload(res)))["lp"] == {
         "minimum": "6/5",
         "maximum": "4/3",
         "constant": "1/2",

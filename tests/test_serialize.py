@@ -41,19 +41,6 @@ def test_dumps_writes_what_the_json_module_writes(value):
     assert serialize.dumps(value) == reference(value)
 
 
-@settings(max_examples=100)
-@given(VALUES, st.integers(0, 3))
-def test_a_value_rendered_at_a_depth_reads_as_it_sits_there(value, level):
-    """A value nested ``level`` lists deep renders as the json module
-    writes it in place, after the indent that precedes it."""
-    nested = value
-    for _ in range(level):
-        nested = [nested]
-    opening = "".join("[\n" + "  " * (d + 1) for d in range(level))
-    closing = "".join("\n" + "  " * d + "]" for d in reversed(range(level)))
-    assert reference(nested) == opening + serialize.dumps(value, level) + closing
-
-
 @pytest.mark.parametrize(
     "value",
     [
